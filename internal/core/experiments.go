@@ -338,7 +338,7 @@ func (f Flow) Fig5c(ctx context.Context, circuits []string) (*Fig5Report, error)
 		if err != nil {
 			return 0, err
 		}
-		agedInitPath, err := sta.PathDelayUnder(nl, res.Worst, aged, f.STA)
+		agedInitPath, err := sta.PathDelayUnder(ctx, nl, res.Worst, aged, f.STA)
 		if err != nil {
 			return 0, err
 		}
@@ -663,11 +663,11 @@ func (g *GuardbandGrid) Format() string {
 
 // GuardbandGridFor synthesizes the circuit traditionally, then times
 // the one netlist under all 121 duty-cycle libraries of the paper's grid
-// in a single batched STA run (sta.AnalyzeBatch): the netlist
-// topology is compiled once and every library only rebinds timing views,
-// fanning out over Flow.Parallelism workers. Canceling ctx stops both the
-// characterization sweep and the batch mid-flight with an error matching
-// conc.ErrCanceled.
+// with one sta.BatchTimer: the netlist topology is compiled once and
+// every library only rebinds timing views, fanning out over
+// Flow.Parallelism workers. Canceling ctx stops both the
+// characterization sweep and the timing mid-flight with an error
+// matching conc.ErrCanceled.
 func (f Flow) GuardbandGridFor(ctx context.Context, circuit string) (*GuardbandGrid, error) {
 	ctx, sp := obs.StartSpan(ctx, "core.guardband.grid")
 	defer sp.End()
@@ -689,9 +689,18 @@ func (f Flow) GuardbandGridFor(ctx context.Context, circuit string) (*GuardbandG
 	if err != nil {
 		return nil, err
 	}
-	results, err := sta.AnalyzeBatch(ctx, nl, libs, f.STA, f.workers())
+	bt, err := sta.NewBatchTimer(ctx, nl, libs[0], f.STA)
 	if err != nil {
 		return nil, err
+	}
+	cps := make([]float64, len(libs))
+	err = conc.ParFor(ctx, f.workers(), len(libs), func(i int) error {
+		cp, err := bt.CP(ctx, libs[i])
+		cps[i] = cp
+		return err
+	})
+	if err != nil {
+		return nil, conc.WrapCanceled(err)
 	}
 	axis := aging.LambdaGrid()
 	g := &GuardbandGrid{Circuit: circuit, FreshCP: fcp, Lambdas: axis}
@@ -699,7 +708,7 @@ func (f Flow) GuardbandGridFor(ctx context.Context, circuit string) (*GuardbandG
 	for i := range axis {
 		g.AgedCP[i] = make([]float64, len(axis))
 		for j := range axis {
-			g.AgedCP[i][j] = results[i*len(axis)+j].CP
+			g.AgedCP[i][j] = cps[i*len(axis)+j]
 		}
 	}
 	return g, nil

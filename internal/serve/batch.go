@@ -421,7 +421,9 @@ func (s *Server) batch(ctx context.Context, req *api.BatchRequest) (any, error) 
 	s.reg.Counter("serve.batch.unique_fills").Add(int64(plan.unique()))
 	s.reg.Counter("serve.batch.memo_hits").Add(memoHits)
 
-	workers := conc.Workers(s.cfg.BatchParallelism)
+	// A batch holds a single admission ticket; its unique subproblems
+	// fill on all CPUs.
+	workers := conc.Workers(0)
 	runPhase := func(jobs []fillJob) {
 		if len(jobs) == 0 {
 			return

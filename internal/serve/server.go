@@ -55,12 +55,6 @@ type Config struct {
 	QueueDepth  int
 	RetryAfter  time.Duration
 
-	// BatchParallelism bounds how many unique subproblems of one /v1/batch
-	// request fill concurrently (default 0: GOMAXPROCS). A batch holds a
-	// single admission ticket; this knob is what fans its internal work
-	// out.
-	BatchParallelism int
-
 	// RequestTimeout is the per-request deadline (default 5m). It
 	// propagates into characterization and STA, whose inner loops check
 	// cancellation every solver time step.

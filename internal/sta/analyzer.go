@@ -11,19 +11,17 @@ import (
 	"ageguard/internal/obs"
 )
 
-// This file implements the incremental/batched STA engine. The naive
-// single-shot analysis (analyzeReference in sta.go) recomputes
-// levelization, fanout maps, per-net loads and the full arrival front on
-// every call — fine for one query, wasteful for the synthesis inner loop
-// (thousands of re-analyses of one slowly-mutating netlist) and for the
-// multi-library guardband fan-out (one netlist timed under up to 121
-// duty-cycle libraries). The Analyzer compiles the netlist topology once
-// into dense integer-indexed arrays, answers repeated queries from that
-// compiled form, and after a footprint-preserving cell swap re-propagates
-// arrivals only through the affected fanout cone, terminating early where
-// arrivals converge. Results are bit-identical to analyzeReference: every
-// floating-point operation is performed in the same order on the same
-// operands (see analyzer_test.go for the differential property tests).
+// This file implements the package's one timing engine. It compiles the
+// netlist topology once into dense integer-indexed arrays (topology),
+// resolves one library against it (binding), and propagates arrivals
+// over that compiled form (state). An Analyzer holds all three for one
+// library and, after a footprint-preserving cell swap, re-propagates
+// arrivals only through the affected fanout cone, terminating early
+// where arrivals converge. A BatchTimer shares one topology across many
+// libraries. Results are bit-identical to the string-keyed reference
+// analysis in reference_test.go: every floating-point operation is
+// performed in the same order on the same operands (see analyzer_test.go
+// for the differential property tests).
 
 // CellSwap is one footprint-preserving cell substitution: the instance
 // keeps its pins and nets, only the library cell (typically a different
@@ -43,7 +41,7 @@ type cSink struct {
 // topology is the library-independent compiled view of a netlist: net and
 // instance numbering, traversal order, fanout sinks in deterministic
 // reference order, and endpoint lists. It can be shared read-only between
-// bindings against different libraries (the batch mode does exactly that).
+// bindings against different libraries (a BatchTimer does exactly that).
 type topology struct {
 	n     *netlist.Netlist
 	nets  []string         // net id -> name
@@ -160,7 +158,7 @@ type binding struct {
 }
 
 // errFootprint signals a cell whose pin footprint deviates from the
-// topology's expectations; the caller falls back to a full analysis.
+// topology's expectations; the caller recompiles the topology.
 var errFootprint = fmt.Errorf("sta: cell footprint differs from compiled topology")
 
 func footprintMatches(t *topology, i int, ct *liberty.CellTiming) bool {
@@ -215,8 +213,22 @@ func newBinding(t *topology, lib *liberty.Library) (*binding, error) {
 	return b, nil
 }
 
-// cPred mirrors pred with integer net/instance references. inst < 0 means
-// "no predecessor" (primary inputs, unreached edges).
+// compile builds the topology of n against lib and binds lib to it.
+func compile(n *netlist.Netlist, lib *liberty.Library) (*topology, *binding, error) {
+	t, err := newTopology(n, lib)
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := newBinding(t, lib)
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, b, nil
+}
+
+// cPred is the winning arc into one edge of a net, by instance and net
+// index. inst < 0 means "no predecessor" (primary inputs, unreached
+// edges).
 type cPred struct {
 	inst    int32
 	pin     string
@@ -266,20 +278,21 @@ func (s *state) resetForward() {
 	}
 }
 
-// loadOf computes (and caches) the load of a net exactly the way
-// analyzeReference does: wire cap, fanout wire adder, sink pin caps in
-// fanout order, then the primary-output load.
+// loadOf returns the load of a net, computing and caching it on first use.
 func (s *state) loadOf(t *topology, b *binding, cfg *Config, net int32) float64 {
 	if s.hasLoad[net] {
 		return s.load[net]
 	}
-	l := s.computeLoad(t, b, cfg, net)
+	l := computeLoad(t, b, cfg, net)
 	s.load[net] = l
 	s.hasLoad[net] = true
 	return l
 }
 
-func (s *state) computeLoad(t *topology, b *binding, cfg *Config, net int32) float64 {
+// computeLoad sums the load of a net in the reference order: wire cap,
+// fanout wire adder, sink pin caps in fanout order, then the
+// primary-output load.
+func computeLoad(t *topology, b *binding, cfg *Config, net int32) float64 {
 	sinks := t.sinks[net]
 	l := cfg.WireCap
 	if len(sinks) > 1 {
@@ -295,7 +308,7 @@ func (s *state) computeLoad(t *topology, b *binding, cfg *Config, net int32) flo
 }
 
 // evalInst recomputes the arrival, slew and winning predecessors at one
-// instance's output, byte-for-byte the way analyzeReference's main loop
+// instance's output, byte-for-byte the way the reference's main loop
 // does. It does not write the state.
 func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [2]float64, pr [2]cPred, err error) {
 	neg := math.Inf(-1)
@@ -372,16 +385,27 @@ func forwardFull(t *topology, b *binding, s *state, cfg *Config) error {
 	return scanEndpoints(t, b, s)
 }
 
+// forEndpoint visits every timing endpoint in reference order: primary
+// outputs first (duplicates preserved, zero setup), then sequential data
+// pins in n.Insts order with their setup times.
+func forEndpoint(t *topology, b *binding, fn func(net int32, setup float64)) {
+	for _, po := range t.poNets {
+		fn(po, 0)
+	}
+	for _, i := range t.seqTopo {
+		ct := b.ct[i]
+		fn(t.pinNet[i][ct.Data], ct.SetupPS)
+	}
+}
+
 // scanEndpoints recomputes the critical endpoint exactly in reference
-// order: primary outputs first, then sequential data pins in n.Insts
 // order, with strictly-greater tie-breaking.
 func scanEndpoints(t *topology, b *binding, s *state) error {
-	neg := math.Inf(-1)
 	bestEnd := int32(-1)
 	bestEdge := liberty.Rise
-	bestDelay := neg
+	bestDelay := math.Inf(-1)
 	bestSetup := 0.0
-	consider := func(net int32, setup float64) {
+	forEndpoint(t, b, func(net int32, setup float64) {
 		if !s.hasArr[net] {
 			return
 		}
@@ -392,14 +416,7 @@ func scanEndpoints(t *topology, b *binding, s *state) error {
 				bestEnd, bestEdge, bestSetup = net, e, setup
 			}
 		}
-	}
-	for _, po := range t.poNets {
-		consider(po, 0)
-	}
-	for _, i := range t.seqTopo {
-		ct := b.ct[i]
-		consider(t.pinNet[i][ct.Data], ct.SetupPS)
-	}
+	})
 	if bestEnd < 0 {
 		return fmt.Errorf("sta: no timing endpoints in %s", t.n.Name)
 	}
@@ -434,16 +451,10 @@ func materialize(t *topology, b *binding, s *state, cfg *Config) *Result {
 			req[net][e] = v
 		}
 	}
-	for _, po := range t.poNets {
-		setReq(po, liberty.Rise, s.cp)
-		setReq(po, liberty.Fall, s.cp)
-	}
-	for _, i := range t.seqTopo {
-		ct := b.ct[i]
-		d := t.pinNet[i][ct.Data]
-		setReq(d, liberty.Rise, s.cp-ct.SetupPS)
-		setReq(d, liberty.Fall, s.cp-ct.SetupPS)
-	}
+	forEndpoint(t, b, func(net int32, setup float64) {
+		setReq(net, liberty.Rise, s.cp-setup)
+		setReq(net, liberty.Fall, s.cp-setup)
+	})
 	for i := len(t.order) - 1; i >= 0; i-- {
 		ct := b.ct[i]
 		if ct.Seq {
@@ -496,16 +507,16 @@ func materialize(t *topology, b *binding, s *state, cfg *Config) *Result {
 		}
 		res.Slack[name] = sl
 	}
-	res.Worst = traceCompiled(t, s)
+	res.Worst = traceCompiled(t, s, s.bestEnd, s.bestEdge, s.bestSetup)
 	return res
 }
 
-// traceCompiled reconstructs the critical path from compiled predecessors,
-// mirroring tracePath.
-func traceCompiled(t *topology, s *state) Path {
-	p := Path{Endpoint: t.nets[s.bestEnd], EndEdge: s.bestEdge, Setup: s.bestSetup}
-	p.Delay = s.arr[s.bestEnd][s.bestEdge] + s.bestSetup
-	net, edge := s.bestEnd, s.bestEdge
+// traceCompiled reconstructs the timing path ending at one edge of an
+// endpoint net by following the compiled predecessors back to its launch.
+func traceCompiled(t *topology, s *state, end int32, endEdge liberty.Edge, setup float64) Path {
+	p := Path{Endpoint: t.nets[end], EndEdge: endEdge, Setup: setup}
+	p.Delay = s.arr[end][endEdge] + setup
+	net, edge := end, endEdge
 	for {
 		pr := s.preds[net][edge]
 		if pr.inst < 0 {
@@ -547,8 +558,8 @@ func traceCompiled(t *topology, s *state) Path {
 //
 // The Analyzer takes ownership of the netlist: Swap updates Inst.Cell in
 // place so the netlist and the compiled state never diverge. It is not
-// safe for concurrent use; run one Analyzer per goroutine (the batch mode
-// in batch.go shares only the immutable topology).
+// safe for concurrent use; run one Analyzer per goroutine (a BatchTimer
+// shares only the immutable topology).
 type Analyzer struct {
 	t     *topology
 	b     *binding
@@ -574,11 +585,7 @@ func NewAnalyzer(ctx context.Context, n *netlist.Netlist, lib *liberty.Library, 
 		reg.Histogram("sta.analyze.seconds").Since(t0)
 	}()
 	cfg.fill()
-	t, err := newTopology(n, lib)
-	if err != nil {
-		return nil, err
-	}
-	b, err := newBinding(t, lib)
+	t, b, err := compile(n, lib)
 	if err != nil {
 		return nil, err
 	}
@@ -588,12 +595,6 @@ func NewAnalyzer(ctx context.Context, n *netlist.Netlist, lib *liberty.Library, 
 	}
 	return a, nil
 }
-
-// Netlist returns the netlist the Analyzer is bound to.
-func (a *Analyzer) Netlist() *netlist.Netlist { return a.t.n }
-
-// Library returns the library the Analyzer is bound to.
-func (a *Analyzer) Library() *liberty.Library { return a.b.lib }
 
 // CP returns the current critical-path delay without materializing a full
 // Result — the cheap accept/reject query of optimization loops.
@@ -644,12 +645,14 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 		}
 		idx[k] = i
 	}
+	// The undo list runs back to front, so an instance swapped twice in
+	// one call ends on its original cell.
 	undo := make([]CellSwap, len(swaps))
 	fallback := false
 	loadDirty := make(map[int32]struct{})
 	for k, sw := range swaps {
 		i := idx[k]
-		undo[k] = CellSwap{Inst: sw.Inst, Cell: a.t.order[i].Cell}
+		undo[len(swaps)-1-k] = CellSwap{Inst: sw.Inst, Cell: a.t.order[i].Cell}
 		a.t.order[i].Cell = sw.Cell
 		if err := a.b.bindInst(a.t, int(i), sw.Cell); err == errFootprint {
 			fallback = true
@@ -679,7 +682,7 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 		if !a.s.hasLoad[net] {
 			continue // never queried (e.g. a primary input net)
 		}
-		nl := a.s.computeLoad(a.t, a.b, &a.cfg, net)
+		nl := computeLoad(a.t, a.b, &a.cfg, net)
 		if nl == a.s.load[net] {
 			continue
 		}
@@ -724,13 +727,10 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 }
 
 // rebuild recompiles topology and binding from the current netlist and
-// re-runs the full analysis — the fallback for structural edits.
+// re-runs the full analysis — Swap's fallback when a footprint changes
+// or the incremental sweep fails.
 func (a *Analyzer) rebuild() error {
-	t, err := newTopology(a.t.n, a.b.lib)
-	if err != nil {
-		return err
-	}
-	b, err := newBinding(t, a.b.lib)
+	t, b, err := compile(a.t.n, a.b.lib)
 	if err != nil {
 		return err
 	}
@@ -739,15 +739,4 @@ func (a *Analyzer) rebuild() error {
 	a.dirty = make([]bool, len(t.order))
 	a.res = nil
 	return forwardFull(t, b, a.s, &a.cfg)
-}
-
-// Rebuild re-times the netlist from scratch after external structural
-// edits (added instances, rewired pins). Counted as an incremental
-// fallback: prefer Swap for footprint-preserving changes.
-func (a *Analyzer) Rebuild(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("sta: %s: %w", a.t.n.Name, err)
-	}
-	obs.From(ctx).Counter("sta.incremental.fallbacks").Inc()
-	return a.rebuild()
 }

@@ -236,30 +236,6 @@ func TestIncrementalSwapBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRebuildAfterStructuralEdit covers the fallback-to-full path:
-// after a structural netlist edit (new instance), Rebuild must resync the
-// engine with the reference analysis.
-func TestAnalyzerRebuildAfterStructuralEdit(t *testing.T) {
-	l := lib(t, aging.Fresh())
-	nl := chain(4)
-	ctx := context.Background()
-	a, err := NewAnalyzer(ctx, nl, l, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Splice an extra inverter stage onto the chain output net.
-	nl.AddInst("extra", "INV_X4", map[string]string{"A": "w4", "ZN": "x"})
-	nl.Outputs = append(nl.Outputs, "x")
-	if err := a.Rebuild(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want, err := analyzeReference(nl, l, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualResults(t, "after rebuild", a.Result(), want)
-}
-
 // TestSwapValidation: unknown instances or cells must error without
 // disturbing the engine state.
 func TestSwapValidation(t *testing.T) {
@@ -285,8 +261,34 @@ func TestSwapValidation(t *testing.T) {
 	}
 }
 
+// TestSwapUndoSameInstanceTwice: when one call swaps the same instance
+// twice, the returned undo must restore the original cell, not the
+// intermediate one, and the result must come back bit-identical.
+func TestSwapUndoSameInstanceTwice(t *testing.T) {
+	l := lib(t, aging.Fresh())
+	nl := chain(3)
+	ctx := context.Background()
+	a, err := NewAnalyzer(ctx, nl, l, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := a.Result()
+	undo, err := a.Swap(ctx, CellSwap{Inst: "inv1", Cell: "INV_X2"}, CellSwap{Inst: "inv1", Cell: "INV_X4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Swap(ctx, undo...); err != nil {
+		t.Fatal(err)
+	}
+	if got := nl.Insts[2].Cell; got != "INV_X1" {
+		t.Fatalf("inv1 after undo = %s, want INV_X1", got)
+	}
+	mustEqualResults(t, "after undo", a.Result(), before)
+}
+
 // TestSwapMetrics checks the obs wiring: queries and cone sizes are
-// recorded, and fallbacks only on Rebuild.
+// recorded, and footprint-preserving swaps never fall back (the fallback
+// count is pinned by TestFootprintMismatchRecompiles).
 func TestSwapMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctx := obs.With(context.Background(), reg)
@@ -309,17 +311,27 @@ func TestSwapMetrics(t *testing.T) {
 	if got := reg.Counter("sta.incremental.fallbacks").Value(); got != 0 {
 		t.Errorf("fallbacks = %d, want 0", got)
 	}
-	if err := a.Rebuild(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("sta.incremental.fallbacks").Value(); got != 1 {
-		t.Errorf("fallbacks after Rebuild = %d, want 1", got)
-	}
 }
 
-// TestAnalyzeBatchMatchesReference locks the multi-library batch mode to
+// gridCPs times nl under every library with one BatchTimer, fanning the
+// libraries out over workers the way core's duty-cycle grid does.
+func gridCPs(ctx context.Context, nl *netlist.Netlist, libs []*liberty.Library, workers int) ([]float64, error) {
+	bt, err := NewBatchTimer(ctx, nl, libs[0], Config{})
+	if err != nil {
+		return nil, err
+	}
+	cps := make([]float64, len(libs))
+	err = conc.ParFor(ctx, workers, len(libs), func(i int) error {
+		cp, err := bt.CP(ctx, libs[i])
+		cps[i] = cp
+		return err
+	})
+	return cps, err
+}
+
+// TestBatchTimerMatchesReference locks the multi-library fan-out to
 // per-library reference analyses, in order, bit for bit.
-func TestAnalyzeBatchMatchesReference(t *testing.T) {
+func TestBatchTimerMatchesReference(t *testing.T) {
 	libs := []*liberty.Library{
 		lib(t, aging.Fresh()),
 		lib(t, aging.BalanceCase(10)),
@@ -329,31 +341,26 @@ func TestAnalyzeBatchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	nl := randNetlist(rng, 120)
 	for _, workers := range []int{1, 4} {
-		got, err := AnalyzeBatch(context.Background(), nl, libs, Config{}, workers)
+		got, err := gridCPs(context.Background(), nl, libs, workers)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(got) != len(libs) {
-			t.Fatalf("workers=%d: %d results for %d libraries", workers, len(got), len(libs))
 		}
 		for i, l := range libs {
 			want, err := analyzeReference(nl, l, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustEqualResults(t, fmt.Sprintf("workers=%d leg %d (%s)", workers, i, l.Name), got[i], want)
+			if got[i] != want.CP {
+				t.Fatalf("workers=%d leg %d (%s): CP %v != reference %v", workers, i, l.Name, got[i], want.CP)
+			}
 		}
-	}
-	// Empty batch is a no-op.
-	if res, err := AnalyzeBatch(context.Background(), nl, nil, Config{}, 4); err != nil || res != nil {
-		t.Errorf("empty batch: %v, %v", res, err)
 	}
 }
 
-// TestAnalyzeBatchCancellation: canceling mid-batch must stop the
-// remaining legs, return an error matching conc.ErrCanceled, and leave no
-// worker goroutines behind.
-func TestAnalyzeBatchCancellation(t *testing.T) {
+// TestBatchTimerCancellation: canceling mid-grid must stop the remaining
+// legs, return an error matching conc.ErrCanceled, and leave no worker
+// goroutines behind.
+func TestBatchTimerCancellation(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctx, cancel := context.WithCancel(obs.With(context.Background(), reg))
 	defer cancel()
@@ -372,7 +379,7 @@ func TestAnalyzeBatchCancellation(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err := AnalyzeBatch(ctx, nl, libs, Config{}, 4)
+	_, err := gridCPs(ctx, nl, libs, 4)
 	if !errors.Is(err, conc.ErrCanceled) {
 		t.Fatalf("err = %v, want conc.ErrCanceled", err)
 	}
@@ -385,10 +392,18 @@ func TestAnalyzeBatchCancellation(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("goroutines leaked: %d > %d before", n, before)
 	}
-	// A pre-canceled context fails fast with the same sentinel.
+	// A pre-canceled context fails fast with the same sentinel, both at
+	// construction and per library.
 	done, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, err := AnalyzeBatch(done, nl, libs, Config{}, 4); !errors.Is(err, conc.ErrCanceled) {
+	if _, err := gridCPs(done, nl, libs, 4); !errors.Is(err, conc.ErrCanceled) {
 		t.Errorf("pre-canceled err = %v, want conc.ErrCanceled", err)
+	}
+	bt, err := NewBatchTimer(context.Background(), nl, l, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bt.CP(done, l); !errors.Is(err, conc.ErrCanceled) {
+		t.Errorf("pre-canceled CP err = %v, want conc.ErrCanceled", err)
 	}
 }

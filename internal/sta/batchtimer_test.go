@@ -2,11 +2,15 @@ package sta
 
 import (
 	"context"
+	"maps"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"ageguard/internal/aging"
 	"ageguard/internal/liberty"
+	"ageguard/internal/obs"
 )
 
 func TestBatchTimerMatchesAnalyze(t *testing.T) {
@@ -78,7 +82,9 @@ func TestBatchTimerConcurrent(t *testing.T) {
 	}
 }
 
-func TestBatchTimerFootprintFallback(t *testing.T) {
+// TestBatchTimerMissingCell: a library missing a cell the topology was
+// compiled against cannot be bound; CP must fail cleanly.
+func TestBatchTimerMissingCell(t *testing.T) {
 	fresh := lib(t, aging.Fresh())
 	nl := chain(2)
 	ctx := context.Background()
@@ -86,9 +92,6 @@ func TestBatchTimerFootprintFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A library missing a cell the topology was compiled against cannot be
-	// fast-bound; the timer must fall back to a reference analysis and
-	// still fail cleanly (the cell is genuinely absent).
 	broken := &liberty.Library{
 		Name:     "broken",
 		Scenario: fresh.Scenario,
@@ -100,4 +103,101 @@ func TestBatchTimerFootprintFallback(t *testing.T) {
 	if _, err := bt.CP(ctx, broken); err == nil {
 		t.Error("empty library produced a CP")
 	}
+}
+
+// permuted returns a copy of l in which cell lists its input pins in
+// reverse order: the same timing tables under a different footprint.
+func permuted(l *liberty.Library, cell string) *liberty.Library {
+	p := *l
+	p.Name = l.Name + "_permuted"
+	p.Cells = maps.Clone(l.Cells)
+	ct := *l.Cells[cell]
+	ct.Inputs = slices.Clone(ct.Inputs)
+	slices.Reverse(ct.Inputs)
+	p.Cells[cell] = &ct
+	return &p
+}
+
+// TestFootprintMismatchRecompiles: a library whose cell lists its inputs
+// in another order than the compiled topology cannot be bound to it.
+// BatchTimer.CP under that library, and Analyzer.Swap onto that cell,
+// must compile a topology of their own, match the reference bit for bit,
+// and count each fallback once in sta.incremental.fallbacks.
+func TestFootprintMismatchRecompiles(t *testing.T) {
+	reg := obs.NewRegistry()
+	ctx := obs.With(context.Background(), reg)
+	fallbacks := func() int64 { return reg.Counter("sta.incremental.fallbacks").Value() }
+	fresh := lib(t, aging.Fresh())
+	nl := randNetlist(rand.New(rand.NewSource(9)), 80)
+
+	// Permute the cell of one multi-input instance, and pick an instance
+	// of another drive of the same base to swap onto it.
+	var cell, inst string
+	for _, in := range nl.Insts {
+		ct := fresh.MustCell(in.Cell)
+		if len(ct.Inputs) < 2 || ct.Seq {
+			continue
+		}
+		for _, other := range nl.Insts {
+			if other.Cell != in.Cell && fresh.MustCell(other.Cell).Base == ct.Base {
+				cell, inst = in.Cell, other.Name
+			}
+		}
+		if cell != "" {
+			break
+		}
+	}
+	if cell == "" {
+		t.Fatal("netlist has no two drives of one multi-input base")
+	}
+	perm := permuted(fresh, cell)
+
+	bt, err := NewBatchTimer(ctx, nl, fresh, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range []*liberty.Library{perm, fresh, perm} {
+		got, err := bt.CP(ctx, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := analyzeReference(nl, l, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want.CP {
+			t.Fatalf("CP under %s: %v != reference %v", l.Name, got, want.CP)
+		}
+		if n, wantN := fallbacks(), int64(i/2+1); n != wantN {
+			t.Fatalf("after CP %d under %s: fallbacks = %d, want %d", i, l.Name, n, wantN)
+		}
+	}
+
+	a, err := NewAnalyzer(ctx, nl, perm, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	undo, err := a.Swap(ctx, CellSwap{Inst: inst, Cell: cell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fallbacks(); n != 3 {
+		t.Fatalf("after swap onto %s: fallbacks = %d, want 3", cell, n)
+	}
+	want, err := analyzeReference(nl, perm, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualResults(t, "after swap onto "+cell, a.Result(), want)
+	if _, err := a.Swap(ctx, undo...); err != nil {
+		t.Fatal(err)
+	}
+	if n := fallbacks(); n != 4 {
+		t.Fatalf("after undo: fallbacks = %d, want 4", n)
+	}
+	want, err = analyzeReference(nl, perm, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualResults(t, "after undo", a.Result(), want)
 }

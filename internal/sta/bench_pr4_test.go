@@ -22,9 +22,9 @@ import (
 //     critical path, repeat — comparing Analyzer.Swap against a full
 //     Analyze of the mutated netlist each round;
 //  2. the 121-library duty-cycle grid fan-out — one netlist timed under
-//     every grid library — comparing AnalyzeBatch (topology
-//     compiled once, legs fanned out over all CPUs) against a serial
-//     full analysis per library.
+//     every grid library — comparing a BatchTimer (topology compiled
+//     once, legs fanned out over all CPUs) against a serial full
+//     analysis per library.
 //
 // Besides the regular go-test benchmarks, TestBenchPR4Emit runs both
 // comparisons head-to-head and writes the speedups to the JSON file
@@ -110,7 +110,7 @@ func BenchmarkGridBatch(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeBatch(ctx, nl, libs, Config{}, 0); err != nil {
+		if _, err := gridCPs(ctx, nl, libs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func TestBenchPR4Emit(t *testing.T) {
 		}
 	})
 	batchMs := medianOf(iters, func() {
-		if _, err := AnalyzeBatch(ctx, nl, libs, Config{}, 0); err != nil {
+		if _, err := gridCPs(ctx, nl, libs, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -271,7 +271,7 @@ func TestBenchPR4Emit(t *testing.T) {
 		OptimizedMs:   batchMs,
 		Speedup:       serialMs / batchMs,
 		Baseline:      "serial Analyze per library",
-		Optimized:     "AnalyzeBatch, shared topology, all CPUs",
+		Optimized:     "BatchTimer.CP per library, shared topology, all CPUs",
 		RoundsPerIter: len(libs),
 	}
 

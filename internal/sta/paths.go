@@ -2,141 +2,45 @@ package sta
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"ageguard/internal/liberty"
 	"ageguard/internal/netlist"
 )
 
-// EndpointArrival is one timing endpoint with its worst arrival.
-type EndpointArrival struct {
-	Net   string
-	Edge  liberty.Edge
-	Delay float64 // arrival + setup [s]
-	Setup float64
-}
-
-// Endpoints returns every timing endpoint (primary outputs and register
-// data pins) sorted by decreasing delay — the raw material of "top x%
-// critical paths" analyses like the ones the paper's related work relies
-// on ([12]), and of the per-endpoint optimization passes in synth.
-func Endpoints(n *netlist.Netlist, lib *liberty.Library, res *Result) ([]EndpointArrival, error) {
-	var out []EndpointArrival
-	add := func(net string, setup float64) {
-		a, ok := res.Arrival[net]
-		if !ok {
+// TopPaths extracts the k worst register-to-register/output paths, one
+// per endpoint-edge: every endpoint-edge is ranked by arrival plus setup
+// (stable, latest first) and the k latest are traced back through the
+// compiled predecessors. (Industrial tools enumerate multiple paths per
+// endpoint too; one-per-endpoint is the granularity the optimization
+// passes and the paper's comparisons need.) A k beyond the endpoint-edge
+// count returns them all.
+func TopPaths(ctx context.Context, n *netlist.Netlist, lib *liberty.Library, cfg Config, k int) ([]Path, error) {
+	a, err := NewAnalyzer(ctx, n, lib, cfg)
+	if err != nil {
+		return nil, err
+	}
+	type endpoint struct {
+		net          int32
+		edge         liberty.Edge
+		delay, setup float64
+	}
+	var eps []endpoint
+	forEndpoint(a.t, a.b, func(net int32, setup float64) {
+		if !a.s.hasArr[net] {
 			return
 		}
 		for e := liberty.Rise; e <= liberty.Fall; e++ {
-			out = append(out, EndpointArrival{Net: net, Edge: e, Delay: a[e] + setup, Setup: setup})
+			eps = append(eps, endpoint{net, e, a.s.arr[net][e] + setup, setup})
 		}
-	}
-	for _, po := range n.Outputs {
-		add(po, 0)
-	}
-	for _, in := range n.Insts {
-		ct, ok := lib.Cell(in.Cell)
-		if !ok {
-			continue
-		}
-		if ct.Seq {
-			add(in.Pins[ct.Data], ct.SetupPS)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Delay > out[j].Delay })
-	return out, nil
-}
-
-// TopPaths extracts the k worst register-to-register/output paths,
-// one per endpoint-edge, by re-running the analysis traceback from each
-// of the k latest endpoints. (Industrial tools enumerate multiple paths
-// per endpoint too; one-per-endpoint is the granularity the optimization
-// passes and the paper's comparisons need.) The analysis runs on the
-// compiled engine via Analyze.
-func TopPaths(ctx context.Context, n *netlist.Netlist, lib *liberty.Library, cfg Config, k int) ([]Path, error) {
-	cfg.fill()
-	res, err := Analyze(ctx, n, lib, cfg)
-	if err != nil {
-		return nil, err
-	}
-	eps, err := Endpoints(n, lib, res)
-	if err != nil {
-		return nil, err
-	}
-	// Rebuild predecessor information by re-walking arrivals: the public
-	// API stores only the worst path, so we retrace each endpoint path
-	// with a fresh analysis pass over the stored annotations.
-	preds, err := predecessors(n, lib, res, cfg)
-	if err != nil {
-		return nil, err
-	}
+	})
+	sort.SliceStable(eps, func(i, j int) bool { return eps[i].delay > eps[j].delay })
 	var out []Path
 	for _, ep := range eps {
 		if len(out) == k {
 			break
 		}
-		p := tracePath(res, preds, ep.Net, ep.Edge, ep.Setup)
-		out = append(out, p)
+		out = append(out, traceCompiled(a.t, a.s, ep.net, ep.edge, ep.setup))
 	}
 	return out, nil
 }
-
-// predecessors recomputes, for every net and edge, the winning (latest)
-// arc that produced its arrival, using the annotations already in res.
-func predecessors(n *netlist.Netlist, lib *liberty.Library, res *Result, cfg Config) (map[string][2]pred, error) {
-	look := netlist.LibraryLookup(lib)
-	order, err := n.Levelize(look)
-	if err != nil {
-		return nil, err
-	}
-	preds := map[string][2]pred{}
-	for _, in := range order {
-		ct := lib.MustCell(in.Cell)
-		outNet := in.Pins[ct.Output]
-		load := res.Load[outNet]
-		var pr [2]pred
-		best := [2]float64{negInf, negInf}
-		if ct.Seq {
-			for _, arc := range ct.ArcsFor(ct.Clock) {
-				for e := liberty.Rise; e <= liberty.Fall; e++ {
-					if arc.Delay[e] == nil {
-						continue
-					}
-					d := arc.Delay[e].At(cfg.ClockSlew, load)
-					if d > best[e] {
-						best[e] = d
-						pr[e] = pred{inst: in, pin: ct.Clock, fromNet: netlist.ClockNet, inEdge: liberty.Rise, delay: d}
-					}
-				}
-			}
-		} else {
-			for _, arc := range ct.Arcs {
-				inNet := in.Pins[arc.Pin]
-				ia, ok := res.Arrival[inNet]
-				if !ok {
-					continue
-				}
-				is := res.Slew[inNet]
-				for e := liberty.Rise; e <= liberty.Fall; e++ {
-					if arc.Delay[e] == nil {
-						continue
-					}
-					ie := arc.Sense.InputEdge(e)
-					if ia[ie] == negInf {
-						continue
-					}
-					d := arc.Delay[e].At(is[ie], load)
-					if cand := ia[ie] + d; cand > best[e] {
-						best[e] = cand
-						pr[e] = pred{inst: in, pin: arc.Pin, fromNet: inNet, inEdge: ie, delay: d}
-					}
-				}
-			}
-		}
-		preds[outNet] = pr
-	}
-	return preds, nil
-}
-
-var negInf = math.Inf(-1)

@@ -2,6 +2,10 @@ package sta
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"ageguard/internal/aging"
@@ -129,7 +133,7 @@ func TestPathDelayUnder(t *testing.T) {
 	}
 	// Re-evaluating the fresh critical path under the fresh library must
 	// reproduce its delay.
-	same, err := PathDelayUnder(nl, rf.Worst, fresh, Config{})
+	same, err := PathDelayUnder(context.Background(), nl, rf.Worst, fresh, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +141,7 @@ func TestPathDelayUnder(t *testing.T) {
 		t.Errorf("self path delay %v != %v", same, rf.Worst.Delay)
 	}
 	// Under the aged library the same path must be slower.
-	agedD, err := PathDelayUnder(nl, rf.Worst, aged, Config{})
+	agedD, err := PathDelayUnder(context.Background(), nl, rf.Worst, aged, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,15 +272,21 @@ func TestEndpointsAndTopPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps, err := Endpoints(nl, l, res)
+	// A k beyond the endpoint-edge count returns every endpoint-edge once:
+	// the two primary outputs and the three register data pins, both
+	// edges each, latest first.
+	all, err := TopPaths(context.Background(), nl, l, Config{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(eps) == 0 || eps[0].Delay != res.CP {
-		t.Fatalf("worst endpoint %v != CP %v", eps[0].Delay, res.CP)
+	if len(all) != 10 {
+		t.Fatalf("all paths = %d, want 10", len(all))
 	}
-	for i := 1; i < len(eps); i++ {
-		if eps[i].Delay > eps[i-1].Delay {
+	if all[0].Delay != res.CP {
+		t.Fatalf("worst endpoint %v != CP %v", all[0].Delay, res.CP)
+	}
+	for i := 1; i < len(all); i++ {
+		if all[i].Delay > all[i-1].Delay {
 			t.Fatal("endpoints not sorted")
 		}
 	}
@@ -299,5 +309,55 @@ func TestEndpointsAndTopPaths(t *testing.T) {
 	}
 	if len(paths[0].Steps) <= len(paths[2].Steps) {
 		t.Error("worst path should be deeper than the 3rd worst")
+	}
+}
+
+// TestTopPathsMatchesReference locks TopPaths and PathDelayUnder to the
+// reference retrace and re-timing, bit for bit: random netlists under
+// fresh and worst-case libraries, k from one path to more than there are
+// endpoint-edges, and every returned path re-timed under the other
+// library.
+func TestTopPathsMatchesReference(t *testing.T) {
+	libs := []*liberty.Library{lib(t, aging.Fresh()), lib(t, aging.WorstCase(10))}
+	rng := rand.New(rand.NewSource(5))
+	ctx := context.Background()
+	cfgs := []Config{{}, {OutputLoad: 12 * units.FF, InputSlew: 35 * units.Ps}}
+	for _, nl := range []*netlist.Netlist{chain(3), randNetlist(rng, 40), randNetlist(rng, 150)} {
+		for li, l := range libs {
+			other := libs[1-li]
+			for _, cfg := range cfgs {
+				all, err := topPathsReference(nl, l, cfg, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{1, 3, len(all), len(all) + 3} {
+					what := fmt.Sprintf("%s/%s/%+v k=%d", nl.Name, l.Name, cfg, k)
+					got, err := TopPaths(ctx, nl, l, cfg, k)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					want, err := topPathsReference(nl, l, cfg, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: TopPaths differs from the reference retrace", what)
+					}
+					for i, p := range got {
+						g, err := PathDelayUnder(ctx, nl, p, other, cfg)
+						if err != nil {
+							t.Fatalf("%s path %d: %v", what, i, err)
+						}
+						w, err := pathDelayUnderReference(nl, p, other, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%s path %d under %s: %v != reference %v", what, i, other.Name, g, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race verify fmt faults chaos bench serve-smoke fuzz-smoke cover-gate
+.PHONY: all build test race verify fmt faults chaos serve-smoke fuzz-smoke cover-gate
 
 all: build
 
@@ -39,9 +39,6 @@ verify:
 	$(GO) test ./...
 	$(GO) test -race ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
-	BENCH_PR4_OUT=$$(mktemp) BENCH_PR4_ITERS=1 $(GO) test ./internal/sta/ -run TestBenchPR4Emit -count=1
-	BENCH_PR6_OUT=$$(mktemp) BENCH_PR6_ITERS=1 $(GO) test ./internal/char/ -run TestBenchPR6Emit -count=1
-	BENCH_PR9_OUT=$$(mktemp) BENCH_PR9_ITERS=1 $(GO) test ./internal/serve/ -run TestBenchPR9Emit -count=1
 	$(MAKE) fuzz-smoke
 	$(MAKE) chaos
 	$(MAKE) serve-smoke
@@ -82,35 +79,6 @@ cover-gate:
 # drain is clean. Runs as part of verify and in CI.
 serve-smoke:
 	$(GO) run ./cmd/ageguardd -quick -smoke
-
-# bench reproduces the checked-in benchmark reports:
-#   BENCH_PR4.json — incremental-STA inner loop vs full re-analysis, and
-#                    the 121-library grid fan-out vs serial analysis;
-#   BENCH_PR6.json — analytic-Jacobian transient kernel per-arc time and
-#                    allocation counts vs the pre-PR6 finite-difference
-#                    solver (plus a small Characterize wall clock);
-#   BENCH_PR7.json — ageguardd cold-vs-warm guardband query latency over
-#                    real HTTP (see EXPERIMENTS.md, "BENCH_PR7");
-#   BENCH_PR9.json — one warm /v1/batch request of 32 heterogeneous items
-#                    vs the same items as sequential singles, cold and
-#                    warm, with bit-identity asserted per item (see
-#                    EXPERIMENTS.md, "BENCH_PR9");
-#   BENCH_PR10.json — Monte Carlo guardband distribution: cold-vs-warm
-#                    /v1/mcguardband over real HTTP on RISC-5P with warm
-#                    bytes asserted identical, plus the sensitivity-MC
-#                    vs exact-full-SPICE differential (per-sample speedup
-#                    and p95 agreement; see EXPERIMENTS.md, "BENCH_PR10").
-# The checked-in files are the reference results; regenerate after
-# touching the engines and commit the update if the speedups moved.
-bench:
-	BENCH_PR4_OUT=$(CURDIR)/BENCH_PR4.json $(GO) test ./internal/sta/ -run TestBenchPR4Emit -count=1 -v
-	BENCH_PR6_OUT=$(CURDIR)/BENCH_PR6.json $(GO) test ./internal/char/ -run TestBenchPR6Emit -count=1 -v
-	$(GO) run ./cmd/ageguardd -quick -cache $$(mktemp -d) -loadgen \
-		-loadgen-requests 200 -loadgen-conc 4 -bench-out $(CURDIR)/BENCH_PR7.json
-	BENCH_PR9_OUT=$(CURDIR)/BENCH_PR9.json $(GO) test ./internal/serve/ -run TestBenchPR9Emit -count=1 -v
-	$(GO) run ./cmd/ageguardd -quick -cache $$(mktemp -d) -loadgen-mc \
-		-loadgen-mc-samples 256 -loadgen-mc-exact 8 -bench-out $(CURDIR)/BENCH_PR10.json
-	$(GO) test ./internal/char/ -run XXX -bench 'BenchmarkArcTransient|BenchmarkCharacterizeINVX1' -benchtime 1s
 
 # chaos runs the end-to-end fault-injection suite under the race
 # detector: a retrying/hedging client driven through a seeded TCP proxy

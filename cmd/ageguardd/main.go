@@ -8,9 +8,6 @@
 //	ageguardd -addr :9000 -cache-size 256
 //	ageguardd -quick                         # reduced 3x3 grid, smoke/dev
 //	ageguardd -quick -smoke                  # one query per endpoint, then drain
-//	ageguardd -loadgen -bench-out BENCH_PR7.json
-//	ageguardd -quick -loadgen-batch -bench-out BENCH_PR9.json
-//	ageguardd -quick -loadgen-mc -bench-out BENCH_PR10.json
 //
 // Endpoints: POST /v1/guardband, /v1/celltiming, /v1/grid, /v1/paths,
 // /v1/mcguardband (process-variation Monte Carlo guardband
@@ -29,17 +26,10 @@
 // partial cache files. SIGTERM drains gracefully: the listener closes,
 // in-flight requests finish, then the process exits.
 //
-// -loadgen benchmarks the daemon against itself on a loopback listener:
-// one cold guardband query (the work of a cold CLI invocation) versus
-// the warm-cache latency distribution, written to -bench-out.
-// -loadgen-batch measures one /v1/batch request against the same items
-// issued as sequential singles, cold and warm (the BENCH_PR9.json
-// producer). -loadgen-mc measures a cold versus warm Monte Carlo
-// guardband query (asserting byte identity) plus the engine-level
-// sensitivity-vs-exact differential (the BENCH_PR10.json producer).
-// -smoke boots the daemon the same way, issues one query per
-// endpoint (including a heterogeneous batch) and asserts success plus a
-// clean drain (the make serve-smoke / CI gate).
+// -smoke boots the daemon in-process on a loopback listener, issues one
+// query per endpoint (including a heterogeneous batch) and asserts
+// success plus a clean drain (the make serve-smoke / CI gate). The
+// daemon's benchmark lives in perfbench/ (bash perfbench/run.sh).
 package main
 
 import (
@@ -67,22 +57,7 @@ func main() {
 		years       = flag.Float64("years", 10, "default projected lifetime in years")
 		cacheDir    = flag.String("cache", char.RepoCacheDir(), "characterization cache directory ('' disables)")
 		quick       = flag.Bool("quick", false, "reduced 3x3 characterization grid (smoke tests, development)")
-
-		smoke     = flag.Bool("smoke", false, "query every endpoint once in-process, then exit")
-		loadgen   = flag.Bool("loadgen", false, "benchmark the daemon in-process instead of serving")
-		lgReqs    = flag.Int("loadgen-requests", 200, "loadgen warm-phase request count")
-		lgConc    = flag.Int("loadgen-conc", 4, "loadgen concurrent clients")
-		lgCircuit = flag.String("loadgen-circuit", "RISC-5P", "loadgen benchmark circuit")
-		benchOut  = flag.String("bench-out", "BENCH_PR7.json", "loadgen report path")
-
-		loadgenBatch = flag.Bool("loadgen-batch", false, "benchmark /v1/batch against sequential singles instead of serving")
-		lgbItems     = flag.Int("loadgen-batch-items", 32, "loadgen-batch heterogeneous item count")
-		lgbIters     = flag.Int("loadgen-batch-iters", 5, "loadgen-batch warm-phase repetitions (best-of)")
-
-		loadgenMC  = flag.Bool("loadgen-mc", false, "benchmark /v1/mcguardband and the sensitivity-vs-exact differential instead of serving")
-		lgmSamples = flag.Int("loadgen-mc-samples", core.DefaultMCSamples, "loadgen-mc Monte Carlo sample count")
-		lgmExact   = flag.Int("loadgen-mc-exact", 8, "loadgen-mc exact-mode (full SPICE) sample count")
-		lgmSeed    = flag.Uint64("loadgen-mc-seed", 1, "loadgen-mc sample-stream seed")
+		smoke       = flag.Bool("smoke", false, "query every endpoint once in-process, then exit")
 	)
 	c := cli.Register("ageguardd", flag.CommandLine)
 	sf := cli.RegisterServe(flag.CommandLine)
@@ -113,75 +88,10 @@ func main() {
 		}
 
 		if *smoke {
-			if err := serve.Smoke(ctx, cfg, serve.SmokeConfig{Circuit: *lgCircuit}, log.Default()); err != nil {
+			if err := serve.Smoke(ctx, cfg, log.Default()); err != nil {
 				return err
 			}
 			fmt.Println("serve smoke OK")
-			return nil
-		}
-		if *loadgenBatch {
-			rep, err := serve.LoadgenBatch(ctx, cfg, serve.BatchLoadgenConfig{
-				Items:   *lgbItems,
-				Iters:   *lgbIters,
-				Circuit: *lgCircuit,
-				Out:     *benchOut,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("cold singles / batch %8.3f / %.3f s  (%.2fx)\n",
-				rep.ColdSinglesS, rep.ColdBatchS, rep.ColdBatchVsSingles)
-			fmt.Printf("warm singles / batch %8.5f / %.5f s  (%.2fx)\n",
-				rep.WarmSinglesS, rep.WarmBatchS, rep.WarmBatchVsSingles)
-			fmt.Printf("unique fills         %8d  for %d items\n", rep.UniqueFills, rep.BatchItems)
-			fmt.Printf("items bit-identical  %8v\n", rep.ItemsBitIdentical)
-			if *benchOut != "" {
-				fmt.Printf("wrote %s\n", *benchOut)
-			}
-			return nil
-		}
-		if *loadgenMC {
-			rep, err := serve.LoadgenMC(ctx, cfg, serve.MCLoadgenConfig{
-				Samples:      *lgmSamples,
-				ExactSamples: *lgmExact,
-				Circuit:      *lgCircuit,
-				Seed:         *lgmSeed,
-				Out:          *benchOut,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("cold / warm mc query %8.3f / %.5f s  (%.1fx)\n",
-				rep.ColdMCQueryS, rep.WarmMCQueryS, rep.SpeedupWarmVsCold)
-			fmt.Printf("warm byte-identical  %8v\n", rep.WarmByteIdentical)
-			fmt.Printf("per-sample sens/exact %7.5f / %.3f s  (%.0fx)\n",
-				rep.SensPerSampleS, rep.ExactPerSampleS, rep.SpeedupSensVsExact)
-			fmt.Printf("p95 sens vs exact    %8.3g / %.3g s  (%.2f%% diff)\n",
-				rep.SensP95S, rep.ExactP95S, rep.P95DiffPct)
-			if *benchOut != "" {
-				fmt.Printf("wrote %s\n", *benchOut)
-			}
-			return nil
-		}
-		if *loadgen {
-			rep, err := serve.Loadgen(ctx, cfg, serve.LoadgenConfig{
-				Requests:    *lgReqs,
-				Concurrency: *lgConc,
-				Circuit:     *lgCircuit,
-				Out:         *benchOut,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("cold first query   %8.3f s\n", rep.ColdFirstQueryS)
-			fmt.Printf("warm p50 / p99     %8.5f / %.5f s\n", rep.WarmP50s, rep.WarmP99s)
-			fmt.Printf("warm QPS           %8.1f\n", rep.WarmQPS)
-			fmt.Printf("speedup p99 v cold %8.1fx\n", rep.SpeedupP99VsCold)
-			fmt.Printf("cache hit rate     %8.1f%%  (%d hits, %d misses, %d shared)\n",
-				100*rep.CacheHitRate, rep.CacheHits, rep.CacheMisses, rep.CacheShared)
-			if *benchOut != "" {
-				fmt.Printf("wrote %s\n", *benchOut)
-			}
 			return nil
 		}
 

@@ -33,7 +33,7 @@ import (
 // (CharacterizeCellPerturbed) re-simulates a cell with the drawn
 // perturbation through the same SPICE path, so the difference between the
 // two is purely the first-order truncation error, which the differential
-// test and BENCH_PR10 quantify.
+// test (core's TestMCGuardbandSensitivityMatchesExact) bounds.
 
 // Finite-difference steps for the sensitivity characterizations. The Vth
 // step is chosen near the per-instance sigma so the secant slope averages

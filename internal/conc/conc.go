@@ -105,10 +105,12 @@ func (g *Group) Wait() error {
 
 // ParFor runs fn(i) for every i in [0, n) on up to workers goroutines
 // (Workers-resolved) and returns the first error; remaining iterations are
-// skipped once an error occurs. workers == 1 (or n <= 1) executes inline
-// with no goroutines, preserving exact serial behavior. fn must be safe for
-// concurrent invocation with distinct i; writing result i into slot i of a
-// pre-sized slice keeps assembly deterministic.
+// skipped once an error occurs or ctx is done, and a ctx that stopped
+// dispatch early is reported as ctx.Err(). workers == 1 (or n <= 1)
+// executes inline with no goroutines, preserving exact serial behavior
+// (fn alone observes ctx there). fn must be safe for concurrent invocation
+// with distinct i; writing result i into slot i of a pre-sized slice keeps
+// assembly deterministic.
 func ParFor(ctx context.Context, workers, n int, fn func(i int) error) error {
 	workers = Workers(workers)
 	if workers == 1 || n <= 1 {
@@ -119,15 +121,21 @@ func ParFor(ctx context.Context, workers, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	g, ctx := NewGroup(ctx)
+	g, gctx := NewGroup(ctx)
 	g.SetLimit(workers)
+	dispatched := 0
 	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break // a sibling failed; stop dispatching
+		if gctx.Err() != nil {
+			break // a sibling failed or the caller canceled; stop dispatching
 		}
 		g.Go(func() error { return fn(i) })
+		dispatched++
 	}
-	return g.Wait()
+	err := g.Wait()
+	if err == nil && dispatched < n {
+		err = ctx.Err() // no task failed, so the caller's ctx stopped dispatch
+	}
+	return err
 }
 
 // Limiter bounds the number of concurrently executing leaf tasks. It is a

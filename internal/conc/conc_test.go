@@ -75,6 +75,45 @@ func TestParForFirstErrorStopsDispatch(t *testing.T) {
 	}
 }
 
+// TestParForReportsCallerCancel: iterations skipped because the caller's
+// ctx was canceled must not pass for done — whether ctx was canceled
+// before dispatch or by a task mid-dispatch.
+func TestParForReportsCallerCancel(t *testing.T) {
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	var calls atomic.Int32
+	err := ParFor(pre, 2, 8, func(int) error {
+		calls.Add(1)
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled: err = %v, want context.Canceled", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("pre-canceled: %d calls, want 0", n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls.Store(0)
+	const n = 1000
+	err = ParFor(ctx, 2, n, func(i int) error {
+		calls.Add(1)
+		if i == 0 {
+			cancel()
+		} else {
+			<-ctx.Done() // hold the slot until fn(0) has canceled
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-dispatch: err = %v, want context.Canceled", err)
+	}
+	if c := calls.Load(); c >= n {
+		t.Errorf("mid-dispatch: %d calls, want fewer than %d", c, n)
+	}
+}
+
 func TestGroupCancelPropagates(t *testing.T) {
 	g, ctx := NewGroup(context.Background())
 	boom := errors.New("boom")

@@ -148,46 +148,59 @@ func TestBatchRejectsMalformedRequests(t *testing.T) {
 func TestBatchBitIdenticalToSingles(t *testing.T) {
 	// Two daemons over the same disk cache: one answers the batch, the
 	// other answers each item as a single request. Per-item payloads must
-	// match bit for bit.
+	// match bit for bit, on the cold batch and on its warm repeat (served
+	// from the item-fragment memo). A duty-cycle scenario and a second
+	// cell join the canonical items, so a float-keyed scenario goes
+	// through the planner too.
 	dir := sharedDir(t)
 	single := New(quickConfig(dir), nil)
 	batched := New(quickConfig(dir), nil)
 	ctx := context.Background()
-	items := testBatchItems()
+	duty := api.Scenario{Kind: "duty", Years: 10, LambdaP: 0.25, LambdaN: 0.75}
+	items := append(testBatchItems(),
+		api.GuardbandItem(api.GuardbandRequest{Circuit: testCircuit, Scenario: duty}),
+		api.CellTimingItem(api.CellTimingRequest{
+			Cell: "NAND2_X1", Scenario: duty, InSlewS: 20e-12, LoadF: 2e-15,
+		}))
 
-	v, err := batched.batch(ctx, &api.BatchRequest{Items: items})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := decodeBatch(t, v)
-	for i, it := range items {
-		var want any
-		switch it.Kind {
-		case api.BatchGuardband:
-			want, err = single.guardband(ctx, it.Guardband)
-		case api.BatchCellTiming:
-			want, err = single.cellTiming(ctx, it.CellTiming)
-		case api.BatchPaths:
-			want, err = single.paths(ctx, it.Paths)
-		}
+	for _, lap := range []string{"cold", "warm"} {
+		v, err := batched.batch(ctx, &api.BatchRequest{Items: items})
 		if err != nil {
-			t.Fatalf("single %s: %v", it.Kind, err)
+			t.Fatal(err)
 		}
-		var got any
-		res := resp.Items[i]
-		switch {
-		case res.Guardband != nil:
-			got = *res.Guardband
-		case res.CellTiming != nil:
-			got = *res.CellTiming
-		case res.Paths != nil:
-			got = *res.Paths
-		default:
-			t.Fatalf("item %d: no payload, error %+v", i, res.Error)
+		resp := decodeBatch(t, v)
+		for i, it := range items {
+			var want any
+			switch it.Kind {
+			case api.BatchGuardband:
+				want, err = single.guardband(ctx, it.Guardband)
+			case api.BatchCellTiming:
+				want, err = single.cellTiming(ctx, it.CellTiming)
+			case api.BatchPaths:
+				want, err = single.paths(ctx, it.Paths)
+			}
+			if err != nil {
+				t.Fatalf("single %s: %v", it.Kind, err)
+			}
+			var got any
+			res := resp.Items[i]
+			switch {
+			case res.Guardband != nil:
+				got = *res.Guardband
+			case res.CellTiming != nil:
+				got = *res.CellTiming
+			case res.Paths != nil:
+				got = *res.Paths
+			default:
+				t.Fatalf("%s item %d: no payload, error %+v", lap, i, res.Error)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s item %d (%s): batch answer differs from single\n batch:  %+v\n single: %+v",
+					lap, i, it.Kind, got, want)
+			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("item %d (%s): batch answer differs from single\n batch:  %+v\n single: %+v",
-				i, it.Kind, got, want)
-		}
+	}
+	if got := batched.Registry().Snapshot().Counters["serve.batch.memo_hits"]; got != int64(len(items)) {
+		t.Errorf("batch.memo_hits = %d, want %d (every warm item from the memo)", got, len(items))
 	}
 }

@@ -194,8 +194,8 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 	return s.Serve(ctx, ln)
 }
 
-// Serve is Run on an existing listener (tests and loadgen bind :0 and
-// read the port back).
+// Serve is Run on an existing listener (tests, Smoke and perfbench bind
+// :0 and read the port back).
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
 	go s.warm(ctx)

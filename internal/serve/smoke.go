@@ -14,21 +14,14 @@ import (
 	"ageguard/pkg/ageguard/client"
 )
 
-// SmokeConfig parameterizes the self-check mode (ageguardd -smoke).
-type SmokeConfig struct {
-	Circuit string // benchmark circuit queried (default "RISC-5P")
-}
-
 // Smoke starts a Server for cfg on a loopback listener, issues one
 // query per endpoint (the six POST /v1 endpoints plus the health,
 // metrics and pprof GETs), asserts every one succeeds, then cancels the
 // serve context and asserts the drain is clean. It is the make
 // serve-smoke / CI gate: a fast end-to-end proof that the daemon comes
 // up, answers every route and shuts down without error.
-func Smoke(ctx context.Context, cfg Config, sm SmokeConfig, lg *log.Logger) error {
-	if sm.Circuit == "" {
-		sm.Circuit = "RISC-5P"
-	}
+func Smoke(ctx context.Context, cfg Config, lg *log.Logger) error {
+	const circuit = "RISC-5P" // the benchmark circuit every query names
 	if cfg.DrainGrace <= 0 {
 		// Long enough for the drain leg below to observe not-ready
 		// before the listener closes.
@@ -116,7 +109,7 @@ func Smoke(ctx context.Context, cfg Config, sm SmokeConfig, lg *log.Logger) erro
 		}},
 		{"healthz", func() error { return cl.Healthz(ctx) }},
 		{"guardband", func() error {
-			resp, err := cl.Guardband(ctx, api.GuardbandRequest{Circuit: sm.Circuit, Scenario: scen})
+			resp, err := cl.Guardband(ctx, api.GuardbandRequest{Circuit: circuit, Scenario: scen})
 			if err != nil {
 				return err
 			}
@@ -138,7 +131,7 @@ func Smoke(ctx context.Context, cfg Config, sm SmokeConfig, lg *log.Logger) erro
 			return nil
 		}},
 		{"paths", func() error {
-			resp, err := cl.Paths(ctx, api.PathsRequest{Circuit: sm.Circuit, Scenario: scen, K: 3})
+			resp, err := cl.Paths(ctx, api.PathsRequest{Circuit: circuit, Scenario: scen, K: 3})
 			if err != nil {
 				return err
 			}
@@ -148,7 +141,7 @@ func Smoke(ctx context.Context, cfg Config, sm SmokeConfig, lg *log.Logger) erro
 			return nil
 		}},
 		{"grid", func() error {
-			resp, err := cl.Grid(ctx, api.GridRequest{Circuit: sm.Circuit})
+			resp, err := cl.Grid(ctx, api.GridRequest{Circuit: circuit})
 			if err != nil {
 				return err
 			}
@@ -159,11 +152,11 @@ func Smoke(ctx context.Context, cfg Config, sm SmokeConfig, lg *log.Logger) erro
 		}},
 		{"batch", func() error {
 			resp, err := cl.Batch(ctx, []api.BatchItem{
-				api.GuardbandItem(api.GuardbandRequest{Circuit: sm.Circuit, Scenario: scen}),
+				api.GuardbandItem(api.GuardbandRequest{Circuit: circuit, Scenario: scen}),
 				api.CellTimingItem(api.CellTimingRequest{
 					Cell: "INV_X1", Scenario: scen, InSlewS: 20e-12, LoadF: 2e-15,
 				}),
-				api.PathsItem(api.PathsRequest{Circuit: sm.Circuit, Scenario: scen, K: 2}),
+				api.PathsItem(api.PathsRequest{Circuit: circuit, Scenario: scen, K: 2}),
 			})
 			if err != nil {
 				return err
@@ -181,7 +174,7 @@ func Smoke(ctx context.Context, cfg Config, sm SmokeConfig, lg *log.Logger) erro
 		}},
 		{"mcguardband", func() error {
 			resp, err := cl.MCGuardband(ctx, api.MCGuardbandRequest{
-				Circuit: sm.Circuit, Scenario: scen, Samples: 8, Seed: 1, Bins: 8,
+				Circuit: circuit, Scenario: scen, Samples: 8, Seed: 1, Bins: 8,
 			})
 			if err != nil {
 				return err

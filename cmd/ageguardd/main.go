@@ -11,11 +11,11 @@
 //
 // Endpoints: POST /v1/guardband, /v1/celltiming, /v1/grid, /v1/paths,
 // /v1/mcguardband (process-variation Monte Carlo guardband
-// distribution), /v1/batch (heterogeneous items, planned server-side so
-// shared subproblems characterize once); GET /healthz (liveness), /readyz
-// (readiness: 503 until the
-// -warm-start scan completes and again while draining), /metrics
-// (text), /metrics.json, /debug/pprof.
+// distribution), /v1/batch (heterogeneous items, each answered as its
+// single query, so shared subproblems characterize once); GET /healthz
+// (liveness), /readyz (readiness: 503 until the -warm-start scan
+// completes and again while draining), /metrics (text), /metrics.json,
+// /debug/pprof.
 //
 // Queries answer from a bounded in-memory LRU of parsed libraries,
 // synthesized netlists and compiled STA engines; concurrent identical

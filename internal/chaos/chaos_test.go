@@ -305,8 +305,9 @@ func TestWarmRestartAfterChaos(t *testing.T) {
 // with no damage to the on-disk cache. This covers the whole batched
 // read path under faults: the wire exchange (checksum + retry), the
 // client's partial re-dispatch of failed items, and the server-side
-// planner and response memo — a memoized reply that diverged from the
-// single-request answer by even one byte would fail here.
+// item path with its item and whole-reply memos — a memoized reply that
+// diverged from the single-request answer by even one byte would fail
+// here.
 func TestBatchConvergesThroughChaos(t *testing.T) {
 	dir := sharedDir(t)
 	addr, _, stop := startDaemon(t, dir, false)

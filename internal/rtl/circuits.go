@@ -2,7 +2,6 @@ package rtl
 
 import (
 	"math"
-	"sort"
 
 	"ageguard/internal/logic"
 )
@@ -20,13 +19,6 @@ func Benchmarks() map[string]func() *logic.AIG {
 		"DCT":     GenDCT,
 		"IDCT":    GenIDCT,
 	}
-}
-
-// BenchmarkNames returns the circuit names in the paper's figure order.
-func BenchmarkNames() []string {
-	names := []string{"DSP", "FFT", "RISC-6P", "RISC-5P", "VLIW", "DCT", "IDCT"}
-	sort.SliceStable(names, func(i, j int) bool { return false }) // keep order
-	return names
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -10,29 +11,51 @@ import (
 	"ageguard/pkg/ageguard/api"
 )
 
-// decodeBatch round-trips a batch handler result through JSON into the
-// public wire type — the handler returns a pre-marshaled internal
-// shape, and decoding it the way a client would also asserts the two
-// stay wire-compatible.
-func decodeBatch(t *testing.T, v any) api.BatchResponse {
+// rawBatch encodes items the way a client does and wraps them in the
+// server-side decode shape.
+func rawBatch(t *testing.T, items []api.BatchItem) *batchRequest {
 	t.Helper()
-	b, err := json.Marshal(v)
+	req := &batchRequest{Version: api.APIVersion}
+	for _, it := range items {
+		b, err := json.Marshal(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Items = append(req.Items, b)
+	}
+	return req
+}
+
+// runBatch answers items through s.batch and decodes the reply into the
+// public wire type, the way a client would. It also asserts that the
+// hand-rendered reply is byte-equal to encoding/json's rendering of the
+// decoded api.BatchResponse.
+func runBatch(t *testing.T, s *Server, items []api.BatchItem) api.BatchResponse {
+	t.Helper()
+	body, _, err := s.batch(context.Background(), rawBatch(t, items))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var resp api.BatchResponse
-	if err := json.Unmarshal(b, &resp); err != nil {
+	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
+	}
+	want, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, append(want, '\n')) {
+		t.Errorf("reply differs from encoding/json's rendering:\n got %s\nwant %s", body, want)
 	}
 	return resp
 }
 
 func worstSc() api.Scenario { return api.Scenario{Kind: "worst", Years: 10} }
 
-// testBatchItems is the canonical 12-item heterogeneous batch the
-// planner tests share: heavy duplication on purpose, so the planned
-// subproblem count (3 libraries: fresh/worst/balance, 1 netlist, 3
-// analyzers) is far below the item count.
+// testBatchItems is the canonical 12-item heterogeneous batch the batch
+// tests share: heavy duplication on purpose, so the count of unique
+// fills (3 libraries: fresh/worst/balance, 1 netlist, 3 analyzers, 1
+// paths response) is far below the item count.
 func testBatchItems() []api.BatchItem {
 	gb := func(sc api.Scenario) api.BatchItem {
 		return api.GuardbandItem(api.GuardbandRequest{Circuit: testCircuit, Scenario: sc})
@@ -53,15 +76,10 @@ func testBatchItems() []api.BatchItem {
 func TestBatchPlannerDedupes(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(quickConfig(sharedDir(t)), reg)
-	ctx := context.Background()
 
 	run := func() api.BatchResponse {
 		t.Helper()
-		v, err := s.batch(ctx, &api.BatchRequest{Version: api.APIVersion, Items: testBatchItems()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := decodeBatch(t, v)
+		resp := runBatch(t, s, testBatchItems())
 		if len(resp.Items) != 12 {
 			t.Fatalf("got %d results, want 12", len(resp.Items))
 		}
@@ -76,9 +94,6 @@ func TestBatchPlannerDedupes(t *testing.T) {
 	snap := s.reg.Snapshot()
 	if got := snap.Counters["serve.cache.misses"]; got != 8 {
 		t.Errorf("cold batch misses = %d, want 8 (3 libs + 1 netlist + 3 analyzers + 1 paths response)", got)
-	}
-	if got := snap.Counters["serve.batch.unique_fills"]; got != 7 {
-		t.Errorf("batch.unique_fills = %d, want 7", got)
 	}
 	if got := snap.Counters["serve.batch.items"]; got != 12 {
 		t.Errorf("batch.items = %d, want 12", got)
@@ -106,11 +121,7 @@ func TestBatchPerItemErrorIsolation(t *testing.T) {
 		{Kind: api.BatchGuardband, Paths: &api.PathsRequest{}}, // payload does not match kind
 		{Kind: "bogus"},
 	}
-	v, err := s.batch(context.Background(), &api.BatchRequest{Items: items})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := decodeBatch(t, v)
+	resp := runBatch(t, s, items)
 	if e := resp.Items[0].Error; e != nil || resp.Items[0].CellTiming == nil {
 		t.Errorf("valid item failed alongside bad siblings: %+v", e)
 	}
@@ -129,18 +140,19 @@ func TestBatchPerItemErrorIsolation(t *testing.T) {
 func TestBatchRejectsMalformedRequests(t *testing.T) {
 	s := New(quickConfig(sharedDir(t)), nil)
 	ctx := context.Background()
-	if _, err := s.batch(ctx, &api.BatchRequest{}); status(err) != 400 {
+	if _, _, err := s.batch(ctx, &batchRequest{}); status(err) != 400 {
 		t.Errorf("empty batch: err = %v, want 400", err)
 	}
-	if _, err := s.batch(ctx, &api.BatchRequest{Version: "v9",
-		Items: testBatchItems()}); status(err) != 400 {
+	bad := rawBatch(t, testBatchItems())
+	bad.Version = "v9"
+	if _, _, err := s.batch(ctx, bad); status(err) != 400 {
 		t.Errorf("bad version: want 400")
 	}
 	big := make([]api.BatchItem, maxBatchItems+1)
 	for i := range big {
 		big[i] = api.PathsItem(api.PathsRequest{Circuit: testCircuit, Scenario: worstSc()})
 	}
-	if _, err := s.batch(ctx, &api.BatchRequest{Items: big}); status(err) != 400 {
+	if _, _, err := s.batch(ctx, rawBatch(t, big)); status(err) != 400 {
 		t.Errorf("oversized batch: want 400")
 	}
 }
@@ -151,7 +163,7 @@ func TestBatchBitIdenticalToSingles(t *testing.T) {
 	// match bit for bit, on the cold batch and on its warm repeat (served
 	// from the item-fragment memo). A duty-cycle scenario and a second
 	// cell join the canonical items, so a float-keyed scenario goes
-	// through the planner too.
+	// through the batch path too.
 	dir := sharedDir(t)
 	single := New(quickConfig(dir), nil)
 	batched := New(quickConfig(dir), nil)
@@ -163,14 +175,13 @@ func TestBatchBitIdenticalToSingles(t *testing.T) {
 			Cell: "NAND2_X1", Scenario: duty, InSlewS: 20e-12, LoadF: 2e-15,
 		}))
 
+	memoHits := func() int64 { return batched.Registry().Snapshot().Counters["serve.batch.memo_hits"] }
 	for _, lap := range []string{"cold", "warm"} {
-		v, err := batched.batch(ctx, &api.BatchRequest{Items: items})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := decodeBatch(t, v)
+		hits0 := memoHits()
+		resp := runBatch(t, batched, items)
 		for i, it := range items {
 			var want any
+			var err error
 			switch it.Kind {
 			case api.BatchGuardband:
 				want, err = single.guardband(ctx, it.Guardband)
@@ -199,8 +210,35 @@ func TestBatchBitIdenticalToSingles(t *testing.T) {
 					lap, i, it.Kind, got, want)
 			}
 		}
+		// Duplicate items may already hit the memo on the cold lap, once an
+		// earlier copy has answered; on the warm lap every item must.
+		if got := memoHits() - hits0; lap == "warm" && got != int64(len(items)) {
+			t.Errorf("warm lap added %d batch.memo_hits, want %d (every item from the memo)", got, len(items))
+		}
 	}
-	if got := batched.Registry().Snapshot().Counters["serve.batch.memo_hits"]; got != int64(len(items)) {
-		t.Errorf("batch.memo_hits = %d, want %d (every warm item from the memo)", got, len(items))
+}
+
+// TestBatchFailedFillRunsOnce: a fill that failed is not re-run by the
+// later items of the same batch. Every library fill of this daemon
+// fails at once (its cell list names no known cell), and eight
+// cell-timing items that differ only in slew all need the one library.
+func TestBatchFailedFillRunsOnce(t *testing.T) {
+	cfg := quickConfig(t.TempDir())
+	cfg.Flow.Char.Cells = []string{"NO_SUCH_CELL"}
+	s := New(cfg, nil)
+	items := make([]api.BatchItem, 8)
+	for i := range items {
+		items[i] = api.CellTimingItem(api.CellTimingRequest{
+			Cell: "INV_X1", Scenario: worstSc(), InSlewS: float64(i+1) * 10e-12, LoadF: 2e-15,
+		})
+	}
+	resp := runBatch(t, s, items)
+	for i, it := range resp.Items {
+		if it.Error == nil || it.Error.Status != 500 {
+			t.Errorf("item %d: error = %+v, want status 500", i, it.Error)
+		}
+	}
+	if got := s.Registry().Snapshot().Counters["serve.cache.misses"]; got != 1 {
+		t.Errorf("cache misses = %d, want 1 (the failed library fill is not re-run)", got)
 	}
 }

@@ -54,7 +54,9 @@ func newCache(max int, reg *obs.Registry) *cache {
 // leader dies of its *own* deadline or cancellation while this caller's
 // ctx is still live, the work is retried under this ctx instead of
 // inheriting the foreign error — a client with a short deadline must
-// not poison the fill for everyone queued behind it.
+// not poison the fill for everyone queued behind it. A leader whose ctx
+// carries a set of failed fills (withFailedFills) in which key already
+// failed returns that error instead of filling again.
 func (c *cache) get(ctx context.Context, key string, fill func(context.Context) (any, error)) (any, error) {
 	for {
 		c.mu.Lock()
@@ -70,9 +72,18 @@ func (c *cache) get(ctx context.Context, key string, fill func(context.Context) 
 		led := false
 		v, err := c.flight.Do(ctx, key, func() (any, error) {
 			led = true
+			failed, _ := ctx.Value(failedFillsKey{}).(*sync.Map)
+			if failed != nil {
+				if err, ok := failed.Load(key); ok {
+					return nil, err.(error)
+				}
+			}
 			c.misses.Inc()
 			v, err := fill(ctx)
 			if err != nil {
+				if failed != nil {
+					failed.Store(key, err)
+				}
 				return nil, err
 			}
 			c.put(key, v)
@@ -139,4 +150,16 @@ func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lenLocked()
+}
+
+// failedFillsKey is the ctx key of a request-scoped set of failed
+// fills: a *sync.Map from LRU key to the error its fill failed with. A
+// batch installs one (withFailedFills) and cache.get records every
+// failed fill in it, so a fill that failed for one item is not re-run
+// by later items of the same batch. The set dies with the request, so a
+// failure never outlives the batch that saw it.
+type failedFillsKey struct{}
+
+func withFailedFills(ctx context.Context) context.Context {
+	return context.WithValue(ctx, failedFillsKey{}, new(sync.Map))
 }

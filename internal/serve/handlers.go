@@ -58,9 +58,8 @@ func (s *Server) resolveScenario(a api.Scenario) (aging.Scenario, error) {
 // supply (e.g. worst-case at 5 vs. 10 years) and serve one scenario's
 // libraries for the other. Every field is encoded as the hex of its
 // IEEE-754 bits: exact (distinct scenarios can never collide) and an
-// order of magnitude cheaper than shortest-decimal formatting, which
-// profiled as the hottest part of planning a warm batch. These keys
-// never leave the process, so readability costs nothing here.
+// order of magnitude cheaper than shortest-decimal formatting. These
+// keys never leave the process, so readability costs nothing here.
 func scenarioKey(sc aging.Scenario) string {
 	b := make([]byte, 0, 84)
 	b = appendHexFloat(b, sc.Years)
@@ -85,16 +84,6 @@ func appendHexFloat(b []byte, f float64) []byte {
 func checkCircuit(name string) error {
 	if !slices.Contains(core.BenchmarkCircuits(), name) {
 		return notFound("unknown circuit %q", name)
-	}
-	return nil
-}
-
-// checkTimingPoint validates a cell-timing query point. Shared by the
-// single-request handler and the batch planner so both reject with the
-// same message.
-func checkTimingPoint(inSlew, load float64) error {
-	if inSlew <= 0 || load <= 0 {
-		return badRequest("in_slew_s and load_f must be positive (got %g, %g)", inSlew, load)
 	}
 	return nil
 }
@@ -224,8 +213,8 @@ func (s *Server) cellTiming(ctx context.Context, req *api.CellTimingRequest) (an
 	if err := checkVersion(req.Version); err != nil {
 		return nil, err
 	}
-	if err := checkTimingPoint(req.InSlewS, req.LoadF); err != nil {
-		return nil, err
+	if req.InSlewS <= 0 || req.LoadF <= 0 {
+		return nil, badRequest("in_slew_s and load_f must be positive (got %g, %g)", req.InSlewS, req.LoadF)
 	}
 	sc, err := s.resolveScenario(req.Scenario)
 	if err != nil {

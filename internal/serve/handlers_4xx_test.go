@@ -33,6 +33,18 @@ func TestHandler4xxTaxonomy(t *testing.T) {
 		{"mc malformed json", "/v1/mcguardband", `{"samples": "many"}`, 400},
 		{"batch malformed json", "/v1/batch", `{"items": {}}`, 400},
 
+		// A body is exactly one JSON value: trailing bytes other than
+		// whitespace are refused before the value is looked at, while a
+		// trailing newline still reaches validation.
+		{"guardband trailing garbage", "/v1/guardband",
+			`{"circuit":"Z80","scenario":{"kind":"worst"}} trailing`, 400},
+		{"guardband two values", "/v1/guardband",
+			`{"circuit":"Z80","scenario":{"kind":"worst"}}{"circuit":"Z80"}`, 400},
+		{"guardband trailing newline", "/v1/guardband",
+			"{\"circuit\":\"Z80\",\"scenario\":{\"kind\":\"worst\"}}\n", 404},
+		{"batch trailing garbage", "/v1/batch",
+			`{"items":[{"kind":"teleport"}]} trailing`, 400},
+
 		// Version gate.
 		{"guardband unknown version", "/v1/guardband",
 			`{"version":"v9","circuit":"RISC-5P","scenario":{"kind":"worst"}}`, 400},
@@ -103,13 +115,14 @@ func TestHandler4xxTaxonomy(t *testing.T) {
 		})
 	}
 
-	// Item shape errors don't fail the whole batch: the reply is 200 with
-	// a per-item 400 (failed items carry their own error while the rest
-	// of the batch still answers).
+	// Item shape and item decode errors don't fail the whole batch: the
+	// reply is 200 with a per-item 400 (failed items carry their own
+	// error while the rest of the batch still answers).
 	for _, body := range []string{
 		`{"items":[{"kind":"celltiming","guardband":{"circuit":"RISC-5P"}}]}`,
 		`{"items":[{"kind":"teleport"}]}`,
 		`{"items":[{"kind":"guardband","guardband":{},"paths":{}}]}`,
+		`{"items":[{"kind":"guardband","guardband":{"circuit":7}}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
 		if err != nil {

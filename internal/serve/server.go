@@ -18,7 +18,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -344,8 +343,17 @@ func handleJSON[Req any](s *Server, name string, fn func(ctx context.Context, re
 		}
 		defer release()
 
+		raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		if err != nil {
+			errc.Inc()
+			writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
+			return
+		}
+		// Unlike a json.Decoder, Unmarshal refuses anything but whitespace
+		// after the value, so a body carrying a second value or trailing
+		// garbage is refused instead of answered in part.
 		var req Req
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+		if err := json.Unmarshal(raw, &req); err != nil {
 			errc.Inc()
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 			return
@@ -368,11 +376,9 @@ func handleJSON[Req any](s *Server, name string, fn func(ctx context.Context, re
 	})
 }
 
-// cachedBody is one memoized whole-batch reply: the exact request bytes
-// it answers (compared on hit, since the LRU key is only a hash of
-// them) and the rendered body plus checksum to replay.
+// cachedBody is one memoized whole-batch reply: the rendered body and
+// its checksum.
 type cachedBody struct {
-	req  []byte
 	body []byte
 	sum  string
 }
@@ -382,10 +388,10 @@ type cachedBody struct {
 // entry-counted, not byte-counted.
 const maxMemoBody = 1 << 20
 
-// handleBatch is handleJSON for /v1/batch, plus the outermost level of
-// the batch memo hierarchy: a byte-identical repeat of a fully
-// successful batch request replays the stored reply without decoding,
-// planning or rendering anything. Item-fragment memoization (batch.go)
+// handleBatch is handleJSON for /v1/batch, plus the outer of the two
+// batch memo levels: a byte-identical repeat of a fully successful
+// batch request, keyed by its raw bytes, replays the stored reply
+// without decoding or rendering anything. The per-item memo (batch.go)
 // covers batches that merely overlap; this covers the periodic
 // monitor-sweep pattern where the same batch recurs verbatim. Replies
 // carrying any per-item error are never memoized, so transient
@@ -411,20 +417,19 @@ func handleBatch(s *Server) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 			return
 		}
-		key := "body|" + s.cfgHash + "|" + api.BodySum(raw)
+		key := "body|" + s.cfgHash + "|" + string(raw)
 		if v, ok := s.cache.peek(key); ok {
-			if cb := v.(*cachedBody); bytes.Equal(cb.req, raw) {
-				bodyHits.Inc()
-				okc.Inc()
-				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set(api.BodySumHeader, cb.sum)
-				w.Header().Set("Content-Length", strconv.Itoa(len(cb.body)))
-				w.Write(cb.body)
-				return
-			}
+			cb := v.(*cachedBody)
+			bodyHits.Inc()
+			okc.Inc()
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set(api.BodySumHeader, cb.sum)
+			w.Header().Set("Content-Length", strconv.Itoa(len(cb.body)))
+			w.Write(cb.body)
+			return
 		}
 
-		var req api.BatchRequest
+		var req batchRequest
 		if err := json.Unmarshal(raw, &req); err != nil {
 			errc.Inc()
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
@@ -432,7 +437,7 @@ func handleBatch(s *Server) http.Handler {
 		}
 
 		t0 := time.Now()
-		resp, err := s.batch(ctx, &req)
+		b, clean, err := s.batch(ctx, &req)
 		hist.Since(t0)
 		if err != nil {
 			code := status(err)
@@ -445,15 +450,13 @@ func handleBatch(s *Server) http.Handler {
 		}
 		okc.Inc()
 
-		wire := resp.(batchWireResponse)
-		b := wire.body()
 		sum := api.BodySum(b)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set(api.BodySumHeader, sum)
 		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 		w.Write(b)
-		if wire.clean && len(b) <= maxMemoBody {
-			s.cache.put(key, &cachedBody{req: raw, body: b, sum: sum})
+		if clean && len(b) <= maxMemoBody {
+			s.cache.put(key, &cachedBody{body: b, sum: sum})
 		}
 	})
 }

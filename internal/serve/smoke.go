@@ -151,24 +151,34 @@ func Smoke(ctx context.Context, cfg Config, lg *log.Logger) error {
 			return nil
 		}},
 		{"batch", func() error {
+			gbItem := api.GuardbandItem(api.GuardbandRequest{Circuit: circuit, Scenario: scen})
 			resp, err := cl.Batch(ctx, []api.BatchItem{
-				api.GuardbandItem(api.GuardbandRequest{Circuit: circuit, Scenario: scen}),
+				gbItem,
 				api.CellTimingItem(api.CellTimingRequest{
 					Cell: "INV_X1", Scenario: scen, InSlewS: 20e-12, LoadF: 2e-15,
 				}),
 				api.PathsItem(api.PathsRequest{Circuit: circuit, Scenario: scen, K: 2}),
+				gbItem,
+				{Kind: "teleport"}, // malformed: must fail alone, with a 400
 			})
 			if err != nil {
 				return err
 			}
-			for i, it := range resp.Items {
+			last := len(resp.Items) - 1
+			for i, it := range resp.Items[:last] {
 				if it.Error != nil {
 					return fmt.Errorf("item %d: %d %s", i, it.Error.Status, it.Error.Message)
 				}
 			}
+			if e := resp.Items[last].Error; e == nil || e.Status != http.StatusBadRequest {
+				return fmt.Errorf("malformed item: error %+v, want status 400", e)
+			}
 			gb := resp.Items[0].Guardband
 			if gb == nil || gb.AgedCPs <= gb.FreshCPs {
 				return fmt.Errorf("implausible batched guardband: %+v", gb)
+			}
+			if dup := resp.Items[3].Guardband; dup == nil || *dup != *gb {
+				return fmt.Errorf("duplicate guardband item %+v differs from %+v", dup, gb)
 			}
 			return nil
 		}},

@@ -288,10 +288,11 @@ func (it BatchItem) Validate() error {
 }
 
 // BatchRequest asks for a heterogeneous list of queries answered in one
-// round trip. The server decomposes the list into its unique
-// subproblems (libraries, netlists, analyzers), fills each once, and
-// answers every item — items that fail carry their own error while the
-// rest of the batch still succeeds.
+// round trip. The server answers each item exactly as the single
+// request it wraps, and items that share a library, netlist or analyzer
+// share its one fill. Items that fail, including items that do not
+// decode, carry their own error while the rest of the batch still
+// succeeds.
 type BatchRequest struct {
 	Version string      `json:"version"`
 	Items   []BatchItem `json:"items"`

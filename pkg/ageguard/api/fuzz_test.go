@@ -6,9 +6,11 @@ import (
 )
 
 // FuzzBatchRequestDecode asserts the wire-decoding path a hostile client
-// controls: arbitrary bytes either fail to decode, fail item validation,
-// or yield a batch whose every item re-encodes cleanly. No input may
-// panic — this is exactly what the server runs on each /v1/batch body.
+// controls: arbitrary bytes either fail to decode, fail item decoding or
+// validation, or yield items that each re-encode cleanly. No input may
+// panic — this is exactly what the server runs on each /v1/batch body:
+// the envelope with raw items first, then each item on its own, so a
+// malformed item fails alone.
 func FuzzBatchRequestDecode(f *testing.F) {
 	good, _ := json.Marshal(BatchRequest{
 		Version: APIVersion,
@@ -25,12 +27,20 @@ func FuzzBatchRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"items":null}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"items":[{"kind":"?"}]}`))
+	f.Add([]byte(`{"items":[{"kind":"guardband","guardband":{"circuit":7}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req BatchRequest
+		var req struct {
+			Version string            `json:"version"`
+			Items   []json.RawMessage `json:"items"`
+		}
 		if err := json.Unmarshal(data, &req); err != nil {
 			return
 		}
-		for _, it := range req.Items {
+		for _, raw := range req.Items {
+			var it BatchItem
+			if err := json.Unmarshal(raw, &it); err != nil {
+				continue
+			}
 			if err := it.Validate(); err != nil {
 				continue
 			}

@@ -22,18 +22,22 @@ import (
 //	S_p[i][j] = (D_{step p}[i][j] - D_nominal[i][j]) / step_p
 //
 // for every arc's delay and output-slew tables. A sampled instance with
-// parameter draws (dVthP, dVthN, dMuP, dMuN) then gets the table
+// parameter draws (dVthP, dVthN, dMuP, dMuN) then times with the table
 //
-//	D[i][j] = D_nominal[i][j] + sum_p draw_p * S_p[i][j]
+//	D[i][j] = max(0, D_nominal[i][j] + sum_p draw_p * S_p[i][j])
 //
-// Because NLDM interpolation (liberty.Table.At) is linear in the table
-// values, applying the delta at the grid points is exactly equivalent to
-// applying it after interpolation — the first-order model composes with
-// the table lookup without additional error. The exact validation mode
-// (CharacterizeCellPerturbed) re-simulates a cell with the drawn
-// perturbation through the same SPICE path, so the difference between the
-// two is purely the first-order truncation error, which the differential
-// test (core's TestMCGuardbandSensitivityMatchesExact) bounds.
+// (liberty.Table.Shift). Because NLDM interpolation (liberty.Table.At) is
+// linear in the table values, a lookup on that table reads only four
+// shifted grid points, so the Monte Carlo loop (core.MCGuardbandNetlist)
+// never builds it: sta.DeltaBinding times each sample from Base and
+// Deltas through liberty.Table.ShiftedAt. SampleLibrary materializes the
+// same tables as a per-sample instance-variant library, the reference the
+// tests and the benchmark's replay compare that loop against. The exact
+// validation mode (CharacterizeCellPerturbed) re-simulates a cell with
+// the drawn perturbation through the same SPICE path, so the difference
+// between the two is purely the first-order truncation error, which the
+// differential test (core's TestMCGuardbandSensitivityMatchesExact)
+// bounds.
 
 // Finite-difference steps for the sensitivity characterizations. The Vth
 // step is chosen near the per-instance sigma so the secant slope averages
@@ -44,7 +48,8 @@ const (
 	SensStepMu  = -0.05 // relative
 )
 
-// Variation parameter indices within ArcSens.
+// Variation parameter indices within liberty.ArcDelta and
+// liberty.DeltaWeights.
 const (
 	sensVthP = iota
 	sensVthN
@@ -53,24 +58,29 @@ const (
 	numSensParams
 )
 
-// ArcSens holds per-unit-parameter derivative tables for one timing arc:
-// Delay[p][e] is dDelay/dparam_p for output edge e, on the library's
-// slew x load grid. A nil table mirrors a nil table in the base arc.
-type ArcSens struct {
-	Delay   [numSensParams][2]*liberty.Table
-	OutSlew [numSensParams][2]*liberty.Table
-}
-
 // Sensitivity is a characterized library together with first-order
 // per-arc sensitivities to the four variation parameters. Build with
-// Config.Sensitivities; materialize per-sample instance libraries with
-// SampleLibrary. Immutable after construction and safe for concurrent
-// use.
+// Config.Sensitivities; time samples from Base and Deltas
+// (sta.BatchTimer.BindDeltas), or materialize a sample's instance
+// library with SampleLibrary. Immutable after construction and safe for
+// concurrent use.
 type Sensitivity struct {
 	// Base is the nominal library the sensitivities are taken around.
 	Base *liberty.Library
 
-	arcs map[string][]ArcSens // cell name -> per-arc sensitivities
+	// cell name -> per-arc sensitivities; a nil table mirrors a nil table
+	// in the base arc.
+	arcs map[string][]liberty.ArcDelta
+}
+
+// Deltas returns the per-cell, per-arc sensitivity tables, aligned with
+// Base's arcs. The map is shared: treat it as read-only.
+func (sn *Sensitivity) Deltas() map[string][]liberty.ArcDelta { return sn.arcs }
+
+// Weights returns a perturbation's draws as the weights of the
+// sensitivity tables.
+func Weights(pb device.Perturb) liberty.DeltaWeights {
+	return liberty.DeltaWeights{sensVthP: pb.DVthP, sensVthN: pb.DVthN, sensMuP: pb.DMuP, sensMuN: pb.DMuN}
 }
 
 // Sensitivities characterizes the nominal library plus one single-axis
@@ -106,9 +116,9 @@ func (cfg Config) Sensitivities(ctx context.Context, s aging.Scenario) (*Sensiti
 		perturbed[p] = lib
 	}
 
-	sn := &Sensitivity{Base: base, arcs: make(map[string][]ArcSens, len(base.Cells))}
+	sn := &Sensitivity{Base: base, arcs: make(map[string][]liberty.ArcDelta, len(base.Cells))}
 	for name, ct := range base.Cells {
-		arcSens := make([]ArcSens, len(ct.Arcs))
+		arcSens := make([]liberty.ArcDelta, len(ct.Arcs))
 		for p := 0; p < numSensParams; p++ {
 			pct, ok := perturbed[p].Cells[name]
 			if !ok || len(pct.Arcs) != len(ct.Arcs) {
@@ -161,11 +171,13 @@ func VariantCell(cell, inst string) string { return cell + "@" + inst }
 // SampleLibrary materializes the instance-variant library of one Monte
 // Carlo sample: for every drawn instance it adds a cell named
 // VariantCell(draw.Cell, draw.Inst) whose delay and output-slew tables are
-// the nominal tables plus the first-order sensitivity deltas for the
-// instance's draws. Instances with a zero draw share the nominal tables
-// outright. Pin capacitances are geometry-only and therefore shared
+// the nominal tables shifted by the instance's weighted sensitivities
+// (liberty.Table.Shift). Instances with a zero draw share the nominal
+// tables outright. Pin capacitances are geometry-only and therefore shared
 // unchanged, which keeps netlist loads — and hence the compiled STA
-// topology — identical across samples.
+// topology — identical across samples. The Monte Carlo loop does not call
+// it (see the file comment); it is the reference that loop's tests and
+// the benchmark's replay compare against.
 func (sn *Sensitivity) SampleLibrary(name string, draws []InstDraw) (*liberty.Library, error) {
 	lib := &liberty.Library{
 		Name:     name,
@@ -185,13 +197,13 @@ func (sn *Sensitivity) SampleLibrary(name string, draws []InstDraw) (*liberty.Li
 		cp.Name = vname
 		if !d.Pb.IsZero() {
 			sens := sn.arcs[d.Cell]
-			scale := [numSensParams]float64{d.Pb.DVthP, d.Pb.DVthN, d.Pb.DMuP, d.Pb.DMuN}
+			w := Weights(d.Pb)
 			arcs := make([]liberty.Arc, len(ct.Arcs))
 			for ai := range ct.Arcs {
 				a := ct.Arcs[ai]
-				for e := 0; e < 2; e++ {
-					a.Delay[e] = applyDelta(ct.Arcs[ai].Delay[e], sens[ai].Delay, e, scale)
-					a.OutSlew[e] = applyDelta(ct.Arcs[ai].OutSlew[e], sens[ai].OutSlew, e, scale)
+				for e := liberty.Rise; e <= liberty.Fall; e++ {
+					a.Delay[e] = a.Delay[e].Shift(&sens[ai].Delay, e, &w)
+					a.OutSlew[e] = a.OutSlew[e].Shift(&sens[ai].OutSlew, e, &w)
 				}
 				arcs[ai] = a
 			}
@@ -200,30 +212,6 @@ func (sn *Sensitivity) SampleLibrary(name string, draws []InstDraw) (*liberty.Li
 		lib.Cells[vname] = &cp
 	}
 	return lib, nil
-}
-
-// applyDelta builds base + sum_p scale[p]*sens[p] for one edge table.
-// Delay and slew floors at zero guard against a large negative draw driving
-// a tiny fast-corner table entry below the physical floor.
-func applyDelta(base *liberty.Table, sens [numSensParams][2]*liberty.Table, e int, scale [numSensParams]float64) *liberty.Table {
-	if base == nil {
-		return nil
-	}
-	out := liberty.NewTable(base.Slews, base.Loads)
-	for i, row := range base.Values {
-		for j, v := range row {
-			for p := 0; p < numSensParams; p++ {
-				if s := sens[p][e]; s != nil {
-					v += scale[p] * s.Values[i][j]
-				}
-			}
-			if v < 0 {
-				v = 0
-			}
-			out.Values[i][j] = v
-		}
-	}
-	return out
 }
 
 // CharacterizeCellPerturbed re-simulates one cell with an additional

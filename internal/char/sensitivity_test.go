@@ -216,17 +216,25 @@ func TestDiffTableAndApplyDelta(t *testing.T) {
 		t.Error("nil input did not propagate")
 	}
 
+	// SampleLibrary's shift (liberty.Table.Shift) on the sensitivity
+	// tables: weighted sum, floored at zero, nil base stays nil.
 	var sens [numSensParams][2]*liberty.Table
-	sens[sensVthP][0] = d
-	out := applyDelta(base, sens, 0, [numSensParams]float64{sensVthP: -10})
+	sens[sensVthP][liberty.Rise] = d
+	w := Weights(device.Perturb{DVthP: -10})
+	out := base.Shift(&sens, liberty.Rise, &w)
 	if out.Values[0][0] != 0 {
-		t.Errorf("applyDelta floor: %v, want 0", out.Values[0][0])
+		t.Errorf("shift floor: %v, want 0", out.Values[0][0])
 	}
-	out = applyDelta(base, sens, 0, [numSensParams]float64{sensVthP: 0.5})
+	w = Weights(device.Perturb{DVthP: 0.5})
+	out = base.Shift(&sens, liberty.Rise, &w)
 	if out.Values[1][1] != 12 {
-		t.Errorf("applyDelta = %v, want 12", out.Values[1][1])
+		t.Errorf("shift = %v, want 12", out.Values[1][1])
 	}
-	if applyDelta(nil, sens, 0, [numSensParams]float64{}) != nil {
+	if out = base.Shift(&sens, liberty.Fall, &w); out.Values[1][1] != 10 {
+		t.Errorf("shift with only nil deltas = %v, want 10", out.Values[1][1])
+	}
+	var none *liberty.Table
+	if none.Shift(&sens, liberty.Rise, &w) != nil {
 		t.Error("nil base did not propagate")
 	}
 }

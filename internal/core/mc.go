@@ -20,12 +20,14 @@ import (
 // This file implements process-variation Monte Carlo guardband estimation:
 // instead of the single-corner guardband AgedCP - FreshCP, it samples N
 // per-instance device perturbations (package device's counter-based
-// streams), re-times fresh and aged critical paths per sample through
-// sensitivity-materialized instance libraries (char.Sensitivity +
-// sta.BatchTimer), and reduces the per-sample guardbands to distribution
-// statistics. Identical draws are applied to the fresh and the aged
-// timing of each sample, so the per-sample guardband isolates aging from
-// the process spread itself.
+// streams), re-times fresh and aged critical paths per sample, and
+// reduces the per-sample guardbands to distribution statistics. A sample
+// is timed straight from the first-order sensitivity tables
+// (char.Sensitivity bound by sta.BatchTimer.BindDeltas): each instance's
+// lookups shift only the grid points they read, so no per-sample library
+// is built. Identical draws are applied to the fresh and the aged timing
+// of each sample, so the per-sample guardband isolates aging from the
+// process spread itself.
 
 // Default Monte Carlo knobs.
 const (
@@ -150,31 +152,20 @@ func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlis
 		return nil, err
 	}
 
-	// Nominal point guardband, exactly StaticGuardband's arithmetic.
-	fcp, err := f.CP(ctx, nl, snFresh.Base)
+	// One compiled topology of the netlist serves the nominal point and
+	// every sample: pin capacitances are geometry-only, so loads — and
+	// the compiled topology — are shared by both scenarios. The nominal
+	// point equals StaticGuardband's (BatchTimer.CP is bit-identical to
+	// Analyze).
+	bt, err := sta.NewBatchTimer(ctx, nl, snFresh.Base, f.STA)
 	if err != nil {
 		return nil, err
 	}
-	acp, err := f.CP(ctx, nl, snAged.Base)
+	fcp, err := bt.CP(ctx, snFresh.Base)
 	if err != nil {
 		return nil, err
 	}
-
-	// The instance-variant netlist: every instance references its own
-	// per-instance cell. Pin capacitances are geometry-only, so loads —
-	// and the compiled topology — are shared by all samples and both
-	// scenarios.
-	vnl := nl.Clone()
-	insts := make([]char.InstDraw, len(vnl.Insts))
-	for i, in := range vnl.Insts {
-		insts[i] = char.InstDraw{Inst: in.Name, Cell: in.Cell}
-		in.Cell = char.VariantCell(in.Cell, in.Name)
-	}
-	template, err := snFresh.SampleLibrary("mc_template", insts)
-	if err != nil {
-		return nil, err
-	}
-	bt, err := sta.NewBatchTimer(ctx, vnl, template, f.STA)
+	acp, err := bt.CP(ctx, snAged.Base)
 	if err != nil {
 		return nil, err
 	}
@@ -191,40 +182,33 @@ func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlis
 	}
 	res.Guardbands = make([]float64, n)
 
-	// Exact mode shares one simulation limiter across the serial sample
-	// loop so the per-cell SPICE sweeps keep every worker busy.
-	var exactLim conc.Limiter
+	var sample func(i int) (fresh, aged float64, err error)
 	if mc.Exact {
-		exactLim = conc.NewLimiter(conc.Workers(f.Char.Parallelism))
+		sample = f.exactSampler(ctx, nl, snFresh, snAged, s, mc)
+	} else {
+		fb, err := bt.BindDeltas(snFresh.Base, snFresh.Deltas())
+		if err != nil {
+			return nil, err
+		}
+		ab, err := bt.BindDeltas(snAged.Base, snAged.Deltas())
+		if err != nil {
+			return nil, err
+		}
+		sample = func(i int) (float64, float64, error) {
+			w := make([]liberty.DeltaWeights, len(nl.Insts))
+			for k, in := range nl.Insts {
+				w[k] = char.Weights(mc.Variation.Sample(mc.Seed, uint64(i), in.Name))
+			}
+			sf, err := fb.CP(ctx, w)
+			if err != nil {
+				return 0, 0, err
+			}
+			sa, err := ab.CP(ctx, w)
+			return sf, sa, err
+		}
 	}
-
 	err = conc.ParFor(ctx, mc.workers(), n, func(i int) error {
-		draws := make([]char.InstDraw, len(insts))
-		copy(draws, insts)
-		for k := range draws {
-			draws[k].Pb = mc.Variation.Sample(mc.Seed, uint64(i), draws[k].Inst)
-		}
-		var freshLib, agedLib *liberty.Library
-		var err error
-		if mc.Exact {
-			freshLib, err = f.exactSampleLibrary(ctx, exactLim, snFresh, aging.Fresh(), draws, i)
-			if err == nil {
-				agedLib, err = f.exactSampleLibrary(ctx, exactLim, snAged, s, draws, i)
-			}
-		} else {
-			freshLib, err = snFresh.SampleLibrary(fmt.Sprintf("mc_fresh_%d", i), draws)
-			if err == nil {
-				agedLib, err = snAged.SampleLibrary(fmt.Sprintf("mc_aged_%d", i), draws)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		sf, err := bt.CP(ctx, freshLib)
-		if err != nil {
-			return err
-		}
-		sa, err := bt.CP(ctx, agedLib)
+		sf, sa, err := sample(i)
 		if err != nil {
 			return err
 		}
@@ -237,6 +221,43 @@ func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlis
 
 	res.reduce(mc.bins())
 	return res, nil
+}
+
+// exactSampler returns the sample step of Exact mode, the Monte Carlo
+// validation reference: it times the instance-variant netlist (every
+// instance on its own cell, named char.VariantCell) under per-sample
+// libraries whose cells are fully re-characterized. Exact samples run
+// serially and share one simulation limiter, so the per-cell SPICE sweeps
+// keep every worker busy.
+func (f Flow) exactSampler(ctx context.Context, nl *netlist.Netlist, snFresh, snAged *char.Sensitivity, s aging.Scenario, mc MCConfig) func(int) (float64, float64, error) {
+	vnl := nl.Clone()
+	insts := make([]char.InstDraw, len(vnl.Insts))
+	for i, in := range vnl.Insts {
+		insts[i] = char.InstDraw{Inst: in.Name, Cell: in.Cell}
+		in.Cell = char.VariantCell(in.Cell, in.Name)
+	}
+	lim := conc.NewLimiter(conc.Workers(f.Char.Parallelism))
+	return func(i int) (float64, float64, error) {
+		draws := make([]char.InstDraw, len(insts))
+		copy(draws, insts)
+		for k := range draws {
+			draws[k].Pb = mc.Variation.Sample(mc.Seed, uint64(i), draws[k].Inst)
+		}
+		freshLib, err := f.exactSampleLibrary(ctx, lim, snFresh, aging.Fresh(), draws, i)
+		if err != nil {
+			return 0, 0, err
+		}
+		agedLib, err := f.exactSampleLibrary(ctx, lim, snAged, s, draws, i)
+		if err != nil {
+			return 0, 0, err
+		}
+		sf, err := f.CP(ctx, vnl, freshLib)
+		if err != nil {
+			return 0, 0, err
+		}
+		sa, err := f.CP(ctx, vnl, agedLib)
+		return sf, sa, err
+	}
 }
 
 // exactSampleLibrary re-characterizes every drawn instance with its full

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"ageguard/internal/char"
 	"ageguard/internal/device"
 	"ageguard/internal/netlist"
+	"ageguard/internal/sta"
 	"ageguard/internal/units"
 )
 
@@ -167,6 +169,98 @@ func TestMCGuardbandSensitivityMatchesExact(t *testing.T) {
 	}
 	if exact.FreshCPS != sens.FreshCPS || exact.AgedCPS != sens.AgedCPS {
 		t.Errorf("nominal points differ between modes: %+v vs %+v", exact, sens)
+	}
+}
+
+// sampleLibraryGuardbands is the reference for MCGuardbandNetlist's
+// sample loop: per sample and scenario it builds the instance-variant
+// library (char.Sensitivity.SampleLibrary) and times it with
+// sta.BatchTimer.CP on the instance-variant netlist.
+func sampleLibraryGuardbands(t *testing.T, f Flow, nl *netlist.Netlist, s aging.Scenario, mc MCConfig) []float64 {
+	t.Helper()
+	ctx := context.Background()
+	var sns []*char.Sensitivity
+	for _, sc := range []aging.Scenario{aging.Fresh(), s} {
+		sn, err := f.Char.Sensitivities(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sns = append(sns, sn)
+	}
+	vnl := nl.Clone()
+	insts := make([]char.InstDraw, len(vnl.Insts))
+	for i, in := range vnl.Insts {
+		insts[i] = char.InstDraw{Inst: in.Name, Cell: in.Cell}
+		in.Cell = char.VariantCell(in.Cell, in.Name)
+	}
+	template, err := sns[0].SampleLibrary("mc_template", insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := sta.NewBatchTimer(ctx, vnl, template, f.STA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gbs := make([]float64, mc.Samples)
+	for i := range gbs {
+		draws := make([]char.InstDraw, len(insts))
+		copy(draws, insts)
+		for k := range draws {
+			draws[k].Pb = mc.Variation.Sample(mc.Seed, uint64(i), draws[k].Inst)
+		}
+		var cp [2]float64
+		for j, sn := range sns {
+			lib, err := sn.SampleLibrary(fmt.Sprintf("mc_%d_%d", j, i), draws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp[j], err = bt.CP(ctx, lib); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gbs[i] = cp[1] - cp[0]
+	}
+	return gbs
+}
+
+// reordered returns a copy of nl whose n.Insts run in reverse, so their
+// order differs from the topological one.
+func reordered(nl *netlist.Netlist) *netlist.Netlist {
+	r := netlist.New(nl.Name + "_rev")
+	r.Inputs, r.Outputs = nl.Inputs, nl.Outputs
+	for k := len(nl.Insts) - 1; k >= 0; k-- {
+		in := nl.Insts[k]
+		r.AddInst(in.Name, in.Cell, in.Pins)
+	}
+	return r
+}
+
+// TestMCGuardbandMatchesSampleLibraryLoop: the guardbands timed straight
+// from the sensitivity tables equal, bit for bit, the loop that built a
+// library per sample, serially and in parallel, also on a netlist whose
+// instance order is not topological (weights applied to the wrong
+// instances would show there).
+func TestMCGuardbandMatchesSampleLibraryLoop(t *testing.T) {
+	f := mcFlow(t)
+	ctx := context.Background()
+	for _, nl := range []*netlist.Netlist{mcNetlist(), reordered(mcNetlist())} {
+		for _, s := range []aging.Scenario{aging.WorstCase(10), aging.Fresh()} {
+			mc := MCConfig{Samples: 16, Seed: 11, Variation: device.DefaultVariation()}
+			want := sampleLibraryGuardbands(t, f, nl, s, mc)
+			for _, par := range []int{1, 4} {
+				mc.Parallelism = par
+				res, err := f.MCGuardbandNetlist(ctx, nl.Name, nl, s, mc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, g := range res.Guardbands {
+					if math.Float64bits(g) != math.Float64bits(want[i]) {
+						t.Errorf("%s %s parallelism %d sample %d: guardband %v != per-sample-library %v",
+							nl.Name, s, par, i, g, want[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -64,10 +64,13 @@ func NewTable(slews, loads []float64) *Table {
 func (t *Table) At(slew, load float64) float64 {
 	i0, i1, fi := locate(t.Slews, slew)
 	j0, j1, fj := locate(t.Loads, load)
-	v00 := t.Values[i0][j0]
-	v01 := t.Values[i0][j1]
-	v10 := t.Values[i1][j0]
-	v11 := t.Values[i1][j1]
+	return bilerp(t.Values[i0][j0], t.Values[i0][j1], t.Values[i1][j0], t.Values[i1][j1], fi, fj)
+}
+
+// bilerp blends the four grid corners a lookup reads (vIJ at slew index
+// i, load index j) by the slew and load fractions; At and ShiftedAt
+// share it so they round alike.
+func bilerp(v00, v01, v10, v11, fi, fj float64) float64 {
 	return v00*(1-fi)*(1-fj) + v01*(1-fi)*fj + v10*fi*(1-fj) + v11*fi*fj
 }
 

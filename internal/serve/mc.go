@@ -23,10 +23,14 @@ const (
 
 // mcGuardband answers POST /v1/mcguardband: the process-variation Monte
 // Carlo guardband distribution of a circuit under a scenario. The whole
-// response is one LRU value keyed by the characterization config hash
-// plus every sampling parameter, so a warm repeat replays the identical
-// distribution without re-timing anything — and because the sample
-// streams are counter-based, even a cold recomputation is bit-identical.
+// response is one LRU value keyed by the characterization config hash,
+// the resolved scenario and every sampling parameter, so a warm repeat
+// replays the identical distribution without re-timing anything — and
+// because the sample streams are counter-based, even a cold recomputation
+// is bit-identical. The stored value carries no scenario: each reply
+// echoes its own caller's spelling, since equal resolved scenarios can
+// be spelled differently ({"kind":"worst"} and {"kind":"worst","years":10}
+// under a 10-year lifetime).
 func (s *Server) mcGuardband(ctx context.Context, req *api.MCGuardbandRequest) (any, error) {
 	if err := checkVersion(req.Version); err != nil {
 		return nil, err
@@ -92,7 +96,6 @@ func (s *Server) mcGuardband(ctx context.Context, req *api.MCGuardbandRequest) (
 		return api.MCGuardbandResponse{
 			Version:    api.APIVersion,
 			Circuit:    req.Circuit,
-			Scenario:   req.Scenario,
 			Samples:    res.Samples,
 			Seed:       res.Seed,
 			SigmaVthV:  v.SigmaVth,
@@ -116,7 +119,9 @@ func (s *Server) mcGuardband(ctx context.Context, req *api.MCGuardbandRequest) (
 	if err != nil {
 		return nil, err
 	}
-	return out.(api.MCGuardbandResponse), nil
+	resp := out.(api.MCGuardbandResponse)
+	resp.Scenario = req.Scenario
+	return resp, nil
 }
 
 // mcParamKey encodes the sampling parameters for the LRU key with full

@@ -36,7 +36,9 @@ func postMC(t *testing.T, url, body string) []byte {
 // distribution byte-identically, and a fresh server instance — empty
 // in-memory caches, same configuration — recomputes the identical bytes
 // (the counter-based sample streams make the whole pipeline a pure
-// function of the request).
+// function of the request). A second spelling of the same scenario hits
+// the entry the first one filled, and its reply echoes its own spelling:
+// it equals a fresh server's reply to it.
 func TestMCGuardbandDeterministicAndMemoized(t *testing.T) {
 	dir := sharedDir(t)
 	const body = `{"circuit":"RISC-5P","scenario":{"kind":"worst"},"samples":6,"seed":42,"bins":8}`
@@ -61,6 +63,18 @@ func TestMCGuardbandDeterministicAndMemoized(t *testing.T) {
 	recomputed := postMC(t, ts2.URL, body)
 	if string(cold) != string(recomputed) {
 		t.Errorf("fresh server recomputed different bytes:\nfirst  %s\nsecond %s", cold, recomputed)
+	}
+
+	const spelled = `{"circuit":"RISC-5P","scenario":{"kind":"worst","years":10},"samples":6,"seed":42,"bins":8}`
+	warmSpelled := postMC(t, ts1.URL, spelled)
+	if got := s1.Registry().Snapshot().Counters["serve.cache.misses"]; got != missesAfterCold {
+		t.Errorf("second spelling of the scenario missed the cache (%d -> %d misses)", missesAfterCold, got)
+	}
+	s3 := New(quickConfig(dir), nil)
+	ts3 := httptest.NewServer(s3.Handler())
+	defer ts3.Close()
+	if coldSpelled := postMC(t, ts3.URL, spelled); string(warmSpelled) != string(coldSpelled) {
+		t.Errorf("warm reply to the second spelling differs from a fresh server's:\nwarm %s\ncold %s", warmSpelled, coldSpelled)
 	}
 
 	// A different seed must give a different distribution (the parameters

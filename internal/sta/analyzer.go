@@ -149,12 +149,29 @@ func newTopology(n *netlist.Netlist, lib *liberty.Library) (*topology, error) {
 }
 
 // binding resolves one library against a topology: per-instance timing
-// views, clock arcs and per-arc input net ids.
+// views, clock arcs and per-arc input net ids. A DeltaBinding adds
+// per-instance delta tables and, per CP call, the sample's weights.
 type binding struct {
 	lib       *liberty.Library
 	ct        []*liberty.CellTiming
 	clockArcs [][]liberty.Arc // sequential instances only
 	arcNet    [][]int32       // per instance, per arc: input net id
+
+	delta [][]liberty.ArcDelta   // per instance, per arc: delta tables
+	src   []int32                // per instance: its index in n.Insts
+	w     []liberty.DeltaWeights // per n.Insts index; nil = unshifted
+}
+
+// shift returns instance i's weights when they shift its tables, nil
+// when the instance times on its cell's own tables.
+func (b *binding) shift(i int) *liberty.DeltaWeights {
+	if b.w == nil {
+		return nil
+	}
+	if w := &b.w[b.src[i]]; *w != (liberty.DeltaWeights{}) {
+		return w
+	}
+	return nil
 }
 
 // errFootprint signals a cell whose pin footprint deviates from the
@@ -363,6 +380,67 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 	return arr, slw, pr, nil
 }
 
+// evalShifted is evalInst on the instance's tables shifted by weights w:
+// the same operations in the same order, each lookup reading the shifted
+// table through liberty.Table.ShiftedAt, so the result equals evalInst
+// on a cell whose tables liberty.Table.Shift built.
+func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liberty.DeltaWeights) (arr, slw [2]float64, pr [2]cPred, err error) {
+	neg := math.Inf(-1)
+	arr = [2]float64{neg, neg}
+	pr = [2]cPred{{inst: -1}, {inst: -1}}
+	ct := b.ct[i]
+	dl := b.delta[i]
+	load := s.loadOf(t, b, cfg, t.outNet[i])
+	if ct.Seq {
+		for ai := range ct.Arcs {
+			arc := &ct.Arcs[ai]
+			if arc.Pin != ct.Clock {
+				continue
+			}
+			for e := liberty.Rise; e <= liberty.Fall; e++ {
+				if arc.Delay[e] == nil {
+					continue
+				}
+				d := arc.Delay[e].ShiftedAt(&dl[ai].Delay, e, w, cfg.ClockSlew, load)
+				if d > arr[e] {
+					arr[e] = d
+					slw[e] = arc.OutSlew[e].ShiftedAt(&dl[ai].OutSlew, e, w, cfg.ClockSlew, load)
+					pr[e] = cPred{inst: int32(i), pin: ct.Clock, fromNet: t.clk, inEdge: liberty.Rise, delay: d}
+				}
+			}
+		}
+	} else {
+		for ai := range ct.Arcs {
+			arc := &ct.Arcs[ai]
+			inNet := b.arcNet[i][ai]
+			if !s.hasArr[inNet] {
+				continue
+			}
+			ia := s.arr[inNet]
+			is := s.slw[inNet]
+			for e := liberty.Rise; e <= liberty.Fall; e++ {
+				if arc.Delay[e] == nil {
+					continue
+				}
+				ie := arc.Sense.InputEdge(e)
+				if math.IsInf(ia[ie], -1) {
+					continue
+				}
+				d := arc.Delay[e].ShiftedAt(&dl[ai].Delay, e, w, is[ie], load)
+				if cand := ia[ie] + d; cand > arr[e] {
+					arr[e] = cand
+					slw[e] = arc.OutSlew[e].ShiftedAt(&dl[ai].OutSlew, e, w, is[ie], load)
+					pr[e] = cPred{inst: int32(i), pin: arc.Pin, fromNet: inNet, inEdge: ie, delay: d}
+				}
+			}
+		}
+	}
+	if math.IsInf(arr[0], -1) && math.IsInf(arr[1], -1) {
+		return arr, slw, pr, fmt.Errorf("sta: instance %s has no arrival (undriven inputs?)", t.order[i].Name)
+	}
+	return arr, slw, pr, nil
+}
+
 // forwardFull runs the complete arrival propagation.
 func forwardFull(t *topology, b *binding, s *state, cfg *Config) error {
 	s.resetForward()
@@ -372,7 +450,16 @@ func forwardFull(t *topology, b *binding, s *state, cfg *Config) error {
 		s.hasArr[pi] = true
 	}
 	for i := range t.order {
-		arr, slw, pr, err := evalInst(t, b, s, cfg, i)
+		// An instance with nonzero weights in b.w times on its shifted
+		// tables; the choice is made once per instance, not per lookup.
+		var arr, slw [2]float64
+		var pr [2]cPred
+		var err error
+		if w := b.shift(i); w != nil {
+			arr, slw, pr, err = evalShifted(t, b, s, cfg, i, w)
+		} else {
+			arr, slw, pr, err = evalInst(t, b, s, cfg, i)
+		}
 		if err != nil {
 			return err
 		}

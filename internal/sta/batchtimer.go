@@ -11,10 +11,11 @@ import (
 )
 
 // BatchTimer is the many-libraries counterpart of Analyzer for workloads
-// that re-time ONE fixed netlist under a stream of libraries and only need
-// the critical-path delay: the paper's Fig. 5 duty-cycle grid (up to 121
-// aged libraries) and the Monte Carlo statistical STA inner loop, where
-// every sample materializes its own instance-variant library. The netlist
+// that re-time ONE fixed netlist many times and only need the
+// critical-path delay: the paper's Fig. 5 duty-cycle grid (up to 121 aged
+// libraries, one CP call each) and the Monte Carlo statistical STA inner
+// loop, which binds each base library once (BindDeltas) and times every
+// sample as per-instance shifts of it (DeltaBinding.CP). The netlist
 // topology (levelization, net numbering, fanout sinks, endpoint lists) is
 // compiled once at construction; each CP call performs only the
 // per-library binding and arrival propagation.
@@ -31,8 +32,8 @@ type BatchTimer struct {
 
 // NewBatchTimer compiles the netlist topology against the template
 // library's cell footprints. Any library whose footprints match the
-// template (the flow's aged and instance-variant libraries all do) can
-// then be timed with CP; one that deviates gets its own topology.
+// template (the flow's aged libraries all do) can then be timed with CP;
+// one that deviates gets its own topology.
 // The netlist must not be mutated while the BatchTimer is in use.
 func NewBatchTimer(ctx context.Context, n *netlist.Netlist, template *liberty.Library, cfg Config) (*BatchTimer, error) {
 	if err := ctx.Err(); err != nil {
@@ -67,6 +68,68 @@ func (bt *BatchTimer) CP(ctx context.Context, lib *liberty.Library) (float64, er
 	}
 	s := newState(len(t.nets))
 	if err := forwardFull(t, b, s, &bt.cfg); err != nil {
+		return 0, err
+	}
+	return s.cp, nil
+}
+
+// DeltaBinding is one base library bound to a BatchTimer's compiled
+// netlist together with the per-arc delta tables of its cells: the Monte
+// Carlo sample loop, where each sample shifts every instance's tables by
+// that instance's weighted deltas (liberty.ArcDelta). It is built once
+// per base library and safe for concurrent use; each CP call allocates
+// only its propagation state.
+type DeltaBinding struct {
+	bt *BatchTimer
+	b  *binding
+}
+
+// BindDeltas binds lib to the compiled netlist with deltas, the per-arc
+// delta tables of every cell the netlist instantiates, aligned with the
+// cell's arcs in lib. lib's cell footprints must match the compiled
+// topology's (the flow's fresh and aged libraries all do).
+func (bt *BatchTimer) BindDeltas(lib *liberty.Library, deltas map[string][]liberty.ArcDelta) (*DeltaBinding, error) {
+	t := bt.topo
+	b, err := newBinding(t, lib)
+	if err != nil {
+		return nil, err
+	}
+	b.delta = make([][]liberty.ArcDelta, len(t.order))
+	b.src = make([]int32, len(t.order))
+	for i, in := range t.order {
+		d := deltas[in.Cell]
+		if len(d) != len(b.ct[i].Arcs) {
+			return nil, fmt.Errorf("sta: %d delta arcs for the %d arcs of cell %q (inst %s)",
+				len(d), len(b.ct[i].Arcs), in.Cell, in.Name)
+		}
+		b.delta[i] = d
+	}
+	for k, in := range t.n.Insts {
+		b.src[t.instIdx[in.Name]] = int32(k)
+	}
+	return &DeltaBinding{bt: bt, b: b}, nil
+}
+
+// CP times one sample and returns its critical-path delay: instance
+// n.Insts[k] times on its cell's tables shifted by weights w[k], and an
+// instance whose weights are all zero on the unshifted tables. The result
+// is bit-identical to BatchTimer.CP under the instance-variant library
+// whose cells carry liberty.Table.Shift of each table (the library
+// char.Sensitivity.SampleLibrary builds), because every lookup shifts
+// exactly the four grid points it reads (liberty.Table.ShiftedAt).
+func (db *DeltaBinding) CP(ctx context.Context, w []liberty.DeltaWeights) (float64, error) {
+	t := db.bt.topo
+	if err := ctx.Err(); err != nil {
+		return 0, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", t.n.Name, err))
+	}
+	if len(w) != len(db.b.src) {
+		return 0, fmt.Errorf("sta: %s: %d weights for %d instances", t.n.Name, len(w), len(db.b.src))
+	}
+	obs.From(ctx).Counter("sta.analyses").Inc()
+	b := *db.b
+	b.w = w
+	s := newState(len(t.nets))
+	if err := forwardFull(t, &b, s, &db.bt.cfg); err != nil {
 		return 0, err
 	}
 	return s.cp, nil

@@ -10,7 +10,7 @@ import (
 	"ageguard/internal/netlist"
 )
 
-// This file measures the two workloads the incremental engine exists for:
+// This file measures the workloads the compiled engine exists for:
 //
 //  1. the synthesis inner loop — swap a handful of cells, re-query the
 //     critical path, repeat — comparing Analyzer.Swap against a full
@@ -18,9 +18,11 @@ import (
 //  2. the 121-library duty-cycle grid fan-out — one netlist timed under
 //     every grid library — comparing a BatchTimer (topology compiled
 //     once, legs fanned out over all CPUs) against a serial full
-//     analysis per library.
+//     analysis per library;
+//  3. the Monte Carlo sample step — the fresh and aged critical paths of
+//     one sample, timed from per-instance weights on two DeltaBindings.
 //
-// Run them with go test ./internal/sta/ -run XXX -bench 'InnerLoop|Grid';
+// Run them with go test ./internal/sta/ -run XXX -bench 'InnerLoop|Grid|MCSample';
 // each pair (Incremental vs Full, Batch vs SerialFull) is one
 // comparison. The daemon-level benchmark is perfbench/ (see its README).
 
@@ -117,6 +119,38 @@ func BenchmarkGridSerialFull(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 121; j++ {
 			if _, err := Analyze(ctx, nl, l, Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkMCSample(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	nl := randNetlist(rng, 400)
+	ctx := context.Background()
+	var dbs []*DeltaBinding
+	var bt *BatchTimer
+	for _, s := range []aging.Scenario{aging.Fresh(), aging.WorstCase(10)} {
+		fx := newDeltaFixture(rng, lib(b, s))
+		var err error
+		if bt == nil {
+			if bt, err = NewBatchTimer(ctx, nl, fx.lib, Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		db, err := bt.BindDeltas(fx.lib, fx.deltas)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dbs = append(dbs, db)
+	}
+	w := sampleWeights(rng, len(nl.Insts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, db := range dbs {
+			if _, err := db.CP(ctx, w); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -56,6 +56,8 @@ fuzz-smoke:
 		-fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./pkg/ageguard/api/ -run XXX -fuzz 'FuzzBatchRequestDecode$$' \
 		-fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/netlist/ -run XXX -fuzz 'FuzzNetlistRead$$' \
+		-fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # cover-gate re-runs the full test suite with a coverage profile and
 # fails if total statement coverage drops below the committed baseline

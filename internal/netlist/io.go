@@ -16,9 +16,13 @@ import (
 //	output <net> ...
 //	inst <name> <cell> <pin>=<net> ...
 //	end
+//
+// A netlist without a name gets no design line, which Read would reject.
 func Write(w io.Writer, n *Netlist) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "design %s\n", n.Name)
+	if n.Name != "" {
+		fmt.Fprintf(bw, "design %s\n", n.Name)
+	}
 	if len(n.Inputs) > 0 {
 		fmt.Fprintf(bw, "input %s\n", strings.Join(n.Inputs, " "))
 	}
@@ -52,6 +56,9 @@ func Read(r io.Reader) (*Netlist, error) {
 		f := strings.Fields(line)
 		switch f[0] {
 		case "design":
+			if len(f) < 2 {
+				return nil, fmt.Errorf("netlist: line %d: design without a name", lineNo)
+			}
 			n.Name = f[1]
 		case "input":
 			n.Inputs = append(n.Inputs, f[1:]...)

@@ -90,25 +90,35 @@ func LibraryLookup(lib *liberty.Library) Lookup {
 	}
 }
 
-// Drivers returns a map net -> instance driving it. Primary inputs and the
-// clock have no driver. An error is returned on multiple drivers.
-func (n *Netlist) Drivers(look Lookup) (map[string]*Inst, error) {
-	d := map[string]*Inst{}
-	for _, in := range n.Insts {
+// cellPins is the part of an instance's cell metadata levelization reads.
+type cellPins struct {
+	inputs []string
+	seq    bool
+}
+
+// driverIndex looks up every instance's cell once, in n.Insts order, and
+// maps each driven net to the n.Insts index of its driver; primary inputs
+// and the clock have none. It fails on the first unknown cell,
+// unconnected output or doubly driven net.
+func (n *Netlist) driverIndex(look Lookup) ([]cellPins, map[string]int32, error) {
+	cells := make([]cellPins, len(n.Insts))
+	drv := make(map[string]int32, len(n.Insts))
+	for i, in := range n.Insts {
 		ci, ok := look(in.Cell)
 		if !ok {
-			return nil, fmt.Errorf("netlist: unknown cell %q (inst %s)", in.Cell, in.Name)
+			return nil, nil, fmt.Errorf("netlist: unknown cell %q (inst %s)", in.Cell, in.Name)
 		}
 		out := in.Pins[ci.Output]
 		if out == "" {
-			return nil, fmt.Errorf("netlist: inst %s output unconnected", in.Name)
+			return nil, nil, fmt.Errorf("netlist: inst %s output unconnected", in.Name)
 		}
-		if prev, dup := d[out]; dup {
-			return nil, fmt.Errorf("netlist: net %q driven by %s and %s", out, prev.Name, in.Name)
+		if prev, dup := drv[out]; dup {
+			return nil, nil, fmt.Errorf("netlist: net %q driven by %s and %s", out, n.Insts[prev].Name, in.Name)
 		}
-		d[out] = in
+		drv[out] = int32(i)
+		cells[i] = cellPins{inputs: ci.Inputs, seq: ci.Seq}
 	}
-	return d, nil
+	return cells, drv, nil
 }
 
 // Fanouts returns net -> list of (instance, input pin) loads.
@@ -139,7 +149,7 @@ func (n *Netlist) FanoutMap(look Lookup) (map[string][]PinRef, error) {
 // Check validates structural sanity: known cells, fully connected pins,
 // unique drivers, every non-PI net driven, and acyclic combinational logic.
 func (n *Netlist) Check(look Lookup) error {
-	drivers, err := n.Drivers(look)
+	_, drivers, err := n.driverIndex(look)
 	if err != nil {
 		return err
 	}
@@ -151,17 +161,18 @@ func (n *Netlist) Check(look Lookup) error {
 	for _, pi := range n.Inputs {
 		sources = setAdd(sources, pi)
 	}
+	driven := func(net string) bool { _, ok := drivers[net]; return ok }
 	for net := range fanouts {
-		if !sources[net] && drivers[net] == nil {
+		if !sources[net] && !driven(net) {
 			return fmt.Errorf("netlist: net %q has loads but no driver", net)
 		}
 	}
 	for _, po := range n.Outputs {
-		if !sources[po] && drivers[po] == nil {
+		if !sources[po] && !driven(po) {
 			return fmt.Errorf("netlist: output %q undriven", po)
 		}
 	}
-	if _, err := n.Levelize(look); err != nil {
+	if _, err := n.LevelOrder(look); err != nil {
 		return err
 	}
 	return nil
@@ -170,56 +181,70 @@ func (n *Netlist) Check(look Lookup) error {
 func setAdd(m map[string]bool, k string) map[string]bool { m[k] = true; return m }
 
 // Levelize returns the instances in topological order, treating sequential
-// cells as sources/sinks (their outputs are launch points). An error is
-// returned on a combinational cycle.
+// cells as sources/sinks (their outputs are launch points): LevelOrder
+// mapped back to the instances.
 func (n *Netlist) Levelize(look Lookup) ([]*Inst, error) {
-	drivers, err := n.Drivers(look)
+	idx, err := n.LevelOrder(look)
 	if err != nil {
 		return nil, err
 	}
-	type state byte
-	const (
-		white, grey, black state = 0, 1, 2
-	)
-	st := make(map[*Inst]state, len(n.Insts))
-	order := make([]*Inst, 0, len(n.Insts))
+	order := make([]*Inst, len(idx))
+	for i, k := range idx {
+		order[i] = n.Insts[k]
+	}
+	return order, nil
+}
 
-	var visit func(in *Inst) error
-	visit = func(in *Inst) error {
-		switch st[in] {
+// LevelOrder is the one levelization: Levelize, Check and the sta
+// compile all use it. It returns every instance's n.Insts index in
+// topological order: sequential instances first in n.Insts order (launch
+// points), then the rest in DFS post-order over their combinational
+// drivers, roots taken in n.Insts order and fan-ins in cell input order.
+// Sequential cells break timing loops. An error is returned on an unknown
+// cell, an unconnected output, a doubly driven net or a combinational
+// cycle.
+func (n *Netlist) LevelOrder(look Lookup) ([]int32, error) {
+	cells, drivers, err := n.driverIndex(look)
+	if err != nil {
+		return nil, err
+	}
+	const (
+		white, grey, black byte = 0, 1, 2
+	)
+	st := make([]byte, len(n.Insts))
+	order := make([]int32, 0, len(n.Insts))
+
+	var visit func(i int32) error
+	visit = func(i int32) error {
+		switch st[i] {
 		case black:
 			return nil
 		case grey:
-			return fmt.Errorf("netlist: combinational cycle through %s", in.Name)
+			return fmt.Errorf("netlist: combinational cycle through %s", n.Insts[i].Name)
 		}
-		st[in] = grey
-		ci, _ := look(in.Cell)
-		if !ci.Seq { // sequential cells break timing loops
-			for _, p := range ci.Inputs {
-				if drv := drivers[in.Pins[p]]; drv != nil {
-					dci, _ := look(drv.Cell)
-					if !dci.Seq {
-						if err := visit(drv); err != nil {
-							return err
-						}
+		st[i] = grey
+		if c := cells[i]; !c.seq {
+			pins := n.Insts[i].Pins
+			for _, p := range c.inputs {
+				if d, ok := drivers[pins[p]]; ok && !cells[d].seq {
+					if err := visit(d); err != nil {
+						return err
 					}
 				}
 			}
 		}
-		st[in] = black
-		order = append(order, in)
+		st[i] = black
+		order = append(order, i)
 		return nil
 	}
-	// Sequential instances first (launch points), then the rest in DFS
-	// post-order, which yields a valid topological order.
-	for _, in := range n.Insts {
-		if ci, ok := look(in.Cell); ok && ci.Seq {
-			st[in] = black
-			order = append(order, in)
+	for i, c := range cells {
+		if c.seq {
+			st[i] = black
+			order = append(order, int32(i))
 		}
 	}
-	for _, in := range n.Insts {
-		if err := visit(in); err != nil {
+	for i := range n.Insts {
+		if err := visit(int32(i)); err != nil {
 			return nil, err
 		}
 	}

@@ -138,6 +138,11 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("design x\n")); err == nil {
 		t.Error("missing end accepted")
 	}
+	// A design line without a name is a short line like any other: an
+	// error naming the line, not an index-out-of-range panic.
+	if _, err := Read(strings.NewReader("design\nend\n")); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("nameless design line: err = %v, want a line-1 error", err)
+	}
 }
 
 func TestAnnotate(t *testing.T) {

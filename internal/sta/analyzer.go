@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"ageguard/internal/liberty"
@@ -32,62 +33,94 @@ type CellSwap struct {
 }
 
 // cSink is one fanout sink of a net: an instance (by topological index)
-// and the input pin through which it loads the net.
+// and the position, in its cell's input order, of the pin through which
+// it loads the net.
 type cSink struct {
 	inst int32
-	pin  string
+	in   int32
 }
 
-// topology is the library-independent compiled view of a netlist: net and
-// instance numbering, traversal order, fanout sinks in deterministic
-// reference order, and endpoint lists. It can be shared read-only between
-// bindings against different libraries (a BatchTimer does exactly that).
+// topology is the library-independent compiled view of a netlist, held
+// in flat integer-indexed arrays; no map keyed by a net or instance name
+// outlives the compile. Instances are numbered in netlist.LevelOrder's
+// topological order and nets in order of first appearance. The topology
+// holds each instance's n.Insts position, its input and output nets, the
+// fanout sinks of every net in reference FanoutMap order, and the
+// endpoint lists. It can be shared read-only between bindings against
+// different libraries (a BatchTimer does exactly that).
 type topology struct {
-	n     *netlist.Netlist
-	nets  []string         // net id -> name
-	netID map[string]int32 // net name -> id
-	clk   int32            // id of netlist.ClockNet (always allocated)
+	n    *netlist.Netlist
+	nets []string // net id -> name
+	clk  int32    // id of netlist.ClockNet (always allocated)
 
-	order   []*netlist.Inst  // instances in reference topological order
-	instIdx map[string]int32 // instance name -> index into order
+	src []int32 // per instance: its index in n.Insts
+	// fp is each instance's cell in the library the topology was compiled
+	// with: its footprint. A binding against another library must match
+	// its pin names and order, or the traversal order and load summation
+	// order would differ.
+	fp []*liberty.CellTiming
 
-	outNet []int32            // per instance: output net id
-	pinNet []map[string]int32 // per instance: pin name -> net id
-	sinks  [][]cSink          // per net: sinks in reference FanoutMap order
-	driver []int32            // per net: driving instance index, -1 = none
-	isPO   []bool             // per net: appears in n.Outputs
+	inNet     []int32 // instance i's input nets in cell input order: inNet[inStart[i]:inStart[i+1]]
+	inStart   []int32
+	outNet    []int32 // per instance: output net id
+	sinks     []cSink // net v's sinks in FanoutMap order: sinks[sinkStart[v]:sinkStart[v+1]]
+	sinkStart []int32
+	driver    []int32 // per net: driving instance index, -1 = none
+	isPO      []bool  // per net: appears in n.Outputs
 
 	poNets  []int32 // n.Outputs in order (duplicates preserved)
 	seqTopo []int32 // sequential instances in n.Insts order
 	piNets  []int32 // n.Inputs in order
+}
 
-	// Footprint expectations recorded from the library the topology was
-	// built with; a binding against another library must match them, or
-	// the traversal order and load summation order would differ.
-	inputsOf [][]string // per instance: cell input pin names in order
-	outputOf []string   // per instance: cell output pin name
-	seqOf    []bool     // per instance: sequential?
+// inst returns the netlist instance of topological index i.
+func (t *topology) inst(i int) *netlist.Inst { return t.n.Insts[t.src[i]] }
+
+// inputs returns instance i's input nets in cell input order.
+func (t *topology) inputs(i int) []int32 { return t.inNet[t.inStart[i]:t.inStart[i+1]] }
+
+// fanout returns the sinks of a net in reference FanoutMap order.
+func (t *topology) fanout(net int32) []cSink { return t.sinks[t.sinkStart[net]:t.sinkStart[net+1]] }
+
+// instIndex maps instance names to topological indices, for the callers
+// that address instances by name (Swap, PathDelayUnder). A repeated name
+// resolves to its latest instance in topological order.
+func (t *topology) instIndex() map[string]int32 {
+	m := make(map[string]int32, len(t.src))
+	for i, k := range t.src {
+		m[t.n.Insts[k].Name] = int32(i)
+	}
+	return m
 }
 
 // newTopology compiles the netlist against the cell footprints of lib.
 func newTopology(n *netlist.Netlist, lib *liberty.Library) (*topology, error) {
-	look := netlist.LibraryLookup(lib)
-	order, err := n.Levelize(look)
+	src, err := n.LevelOrder(netlist.LibraryLookup(lib))
 	if err != nil {
 		return nil, err
 	}
+	ni := len(src)
 	t := &topology{
 		n:       n,
-		netID:   make(map[string]int32, 2*len(n.Insts)),
-		order:   order,
-		instIdx: make(map[string]int32, len(order)),
+		src:     src,
+		fp:      make([]*liberty.CellTiming, ni),
+		inStart: make([]int32, ni+1),
+		outNet:  make([]int32, ni),
 	}
+	pos := make([]int32, ni) // n.Insts index -> topological index
+	for i, k := range src {
+		pos[k] = int32(i)
+		t.fp[i] = lib.MustCell(n.Insts[k].Cell)
+		t.inStart[i+1] = t.inStart[i] + int32(len(t.fp[i].Inputs))
+	}
+	netID := make(map[string]int32, ni+len(n.Inputs)+1)
+	t.nets = make([]string, 0, ni+len(n.Inputs)+1)
 	id := func(net string) int32 {
-		if i, ok := t.netID[net]; ok {
+		if i, ok := netID[net]; ok {
 			return i
 		}
 		i := int32(len(t.nets))
-		t.netID[net] = i
+		netID[net] = i
 		t.nets = append(t.nets, net)
 		return i
 	}
@@ -98,77 +131,73 @@ func newTopology(n *netlist.Netlist, lib *liberty.Library) (*topology, error) {
 	for _, po := range n.Outputs {
 		t.poNets = append(t.poNets, id(po))
 	}
-	t.outNet = make([]int32, len(order))
-	t.pinNet = make([]map[string]int32, len(order))
-	t.inputsOf = make([][]string, len(order))
-	t.outputOf = make([]string, len(order))
-	t.seqOf = make([]bool, len(order))
-	for i, in := range order {
-		t.instIdx[in.Name] = int32(i)
-		ct := lib.MustCell(in.Cell)
-		pn := make(map[string]int32, len(in.Pins))
-		for pin, net := range in.Pins {
-			pn[pin] = id(net)
+	t.inNet = make([]int32, t.inStart[ni])
+	for i, k := range src {
+		pins, ct := n.Insts[k].Pins, t.fp[i]
+		in := t.inputs(i)
+		for j, pin := range ct.Inputs {
+			in[j] = id(pins[pin])
 		}
-		t.pinNet[i] = pn
-		t.outNet[i] = pn[ct.Output]
-		t.inputsOf[i] = ct.Inputs
-		t.outputOf[i] = ct.Output
-		t.seqOf[i] = ct.Seq
+		t.outNet[i] = id(pins[ct.Output])
 	}
+
 	nn := len(t.nets)
-	t.sinks = make([][]cSink, nn)
 	t.driver = make([]int32, nn)
 	t.isPO = make([]bool, nn)
 	for i := range t.driver {
 		t.driver[i] = -1
 	}
-	for _, po := range n.Outputs {
-		t.isPO[t.netID[po]] = true
+	for i, out := range t.outNet {
+		t.driver[out] = int32(i)
 	}
-	for i := range order {
-		t.driver[t.outNet[i]] = int32(i)
+	for _, po := range t.poNets {
+		t.isPO[po] = true
 	}
 	// Sinks in the exact order FanoutMap produces them: n.Insts order,
 	// then cell input order.
-	for _, in := range n.Insts {
-		ti := t.instIdx[in.Name]
-		for _, pin := range t.inputsOf[ti] {
-			net := t.pinNet[ti][pin]
-			t.sinks[net] = append(t.sinks[net], cSink{inst: ti, pin: pin})
+	t.sinkStart = make([]int32, nn+1)
+	for _, net := range t.inNet {
+		t.sinkStart[net+1]++
+	}
+	for v := 0; v < nn; v++ {
+		t.sinkStart[v+1] += t.sinkStart[v]
+	}
+	next := slices.Clone(t.sinkStart[:nn])
+	t.sinks = make([]cSink, len(t.inNet))
+	for _, i := range pos {
+		for j, net := range t.inputs(int(i)) {
+			t.sinks[next[net]] = cSink{inst: i, in: int32(j)}
+			next[net]++
 		}
 	}
 	// Sequential endpoint scan order: n.Insts order.
-	for _, in := range n.Insts {
-		ti := t.instIdx[in.Name]
-		if t.seqOf[ti] {
-			t.seqTopo = append(t.seqTopo, ti)
+	for _, i := range pos {
+		if t.fp[i].Seq {
+			t.seqTopo = append(t.seqTopo, i)
 		}
 	}
 	return t, nil
 }
 
 // binding resolves one library against a topology: per-instance timing
-// views, clock arcs and per-arc input net ids. A DeltaBinding adds
-// per-instance delta tables and, per CP call, the sample's weights.
+// views and per-arc input net ids. A DeltaBinding adds per-instance delta
+// tables and, per CP call, the sample's weights.
 type binding struct {
-	lib       *liberty.Library
-	ct        []*liberty.CellTiming
-	clockArcs [][]liberty.Arc // sequential instances only
-	arcNet    [][]int32       // per instance, per arc: input net id
+	lib    *liberty.Library
+	ct     []*liberty.CellTiming
+	arcNet [][]int32 // per instance, per arc: input net id (slices of one array)
 
 	delta [][]liberty.ArcDelta   // per instance, per arc: delta tables
-	src   []int32                // per instance: its index in n.Insts
 	w     []liberty.DeltaWeights // per n.Insts index; nil = unshifted
 }
 
 // shift returns instance i's weights when they shift its tables, nil
 // when the instance times on its cell's own tables.
-func (b *binding) shift(i int) *liberty.DeltaWeights {
+func (b *binding) shift(t *topology, i int) *liberty.DeltaWeights {
 	if b.w == nil {
 		return nil
 	}
-	if w := &b.w[b.src[i]]; *w != (liberty.DeltaWeights{}) {
+	if w := &b.w[t.src[i]]; *w != (liberty.DeltaWeights{}) {
 		return w
 	}
 	return nil
@@ -178,37 +207,46 @@ func (b *binding) shift(i int) *liberty.DeltaWeights {
 // topology's expectations; the caller recompiles the topology.
 var errFootprint = fmt.Errorf("sta: cell footprint differs from compiled topology")
 
-func footprintMatches(t *topology, i int, ct *liberty.CellTiming) bool {
-	if ct.Seq != t.seqOf[i] || ct.Output != t.outputOf[i] || len(ct.Inputs) != len(t.inputsOf[i]) {
-		return false
+// footprintMatches reports whether ct has the pins of the footprint fp:
+// the same output, the same input names in the same order, and the same
+// sequential flag.
+func footprintMatches(fp, ct *liberty.CellTiming) bool {
+	return ct == fp || ct.Seq == fp.Seq && ct.Output == fp.Output && slices.Equal(ct.Inputs, fp.Inputs)
+}
+
+// checkPins reports a cell whose arcs or data pin start somewhere other
+// than its inputs: a binding resolves those pins to nets through the
+// instance's input nets.
+func checkPins(lib *liberty.Library, ct *liberty.CellTiming) error {
+	if ct.Seq && !slices.Contains(ct.Inputs, ct.Data) {
+		return fmt.Errorf("sta: library %q: data pin %q of cell %q is not an input", lib.Name, ct.Data, ct.Name)
 	}
-	for k, pin := range t.inputsOf[i] {
-		if ct.Inputs[k] != pin {
-			return false
+	for ai := range ct.Arcs {
+		if !slices.Contains(ct.Inputs, ct.Arcs[ai].Pin) {
+			return fmt.Errorf("sta: library %q: arc pin %q of cell %q is not an input", lib.Name, ct.Arcs[ai].Pin, ct.Name)
 		}
 	}
-	return true
+	return nil
 }
 
 // bindInst (re)binds one instance slot against the binding's library.
 func (b *binding) bindInst(t *topology, i int, cell string) error {
 	ct, ok := b.lib.Cell(cell)
 	if !ok {
-		return fmt.Errorf("sta: library %q has no cell %q (inst %s)", b.lib.Name, cell, t.order[i].Name)
+		return fmt.Errorf("sta: library %q has no cell %q (inst %s)", b.lib.Name, cell, t.inst(i).Name)
 	}
-	if !footprintMatches(t, i, ct) {
+	if !footprintMatches(t.fp[i], ct) {
 		return errFootprint
 	}
-	b.ct[i] = ct
-	if ct.Seq {
-		b.clockArcs[i] = ct.ArcsFor(ct.Clock)
-	} else {
-		b.clockArcs[i] = nil
+	if err := checkPins(b.lib, ct); err != nil {
+		return err
 	}
+	in := t.inputs(i)
 	nets := b.arcNet[i][:0]
 	for ai := range ct.Arcs {
-		nets = append(nets, t.pinNet[i][ct.Arcs[ai].Pin])
+		nets = append(nets, in[slices.Index(ct.Inputs, ct.Arcs[ai].Pin)])
 	}
+	b.ct[i] = ct
 	b.arcNet[i] = nets
 	return nil
 }
@@ -216,14 +254,22 @@ func (b *binding) bindInst(t *topology, i int, cell string) error {
 // newBinding binds every instance of the topology against lib, using each
 // instance's current Cell name.
 func newBinding(t *topology, lib *liberty.Library) (*binding, error) {
+	ni := len(t.src)
 	b := &binding{
-		lib:       lib,
-		ct:        make([]*liberty.CellTiming, len(t.order)),
-		clockArcs: make([][]liberty.Arc, len(t.order)),
-		arcNet:    make([][]int32, len(t.order)),
+		lib:    lib,
+		ct:     make([]*liberty.CellTiming, ni),
+		arcNet: make([][]int32, ni),
 	}
-	for i, in := range t.order {
-		if err := b.bindInst(t, i, in.Cell); err != nil {
+	arcs := 0
+	for _, fp := range t.fp {
+		arcs += len(fp.Arcs)
+	}
+	// Each instance's arc nets get their footprint cell's arc count of
+	// one shared array; a cell with more arcs reallocates its own slot.
+	nets := make([]int32, arcs)
+	for i, fp := range t.fp {
+		b.arcNet[i], nets = nets[:0:len(fp.Arcs)], nets[len(fp.Arcs):]
+		if err := b.bindInst(t, i, t.inst(i).Cell); err != nil {
 			return nil, err
 		}
 	}
@@ -310,13 +356,14 @@ func (s *state) loadOf(t *topology, b *binding, cfg *Config, net int32) float64 
 // fanout wire adder, sink pin caps in fanout order, then the
 // primary-output load.
 func computeLoad(t *topology, b *binding, cfg *Config, net int32) float64 {
-	sinks := t.sinks[net]
+	sinks := t.fanout(net)
 	l := cfg.WireCap
 	if len(sinks) > 1 {
 		l += cfg.WireCapFan * float64(len(sinks)-1)
 	}
 	for _, sk := range sinks {
-		l += b.ct[sk.inst].PinCap[sk.pin]
+		ct := b.ct[sk.inst]
+		l += ct.PinCap[ct.Inputs[sk.in]]
 	}
 	if t.isPO[net] {
 		l += cfg.OutputLoad
@@ -334,8 +381,11 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 	ct := b.ct[i]
 	load := s.loadOf(t, b, cfg, t.outNet[i])
 	if ct.Seq {
-		for ai := range b.clockArcs[i] {
-			arc := &b.clockArcs[i][ai]
+		for ai := range ct.Arcs {
+			arc := &ct.Arcs[ai]
+			if arc.Pin != ct.Clock {
+				continue
+			}
 			for e := liberty.Rise; e <= liberty.Fall; e++ {
 				if arc.Delay[e] == nil {
 					continue
@@ -375,7 +425,7 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 		}
 	}
 	if math.IsInf(arr[0], -1) && math.IsInf(arr[1], -1) {
-		return arr, slw, pr, fmt.Errorf("sta: instance %s has no arrival (undriven inputs?)", t.order[i].Name)
+		return arr, slw, pr, fmt.Errorf("sta: instance %s has no arrival (undriven inputs?)", t.inst(i).Name)
 	}
 	return arr, slw, pr, nil
 }
@@ -436,7 +486,7 @@ func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liber
 		}
 	}
 	if math.IsInf(arr[0], -1) && math.IsInf(arr[1], -1) {
-		return arr, slw, pr, fmt.Errorf("sta: instance %s has no arrival (undriven inputs?)", t.order[i].Name)
+		return arr, slw, pr, fmt.Errorf("sta: instance %s has no arrival (undriven inputs?)", t.inst(i).Name)
 	}
 	return arr, slw, pr, nil
 }
@@ -449,13 +499,13 @@ func forwardFull(t *topology, b *binding, s *state, cfg *Config) error {
 		s.slw[pi] = [2]float64{cfg.InputSlew, cfg.InputSlew}
 		s.hasArr[pi] = true
 	}
-	for i := range t.order {
+	for i := range t.src {
 		// An instance with nonzero weights in b.w times on its shifted
 		// tables; the choice is made once per instance, not per lookup.
 		var arr, slw [2]float64
 		var pr [2]cPred
 		var err error
-		if w := b.shift(i); w != nil {
+		if w := b.shift(t, i); w != nil {
 			arr, slw, pr, err = evalShifted(t, b, s, cfg, i, w)
 		} else {
 			arr, slw, pr, err = evalInst(t, b, s, cfg, i)
@@ -481,7 +531,7 @@ func forEndpoint(t *topology, b *binding, fn func(net int32, setup float64)) {
 	}
 	for _, i := range t.seqTopo {
 		ct := b.ct[i]
-		fn(t.pinNet[i][ct.Data], ct.SetupPS)
+		fn(t.inputs(int(i))[slices.Index(ct.Inputs, ct.Data)], ct.SetupPS)
 	}
 }
 
@@ -542,7 +592,7 @@ func materialize(t *topology, b *binding, s *state, cfg *Config) *Result {
 		setReq(net, liberty.Rise, s.cp-setup)
 		setReq(net, liberty.Fall, s.cp-setup)
 	})
-	for i := len(t.order) - 1; i >= 0; i-- {
+	for i := len(t.src) - 1; i >= 0; i-- {
 		ct := b.ct[i]
 		if ct.Seq {
 			continue
@@ -609,7 +659,7 @@ func traceCompiled(t *topology, s *state, end int32, endEdge liberty.Edge, setup
 		if pr.inst < 0 {
 			break
 		}
-		in := t.order[pr.inst]
+		in := t.inst(int(pr.inst))
 		p.Steps = append(p.Steps, Step{
 			Inst:    in.Name,
 			Cell:    in.Cell,
@@ -648,11 +698,12 @@ func traceCompiled(t *topology, s *state, end int32, endEdge liberty.Edge, setup
 // safe for concurrent use; run one Analyzer per goroutine (a BatchTimer
 // shares only the immutable topology).
 type Analyzer struct {
-	t     *topology
-	b     *binding
-	s     *state
-	cfg   Config
-	dirty []bool // per instance, scratch for Swap propagation
+	t      *topology
+	b      *binding
+	s      *state
+	cfg    Config
+	dirty  []bool           // per instance, scratch for Swap propagation
+	byName map[string]int32 // instance name -> index, built by the first Swap
 
 	res *Result // cached materialized result, nil after a mutation
 }
@@ -676,7 +727,7 @@ func NewAnalyzer(ctx context.Context, n *netlist.Netlist, lib *liberty.Library, 
 	if err != nil {
 		return nil, err
 	}
-	a := &Analyzer{t: t, b: b, s: newState(len(t.nets)), cfg: cfg, dirty: make([]bool, len(t.order))}
+	a := &Analyzer{t: t, b: b, s: newState(len(t.nets)), cfg: cfg, dirty: make([]bool, len(t.src))}
 	if err := forwardFull(t, b, a.s, &a.cfg); err != nil {
 		return nil, err
 	}
@@ -721,14 +772,21 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 	}
 	reg := obs.From(ctx)
 	// Validate everything before mutating anything.
+	if a.byName == nil {
+		a.byName = a.t.instIndex()
+	}
 	idx := make([]int32, len(swaps))
 	for k, sw := range swaps {
-		i, ok := a.t.instIdx[sw.Inst]
+		i, ok := a.byName[sw.Inst]
 		if !ok {
 			return nil, fmt.Errorf("sta: %s: no instance %q", a.t.n.Name, sw.Inst)
 		}
-		if _, ok := a.b.lib.Cell(sw.Cell); !ok {
+		ct, ok := a.b.lib.Cell(sw.Cell)
+		if !ok {
 			return nil, fmt.Errorf("sta: library %q has no cell %q", a.b.lib.Name, sw.Cell)
+		}
+		if err := checkPins(a.b.lib, ct); err != nil {
+			return nil, err
 		}
 		idx[k] = i
 	}
@@ -739,17 +797,18 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 	loadDirty := make(map[int32]struct{})
 	for k, sw := range swaps {
 		i := idx[k]
-		undo[len(swaps)-1-k] = CellSwap{Inst: sw.Inst, Cell: a.t.order[i].Cell}
-		a.t.order[i].Cell = sw.Cell
+		in := a.t.inst(int(i))
+		undo[len(swaps)-1-k] = CellSwap{Inst: sw.Inst, Cell: in.Cell}
+		in.Cell = sw.Cell
 		if err := a.b.bindInst(a.t, int(i), sw.Cell); err == errFootprint {
 			fallback = true
 			continue
 		} else if err != nil {
-			return nil, err // unreachable: cell presence checked above
+			return nil, err // unreachable: cell and pins checked above
 		}
 		a.dirty[i] = true
-		for _, pin := range a.t.inputsOf[i] {
-			loadDirty[a.t.pinNet[i][pin]] = struct{}{}
+		for _, net := range a.t.inputs(int(i)) {
+			loadDirty[net] = struct{}{}
 		}
 	}
 	a.res = nil
@@ -780,7 +839,7 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 	}
 	// Propagate in topological order through the dirty cone.
 	cone := 0
-	for i := range a.t.order {
+	for i := range a.t.src {
 		if !a.dirty[i] {
 			continue
 		}
@@ -803,8 +862,8 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 		a.s.arr[out] = arr
 		a.s.slw[out] = slw
 		a.s.preds[out] = pr
-		for _, sk := range a.t.sinks[out] {
-			if !a.t.seqOf[sk.inst] {
+		for _, sk := range a.t.fanout(out) {
+			if !a.t.fp[sk.inst].Seq {
 				a.dirty[sk.inst] = true
 			}
 		}
@@ -823,7 +882,8 @@ func (a *Analyzer) rebuild() error {
 	}
 	a.t, a.b = t, b
 	a.s = newState(len(t.nets))
-	a.dirty = make([]bool, len(t.order))
+	a.dirty = make([]bool, len(t.src))
+	a.byName = nil
 	a.res = nil
 	return forwardFull(t, b, a.s, &a.cfg)
 }

@@ -163,6 +163,44 @@ func TestAnalyzeContextMatchesReference(t *testing.T) {
 	mustEqualResults(t, "nondefault-cfg", got, want)
 }
 
+// TestShuffledNetlistMatchesReference: the compiled engine orders
+// instances by levelization but sums sink loads and scans register
+// endpoints in n.Insts order, like the reference. On netlists whose
+// n.Insts order is shuffled, so that neither order follows from the
+// other, Analyze and TopPaths must still match the reference bit for bit.
+func TestShuffledNetlistMatchesReference(t *testing.T) {
+	libs := []*liberty.Library{lib(t, aging.Fresh()), lib(t, aging.WorstCase(10))}
+	rng := rand.New(rand.NewSource(13))
+	ctx := context.Background()
+	for _, size := range []int{60, 400} {
+		nl := randNetlist(rng, size)
+		rng.Shuffle(len(nl.Insts), func(i, j int) { nl.Insts[i], nl.Insts[j] = nl.Insts[j], nl.Insts[i] })
+		for _, l := range libs {
+			what := nl.Name + "/" + l.Name
+			got, err := Analyze(ctx, nl, l, Config{})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			want, err := analyzeReference(nl, l, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualResults(t, what, got, want)
+			paths, err := TopPaths(ctx, nl, l, Config{}, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPaths, err := topPathsReference(nl, l, Config{}, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(paths, wantPaths) {
+				t.Fatalf("%s: TopPaths differs from the reference retrace", what)
+			}
+		}
+	}
+}
+
 // variantCells returns the drive variants of in's current cell present in
 // lib, excluding the current cell itself.
 func variantCells(l *liberty.Library, cur string) []string {

@@ -94,18 +94,15 @@ func (bt *BatchTimer) BindDeltas(lib *liberty.Library, deltas map[string][]liber
 	if err != nil {
 		return nil, err
 	}
-	b.delta = make([][]liberty.ArcDelta, len(t.order))
-	b.src = make([]int32, len(t.order))
-	for i, in := range t.order {
+	b.delta = make([][]liberty.ArcDelta, len(t.src))
+	for i := range t.src {
+		in := t.inst(i)
 		d := deltas[in.Cell]
 		if len(d) != len(b.ct[i].Arcs) {
 			return nil, fmt.Errorf("sta: %d delta arcs for the %d arcs of cell %q (inst %s)",
 				len(d), len(b.ct[i].Arcs), in.Cell, in.Name)
 		}
 		b.delta[i] = d
-	}
-	for k, in := range t.n.Insts {
-		b.src[t.instIdx[in.Name]] = int32(k)
 	}
 	return &DeltaBinding{bt: bt, b: b}, nil
 }
@@ -122,8 +119,8 @@ func (db *DeltaBinding) CP(ctx context.Context, w []liberty.DeltaWeights) (float
 	if err := ctx.Err(); err != nil {
 		return 0, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", t.n.Name, err))
 	}
-	if len(w) != len(db.b.src) {
-		return 0, fmt.Errorf("sta: %s: %d weights for %d instances", t.n.Name, len(w), len(db.b.src))
+	if len(w) != len(t.src) {
+		return 0, fmt.Errorf("sta: %s: %d weights for %d instances", t.n.Name, len(w), len(t.src))
 	}
 	obs.From(ctx).Counter("sta.analyses").Inc()
 	b := *db.b

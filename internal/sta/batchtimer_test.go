@@ -120,6 +120,44 @@ func permuted(l *liberty.Library, cell string) *liberty.Library {
 	return &p
 }
 
+// TestArcFromNonInputRejected: the compiled engine resolves arc and data
+// pins through an instance's input nets, so a cell whose arc starts at a
+// pin that is not one of its inputs is an error, at compile time and as
+// a swap target, and a rejected swap leaves the Analyzer and the netlist
+// as they were.
+func TestArcFromNonInputRejected(t *testing.T) {
+	fresh := lib(t, aging.Fresh())
+	bad := *fresh
+	bad.Cells = maps.Clone(fresh.Cells)
+	ct := *fresh.Cells["INV_X2"]
+	ct.Arcs = slices.Clone(ct.Arcs)
+	ct.Arcs[0].Pin = "ZN"
+	bad.Cells["INV_X2"] = &ct
+	ctx := context.Background()
+
+	nl := chain(3)
+	nl.Insts[1].Cell = "INV_X2"
+	if _, err := NewAnalyzer(ctx, nl, &bad, Config{}); err == nil {
+		t.Error("NewAnalyzer bound a cell with an arc from its output")
+	}
+
+	nl = chain(3)
+	a, err := NewAnalyzer(ctx, nl, &bad, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := a.CP()
+	if _, err := a.Swap(ctx, CellSwap{Inst: "inv0", Cell: "INV_X4"}, CellSwap{Inst: "inv1", Cell: "INV_X2"}); err == nil {
+		t.Error("Swap onto a cell with an arc from its output accepted")
+	}
+	if nl.Insts[1].Cell != "INV_X1" || nl.Insts[2].Cell != "INV_X1" {
+		t.Error("rejected swap mutated the netlist")
+	}
+	if a.CP() != cp {
+		t.Error("rejected swap changed engine state")
+	}
+}
+
 // TestFootprintMismatchRecompiles: a library whose cell lists its inputs
 // in another order than the compiled topology cannot be bound to it.
 // BatchTimer.CP under that library, and Analyzer.Swap onto that cell,
@@ -467,5 +505,26 @@ func TestDeltaBindingAllocs(t *testing.T) {
 	}
 	if counts[0] != counts[1] || counts[1] > 8 {
 		t.Errorf("allocations per sample = %v at 40 and 400 gates, want equal and at most 8", counts)
+	}
+}
+
+// TestNewBatchTimerAllocs: compiling a topology allocates a fixed number
+// of flat arrays, not a map or slice per instance or per net, so ten
+// times the gates costs at most twice the allocations (map growth and
+// append doubling are logarithmic).
+func TestNewBatchTimerAllocs(t *testing.T) {
+	l := lib(t, aging.Fresh())
+	ctx := context.Background()
+	var counts []float64
+	for _, size := range []int{400, 4000} {
+		nl := randNetlist(rand.New(rand.NewSource(11)), size)
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if _, err := NewBatchTimer(ctx, nl, l, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[1] > 2*counts[0] {
+		t.Errorf("NewBatchTimer allocations = %v at 400 and 4000 gates, want at most twice as many at 4000", counts)
 	}
 }

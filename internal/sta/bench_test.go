@@ -20,9 +20,12 @@ import (
 //     once, legs fanned out over all CPUs) against a serial full
 //     analysis per library;
 //  3. the Monte Carlo sample step — the fresh and aged critical paths of
-//     one sample, timed from per-instance weights on two DeltaBindings.
+//     one sample, timed from per-instance weights on two DeltaBindings;
+//  4. one /v1/paths miss — TopPaths k=10 on a netlist the size of the
+//     paper's circuits, which compiles the topology, binds, propagates
+//     and traces every time.
 //
-// Run them with go test ./internal/sta/ -run XXX -bench 'InnerLoop|Grid|MCSample';
+// Run them with go test ./internal/sta/ -run XXX -bench 'InnerLoop|Grid|MCSample|TopPaths';
 // each pair (Incremental vs Full, Batch vs SerialFull) is one
 // comparison. The daemon-level benchmark is perfbench/ (see its README).
 
@@ -153,6 +156,19 @@ func BenchmarkMCSample(b *testing.B) {
 			if _, err := db.CP(ctx, w); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+func BenchmarkTopPaths(b *testing.B) {
+	l := lib(b, aging.Fresh())
+	nl := randNetlist(rand.New(rand.NewSource(7)), 3600)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TopPaths(ctx, nl, l, Config{}, 10); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

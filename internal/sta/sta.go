@@ -134,21 +134,22 @@ func PathDelayUnder(ctx context.Context, n *netlist.Netlist, p Path, lib *libert
 	if err != nil {
 		return 0, err
 	}
+	byName := t.instIndex()
 	arrival := 0.0
 	slew := cfg.InputSlew
 	for i, st := range p.Steps {
-		in, ok := t.instIdx[st.Inst]
+		in, ok := byName[st.Inst]
 		if !ok {
 			return 0, fmt.Errorf("sta: path instance %s missing", st.Inst)
 		}
-		net, ok := t.netID[st.ToNet]
-		if !ok {
-			return 0, fmt.Errorf("sta: path net %s missing", st.ToNet)
+		net := t.outNet[in]
+		if t.nets[net] != st.ToNet {
+			return 0, fmt.Errorf("sta: path step %s drives net %s, not %s", st.Inst, t.nets[net], st.ToNet)
 		}
-		ct, cell := b.ct[in], t.order[in].Cell
+		ct, cell := b.ct[in], t.inst(int(in)).Cell
 		load := computeLoad(t, b, &cfg, net)
 		if ct.Seq && i == 0 {
-			arc := b.clockArcs[in]
+			arc := ct.ArcsFor(ct.Clock)
 			if len(arc) == 0 {
 				return 0, fmt.Errorf("sta: %s has no clock arc", cell)
 			}

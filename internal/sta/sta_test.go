@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ageguard/internal/aging"
@@ -156,6 +157,24 @@ func TestPathDelayUnder(t *testing.T) {
 	}
 	if agedD > ra.CP+1e-15 {
 		t.Errorf("fixed-path delay %v above aged CP %v", agedD, ra.CP)
+	}
+}
+
+// TestPathDelayUnderRejectsForeignNet: a step's ToNet is the output of
+// the step's instance; a path naming another net is malformed.
+func TestPathDelayUnderRejectsForeignNet(t *testing.T) {
+	fresh := lib(t, aging.Fresh())
+	nl := chain(4)
+	res, err := Analyze(context.Background(), nl, fresh, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Worst
+	p.Steps = slices.Clone(p.Steps)
+	last := len(p.Steps) - 1
+	p.Steps[last].ToNet = p.Steps[last-1].ToNet
+	if _, err := PathDelayUnder(context.Background(), nl, p, fresh, Config{}); err == nil {
+		t.Errorf("step %s with ToNet %s accepted", p.Steps[last].Inst, p.Steps[last].ToNet)
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race verify fmt faults chaos serve-smoke fuzz-smoke cover-gate
+.PHONY: all build test race verify fmt faults chaos serve-smoke fuzz-smoke bench-smoke cover-gate
 
 all: build
 
@@ -39,6 +39,7 @@ verify:
 	$(GO) test ./...
 	$(GO) test -race ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	$(MAKE) bench-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) chaos
 	$(MAKE) serve-smoke
@@ -58,6 +59,14 @@ fuzz-smoke:
 		-fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/netlist/ -run XXX -fuzz 'FuzzNetlistRead$$' \
 		-fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+
+# bench-smoke runs every kernel benchmark in internal/sta once
+# (InnerLoop*, Grid*, MCSample at 400 and 3600 gates, TopPaths), about
+# 2 s on a warm build cache, so a benchmark that stops running fails
+# verify instead of the next measurement. One iteration measures
+# nothing; time with -benchtime 2s or more.
+bench-smoke:
+	$(GO) test ./internal/sta/ -run XXX -bench . -benchtime 1x
 
 # cover-gate re-runs the full test suite with a coverage profile and
 # fails if total statement coverage drops below the committed baseline

@@ -29,10 +29,12 @@ import (
 // (liberty.Table.Shift). Because NLDM interpolation (liberty.Table.At) is
 // linear in the table values, a lookup on that table reads only four
 // shifted grid points, so the Monte Carlo loop (core.MCGuardbandNetlist)
-// never builds it: sta.DeltaBinding times each sample from Base and
-// Deltas through liberty.Table.ShiftedAt. SampleLibrary materializes the
-// same tables as a per-sample instance-variant library, the reference the
-// tests and the benchmark's replay compare that loop against. The exact
+// never builds it: sta.BatchTimer.BindDeltas interleaves Base's tables
+// with Deltas once per query (liberty.ShiftTable), and sta.DeltaBinding
+// times each sample by shifting just the grid points a lookup reads.
+// SampleLibrary materializes the same tables as a per-sample
+// instance-variant library, the reference the tests and the benchmark's
+// replay compare that loop against. The exact
 // validation mode (CharacterizeCellPerturbed) re-simulates a cell with
 // the drawn perturbation through the same SPICE path, so the difference
 // between the two is purely the first-order truncation error, which the

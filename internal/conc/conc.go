@@ -172,7 +172,10 @@ func (l Limiter) Release() { <-l }
 // Flight deduplicates concurrent calls that would perform identical work:
 // while a call for a key is in flight, later callers with the same key wait
 // for and share its result instead of repeating the work. Calls that fail
-// are not cached — the next caller retries. The zero value is ready to use.
+// are not cached — the next caller retries. A call whose fn panics fails
+// its waiters with an error carrying the panic value, frees the key for
+// the next caller and re-panics in its own caller. The zero value is
+// ready to use.
 type Flight[T any] struct {
 	mu sync.Mutex
 	m  map[string]*flightCall[T]
@@ -211,12 +214,30 @@ func (f *Flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (T
 		c := &flightCall[T]{done: make(chan struct{})}
 		f.m[key] = c
 		f.mu.Unlock()
+		f.lead(key, c, fn)
+		return c.val, c.err
+	}
+}
 
-		c.val, c.err = fn()
+// lead runs fn as key's leader and publishes its result. The key is
+// released in a deferred call, so a panicking fn cannot leave it held
+// and every later Do for it waiting forever.
+func (f *Flight[T]) lead(key string, c *flightCall[T], fn func() (T, error)) {
+	returned := false
+	defer func() {
+		var r any
+		if !returned {
+			r = recover()
+			c.err = fmt.Errorf("conc: flight %q: fn panicked: %v", key, r)
+		}
 		f.mu.Lock()
 		delete(f.m, key)
 		f.mu.Unlock()
 		close(c.done)
-		return c.val, c.err
-	}
+		if r != nil {
+			panic(r)
+		}
+	}()
+	c.val, c.err = fn()
+	returned = true
 }

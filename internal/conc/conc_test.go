@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,5 +254,62 @@ func TestFlightRetriesAfterLeaderCanceled(t *testing.T) {
 	<-done
 	if err != nil || v != 9 {
 		t.Fatalf("follower after canceled leader: v=%d err=%v", v, err)
+	}
+}
+
+// TestFlightPanicReleasesKey: a leader whose fn panics re-panics in its
+// own caller, fails its waiter with an error carrying the panic value,
+// and releases the key, so the next call runs fn instead of waiting for a
+// call that will never finish.
+func TestFlightPanicReleasesKey(t *testing.T) {
+	var f Flight[int]
+	leaderIn := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		f.Do(context.Background(), "k", func() (int, error) {
+			close(leaderIn)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-leaderIn
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := f.Do(context.Background(), "k", func() (int, error) { return 0, nil })
+		waiterErr <- err
+	}()
+	// Once the waiter is inside Do it joins the leader's call, which
+	// cannot finish before release is closed.
+	inDo := func() (n int) {
+		buf := make([]byte, 1<<20)
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, ".(*Flight[...]).Do(") && strings.Contains(g, "TestFlightPanicReleasesKey") {
+				n++
+			}
+		}
+		return n
+	}
+	for inDo() < 2 {
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("leader's caller recovered %v, want the panic value boom", r)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	v, err := f.Do(ctx, "k", func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("call after the panic = (%d, %v), want (7, nil): fn did not run again", v, err)
+	}
+	select {
+	case err := <-waiterErr:
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("waiter error = %v, want one carrying the panic value", err)
+		}
+	case <-ctx.Done():
+		t.Fatal("waiter still blocked after the leader panicked")
 	}
 }

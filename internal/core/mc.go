@@ -23,11 +23,14 @@ import (
 // streams), re-times fresh and aged critical paths per sample, and
 // reduces the per-sample guardbands to distribution statistics. A sample
 // is timed straight from the first-order sensitivity tables
-// (char.Sensitivity bound by sta.BatchTimer.BindDeltas): each instance's
+// (char.Sensitivity bound by sta.BatchTimer.BindDeltas, which interleaves
+// each cell's tables with their deltas once per query): each instance's
 // lookups shift only the grid points they read, so no per-sample library
-// is built. Identical draws are applied to the fresh and the aged timing
-// of each sample, so the per-sample guardband isolates aging from the
-// process spread itself.
+// is built, and a sample allocates nothing, reusing its binding's
+// propagation states and a weights buffer. Nothing outlives the query.
+// Identical draws are applied to the fresh and the aged timing of each
+// sample, so the per-sample guardband isolates aging from the process
+// spread itself.
 
 // Default Monte Carlo knobs.
 const (
@@ -194,8 +197,17 @@ func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlis
 		if err != nil {
 			return nil, err
 		}
+		// Samples reuse weights buffers. A buffer is made only when none
+		// is free, so there are at most as many as samples timed at once.
+		bufs := make(chan []liberty.DeltaWeights, mc.workers())
 		sample = func(i int) (float64, float64, error) {
-			w := make([]liberty.DeltaWeights, len(nl.Insts))
+			var w []liberty.DeltaWeights
+			select {
+			case w = <-bufs:
+			default:
+				w = make([]liberty.DeltaWeights, len(nl.Insts))
+			}
+			defer func() { bufs <- w }()
 			for k, in := range nl.Insts {
 				w[k] = char.Weights(mc.Variation.Sample(mc.Seed, uint64(i), in.Name))
 			}

@@ -49,11 +49,15 @@ type Table struct {
 	Values [][]float64
 }
 
-// NewTable allocates a zero-filled table over the given axes.
+// NewTable allocates a zero-filled table over the given axes. The rows
+// are slices of one backing array, each capped at its length so that an
+// append to one row cannot run into the next.
 func NewTable(slews, loads []float64) *Table {
+	nl := len(loads)
+	flat := make([]float64, len(slews)*nl)
 	v := make([][]float64, len(slews))
 	for i := range v {
-		v[i] = make([]float64, len(loads))
+		v[i] = flat[i*nl : (i+1)*nl : (i+1)*nl]
 	}
 	return &Table{Slews: slews, Loads: loads, Values: v}
 }
@@ -68,8 +72,8 @@ func (t *Table) At(slew, load float64) float64 {
 }
 
 // bilerp blends the four grid corners a lookup reads (vIJ at slew index
-// i, load index j) by the slew and load fractions; At and ShiftedAt
-// share it so they round alike.
+// i, load index j) by the slew and load fractions; Table.At and
+// ShiftTable.At share it so they round alike.
 func bilerp(v00, v01, v10, v11, fi, fj float64) float64 {
 	return v00*(1-fi)*(1-fj) + v01*(1-fi)*fj + v10*fi*(1-fj) + v11*fi*fj
 }

@@ -53,6 +53,33 @@ func TestTableAtWithinBounds(t *testing.T) {
 	}
 }
 
+// tableRows keeps NewTable's rows alive in TestNewTableAllocs, so the
+// allocations under test cannot be elided.
+var tableRows [][]float64
+
+// TestNewTableAllocs: NewTable allocates the row headers and one backing
+// array for any axes (the Table header itself stays on the caller's stack
+// here), and every row is capped at its length, so an append to one row
+// copies instead of overwriting the next.
+func TestNewTableAllocs(t *testing.T) {
+	for _, n := range [][2]int{{1, 1}, {7, 7}, {3, 40}, {40, 3}} {
+		slews, loads := make([]float64, n[0]), make([]float64, n[1])
+		if got := testing.AllocsPerRun(10, func() { tableRows = NewTable(slews, loads).Values }); got != 2 {
+			t.Errorf("NewTable over %d x %d axes: %v allocations, want 2", n[0], n[1], got)
+		}
+		tb := NewTable(slews, loads)
+		for i, row := range tb.Values {
+			if len(row) != n[1] || cap(row) != n[1] {
+				t.Fatalf("%d x %d: row %d has len %d cap %d, want %d", n[0], n[1], i, len(row), cap(row), n[1])
+			}
+		}
+		_ = append(tb.Values[0], 1)
+		if n[0] > 1 && tb.Values[1][0] != 0 {
+			t.Errorf("%d x %d: an append to row 0 wrote row 1", n[0], n[1])
+		}
+	}
+}
+
 func TestTableMaxScale(t *testing.T) {
 	tb := sampleTable()
 	if tb.Max() != 6 {

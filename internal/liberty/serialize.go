@@ -140,14 +140,22 @@ func parseAxis(fields []string) ([]float64, error) {
 
 func parseFloats(fields []string) ([]float64, error) {
 	out := make([]float64, len(fields))
+	if err := parseInto(out, fields); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// parseInto parses fields into dst, which must be at least as long.
+func parseInto(dst []float64, fields []string) error {
 	for i, f := range fields {
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = v
+		dst[i] = v
 	}
-	return out, nil
+	return nil
 }
 
 func (p *parser) library() (*Library, error) {
@@ -354,19 +362,17 @@ func (p *parser) arc(l *Library, hdr []string) (*Arc, error) {
 			return nil, fmt.Errorf("bad edge %q", f[2])
 		}
 		t := NewTable(l.Slews, l.Loads)
-		for i := range l.Slews {
+		for i, vals := range t.Values {
 			row, err := p.next()
 			if err != nil {
 				return nil, err
 			}
-			vals, err := parseFloats(row)
-			if err != nil {
+			if len(row) != len(vals) {
+				return nil, fmt.Errorf("table row %d has %d values, want %d", i, len(row), len(vals))
+			}
+			if err := parseInto(vals, row); err != nil {
 				return nil, err
 			}
-			if len(vals) != len(l.Loads) {
-				return nil, fmt.Errorf("table row %d has %d values, want %d", i, len(vals), len(l.Loads))
-			}
-			t.Values[i] = vals
 		}
 		switch f[1] {
 		case "delay":

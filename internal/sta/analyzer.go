@@ -180,15 +180,21 @@ func newTopology(n *netlist.Netlist, lib *liberty.Library) (*topology, error) {
 }
 
 // binding resolves one library against a topology: per-instance timing
-// views and per-arc input net ids. A DeltaBinding adds per-instance delta
-// tables and, per CP call, the sample's weights.
+// views and per-arc input net ids. A DeltaBinding adds per-instance
+// interleaved shift tables and, per CP call, the sample's weights.
 type binding struct {
 	lib    *liberty.Library
 	ct     []*liberty.CellTiming
 	arcNet [][]int32 // per instance, per arc: input net id (slices of one array)
 
-	delta [][]liberty.ArcDelta   // per instance, per arc: delta tables
-	w     []liberty.DeltaWeights // per n.Insts index; nil = unshifted
+	tables [][]arcShift           // per instance, per arc; one slice per cell, shared by its instances
+	w      []liberty.DeltaWeights // per n.Insts index; nil = unshifted
+}
+
+// arcShift is one arc's delay and output-slew tables interleaved with
+// their delta tables, per output edge.
+type arcShift struct {
+	delay, slew [2]liberty.ShiftTable
 }
 
 // shift returns instance i's weights when they shift its tables, nil
@@ -331,12 +337,18 @@ func newState(nn int) *state {
 }
 
 func (s *state) resetForward() {
+	s.resetArrivals()
+	clear(s.load)
+	clear(s.hasLoad)
+}
+
+// resetArrivals clears the arrivals, slews and predecessors but keeps the
+// loads, which a DeltaBinding's states hold for every net from the start.
+func (s *state) resetArrivals() {
 	for i := range s.preds {
 		s.arr[i] = [2]float64{}
 		s.slw[i] = [2]float64{}
 		s.hasArr[i] = false
-		s.load[i] = 0
-		s.hasLoad[i] = false
 		s.preds[i] = [2]cPred{{inst: -1}, {inst: -1}}
 	}
 }
@@ -431,15 +443,15 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 }
 
 // evalShifted is evalInst on the instance's tables shifted by weights w:
-// the same operations in the same order, each lookup reading the shifted
-// table through liberty.Table.ShiftedAt, so the result equals evalInst
-// on a cell whose tables liberty.Table.Shift built.
+// the same operations in the same order, each lookup reading the
+// interleaved table through liberty.ShiftTable.At, so the result equals
+// evalInst on a cell whose tables liberty.Table.Shift built.
 func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liberty.DeltaWeights) (arr, slw [2]float64, pr [2]cPred, err error) {
 	neg := math.Inf(-1)
 	arr = [2]float64{neg, neg}
 	pr = [2]cPred{{inst: -1}, {inst: -1}}
 	ct := b.ct[i]
-	dl := b.delta[i]
+	sh := b.tables[i]
 	load := s.loadOf(t, b, cfg, t.outNet[i])
 	if ct.Seq {
 		for ai := range ct.Arcs {
@@ -451,10 +463,10 @@ func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liber
 				if arc.Delay[e] == nil {
 					continue
 				}
-				d := arc.Delay[e].ShiftedAt(&dl[ai].Delay, e, w, cfg.ClockSlew, load)
+				d := sh[ai].delay[e].At(w, cfg.ClockSlew, load)
 				if d > arr[e] {
 					arr[e] = d
-					slw[e] = arc.OutSlew[e].ShiftedAt(&dl[ai].OutSlew, e, w, cfg.ClockSlew, load)
+					slw[e] = sh[ai].slew[e].At(w, cfg.ClockSlew, load)
 					pr[e] = cPred{inst: int32(i), pin: ct.Clock, fromNet: t.clk, inEdge: liberty.Rise, delay: d}
 				}
 			}
@@ -476,10 +488,10 @@ func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liber
 				if math.IsInf(ia[ie], -1) {
 					continue
 				}
-				d := arc.Delay[e].ShiftedAt(&dl[ai].Delay, e, w, is[ie], load)
+				d := sh[ai].delay[e].At(w, is[ie], load)
 				if cand := ia[ie] + d; cand > arr[e] {
 					arr[e] = cand
-					slw[e] = arc.OutSlew[e].ShiftedAt(&dl[ai].OutSlew, e, w, is[ie], load)
+					slw[e] = sh[ai].slew[e].At(w, is[ie], load)
 					pr[e] = cPred{inst: int32(i), pin: arc.Pin, fromNet: inNet, inEdge: ie, delay: d}
 				}
 			}
@@ -494,6 +506,12 @@ func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liber
 // forwardFull runs the complete arrival propagation.
 func forwardFull(t *topology, b *binding, s *state, cfg *Config) error {
 	s.resetForward()
+	return propagate(t, b, s, cfg)
+}
+
+// propagate runs the arrival propagation and the endpoint scan on a state
+// whose arrivals are reset.
+func propagate(t *topology, b *binding, s *state, cfg *Config) error {
 	for _, pi := range t.piNets {
 		s.arr[pi] = [2]float64{0, 0}
 		s.slw[pi] = [2]float64{cfg.InputSlew, cfg.InputSlew}

@@ -3,6 +3,7 @@ package sta
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"ageguard/internal/conc"
 	"ageguard/internal/liberty"
@@ -77,34 +78,61 @@ func (bt *BatchTimer) CP(ctx context.Context, lib *liberty.Library) (float64, er
 // netlist together with the per-arc delta tables of its cells: the Monte
 // Carlo sample loop, where each sample shifts every instance's tables by
 // that instance's weighted deltas (liberty.ArcDelta). It is built once
-// per base library and safe for concurrent use; each CP call allocates
-// only its propagation state.
+// per base library and query and is safe for concurrent use. Binding
+// interleaves each cell's tables with their deltas once
+// (liberty.ShiftTable) and computes every net's load once, since neither
+// depends on the sample; a CP call allocates nothing, reusing the
+// propagation state of a finished call.
 type DeltaBinding struct {
-	bt *BatchTimer
-	b  *binding
+	bt   *BatchTimer
+	b    *binding
+	load []float64 // per net
+
+	mu   sync.Mutex
+	free []*state // states of finished CP calls
 }
 
 // BindDeltas binds lib to the compiled netlist with deltas, the per-arc
 // delta tables of every cell the netlist instantiates, aligned with the
 // cell's arcs in lib. lib's cell footprints must match the compiled
-// topology's (the flow's fresh and aged libraries all do).
+// topology's (the flow's fresh and aged libraries all do). The
+// interleaved tables of a cell are shared by its instances.
 func (bt *BatchTimer) BindDeltas(lib *liberty.Library, deltas map[string][]liberty.ArcDelta) (*DeltaBinding, error) {
 	t := bt.topo
 	b, err := newBinding(t, lib)
 	if err != nil {
 		return nil, err
 	}
-	b.delta = make([][]liberty.ArcDelta, len(t.src))
+	b.tables = make([][]arcShift, len(t.src))
+	byCell := make(map[string][]arcShift)
 	for i := range t.src {
 		in := t.inst(i)
-		d := deltas[in.Cell]
-		if len(d) != len(b.ct[i].Arcs) {
-			return nil, fmt.Errorf("sta: %d delta arcs for the %d arcs of cell %q (inst %s)",
-				len(d), len(b.ct[i].Arcs), in.Cell, in.Name)
+		sh, ok := byCell[in.Cell]
+		if !ok {
+			ct, d := b.ct[i], deltas[in.Cell]
+			if len(d) != len(ct.Arcs) {
+				return nil, fmt.Errorf("sta: %d delta arcs for the %d arcs of cell %q (inst %s)",
+					len(d), len(ct.Arcs), in.Cell, in.Name)
+			}
+			sh = make([]arcShift, len(ct.Arcs))
+			for ai := range ct.Arcs {
+				a := &ct.Arcs[ai]
+				for e := liberty.Rise; e <= liberty.Fall; e++ {
+					sh[ai].delay[e] = a.Delay[e].Interleave(&d[ai].Delay, e)
+					sh[ai].slew[e] = a.OutSlew[e].Interleave(&d[ai].OutSlew, e)
+				}
+			}
+			byCell[in.Cell] = sh
 		}
-		b.delta[i] = d
+		b.tables[i] = sh
 	}
-	return &DeltaBinding{bt: bt, b: b}, nil
+	// Pin capacitances are the base cells', so every sample's loads are
+	// these.
+	load := make([]float64, len(t.nets))
+	for v := range load {
+		load[v] = computeLoad(t, b, &bt.cfg, int32(v))
+	}
+	return &DeltaBinding{bt: bt, b: b, load: load}, nil
 }
 
 // CP times one sample and returns its critical-path delay: instance
@@ -113,7 +141,7 @@ func (bt *BatchTimer) BindDeltas(lib *liberty.Library, deltas map[string][]liber
 // is bit-identical to BatchTimer.CP under the instance-variant library
 // whose cells carry liberty.Table.Shift of each table (the library
 // char.Sensitivity.SampleLibrary builds), because every lookup shifts
-// exactly the four grid points it reads (liberty.Table.ShiftedAt).
+// exactly the four grid points it reads (liberty.ShiftTable.At).
 func (db *DeltaBinding) CP(ctx context.Context, w []liberty.DeltaWeights) (float64, error) {
 	t := db.bt.topo
 	if err := ctx.Err(); err != nil {
@@ -125,9 +153,37 @@ func (db *DeltaBinding) CP(ctx context.Context, w []liberty.DeltaWeights) (float
 	obs.From(ctx).Counter("sta.analyses").Inc()
 	b := *db.b
 	b.w = w
-	s := newState(len(t.nets))
-	if err := forwardFull(t, &b, s, &db.bt.cfg); err != nil {
+	s := db.state()
+	defer db.recycle(s)
+	s.resetArrivals()
+	if err := propagate(t, &b, s, &db.bt.cfg); err != nil {
 		return 0, err
 	}
 	return s.cp, nil
+}
+
+// state returns the state of a finished CP call, or a new one holding the
+// binding's loads.
+func (db *DeltaBinding) state() *state {
+	db.mu.Lock()
+	if n := len(db.free); n > 0 {
+		s := db.free[n-1]
+		db.free = db.free[:n-1]
+		db.mu.Unlock()
+		return s
+	}
+	db.mu.Unlock()
+	s := newState(len(db.load))
+	copy(s.load, db.load)
+	for i := range s.hasLoad {
+		s.hasLoad[i] = true
+	}
+	return s
+}
+
+// recycle hands a finished call's state to the next CP call.
+func (db *DeltaBinding) recycle(s *state) {
+	db.mu.Lock()
+	db.free = append(db.free, s)
+	db.mu.Unlock()
 }

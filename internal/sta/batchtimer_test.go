@@ -478,14 +478,13 @@ func TestDeltaBindingRejectsMisalignedInputs(t *testing.T) {
 	}
 }
 
-// TestDeltaBindingAllocs: a sample allocates its propagation state and
-// nothing per instance or per arc, so the count is the same on a netlist
-// ten times larger.
+// TestDeltaBindingAllocs: a sample reuses the propagation state of an
+// earlier one and reads loads computed at bind time, so it allocates at
+// most once (the state free list growing), at any netlist size.
 func TestDeltaBindingAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	fx := newDeltaFixture(rng, lib(t, aging.Fresh()))
 	ctx := context.Background()
-	var counts []float64
 	for _, size := range []int{40, 400} {
 		nl := randNetlist(rng, size)
 		bt, err := NewBatchTimer(ctx, nl, fx.lib, Config{})
@@ -497,14 +496,14 @@ func TestDeltaBindingAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := sampleWeights(rng, len(nl.Insts))
-		counts = append(counts, testing.AllocsPerRun(20, func() {
+		n := testing.AllocsPerRun(20, func() {
 			if _, err := db.CP(ctx, w); err != nil {
 				t.Fatal(err)
 			}
-		}))
-	}
-	if counts[0] != counts[1] || counts[1] > 8 {
-		t.Errorf("allocations per sample = %v at 40 and 400 gates, want equal and at most 8", counts)
+		})
+		if n > 1 {
+			t.Errorf("allocations per sample = %v at %d gates, want at most 1", n, size)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sta
 import (
 	"context"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"ageguard/internal/aging"
@@ -20,14 +21,17 @@ import (
 //     once, legs fanned out over all CPUs) against a serial full
 //     analysis per library;
 //  3. the Monte Carlo sample step — the fresh and aged critical paths of
-//     one sample, timed from per-instance weights on two DeltaBindings;
+//     one sample, timed from per-instance weights on two DeltaBindings,
+//     at 400 and 3600 gates;
 //  4. one /v1/paths miss — TopPaths k=10 on a netlist the size of the
 //     paper's circuits, which compiles the topology, binds, propagates
 //     and traces every time.
 //
 // Run them with go test ./internal/sta/ -run XXX -bench 'InnerLoop|Grid|MCSample|TopPaths';
 // each pair (Incremental vs Full, Batch vs SerialFull) is one
-// comparison. The daemon-level benchmark is perfbench/ (see its README).
+// comparison. make bench-smoke runs each once, so a benchmark that stops
+// running fails make verify. The daemon-level benchmark is perfbench/
+// (see its README).
 
 // benchSwaps picks footprint-preserving drive changes for n random
 // combinational instances, paired with the swaps that undo them.
@@ -128,35 +132,43 @@ func BenchmarkGridSerialFull(b *testing.B) {
 	}
 }
 
+// BenchmarkMCSample times one Monte Carlo sample at 400 gates and at 3600
+// gates, the size of the paper's circuits. The per-net state and the
+// per-instance arrays grow with the netlist, so only the larger case
+// shows the memory-bound regime.
 func BenchmarkMCSample(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	nl := randNetlist(rng, 400)
-	ctx := context.Background()
-	var dbs []*DeltaBinding
-	var bt *BatchTimer
-	for _, s := range []aging.Scenario{aging.Fresh(), aging.WorstCase(10)} {
-		fx := newDeltaFixture(rng, lib(b, s))
-		var err error
-		if bt == nil {
-			if bt, err = NewBatchTimer(ctx, nl, fx.lib, Config{}); err != nil {
-				b.Fatal(err)
+	for _, size := range []int{400, 3600} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			nl := randNetlist(rng, size)
+			ctx := context.Background()
+			var dbs []*DeltaBinding
+			var bt *BatchTimer
+			for _, s := range []aging.Scenario{aging.Fresh(), aging.WorstCase(10)} {
+				fx := newDeltaFixture(rng, lib(b, s))
+				var err error
+				if bt == nil {
+					if bt, err = NewBatchTimer(ctx, nl, fx.lib, Config{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				db, err := bt.BindDeltas(fx.lib, fx.deltas)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dbs = append(dbs, db)
 			}
-		}
-		db, err := bt.BindDeltas(fx.lib, fx.deltas)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dbs = append(dbs, db)
-	}
-	w := sampleWeights(rng, len(nl.Insts))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, db := range dbs {
-			if _, err := db.CP(ctx, w); err != nil {
-				b.Fatal(err)
+			w := sampleWeights(rng, len(nl.Insts))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, db := range dbs {
+					if _, err := db.CP(ctx, w); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

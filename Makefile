@@ -60,13 +60,15 @@ fuzz-smoke:
 	$(GO) test ./internal/netlist/ -run XXX -fuzz 'FuzzNetlistRead$$' \
 		-fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
-# bench-smoke runs every kernel benchmark in internal/sta once
-# (InnerLoop*, Grid*, MCSample at 400 and 3600 gates, TopPaths), about
-# 2 s on a warm build cache, so a benchmark that stops running fails
-# verify instead of the next measurement. One iteration measures
-# nothing; time with -benchtime 2s or more.
+# bench-smoke runs every kernel benchmark once: internal/sta's
+# (InnerLoop*, Grid*, MCSample at 400 and 3600 gates, TopPaths) and
+# internal/char's SPICE kernel (ArcTransientINVX1, ArcTransientXOR2X1,
+# CharacterizeINVX1), about 4 s on a warm build cache, so a benchmark
+# that stops running fails verify instead of the next measurement. One
+# iteration measures nothing; time with -benchtime 2s or more.
 bench-smoke:
 	$(GO) test ./internal/sta/ -run XXX -bench . -benchtime 1x
+	$(GO) test ./internal/char/ -run XXX -bench . -benchtime 1x
 
 # cover-gate re-runs the full test suite with a coverage profile and
 # fails if total statement coverage drops below the committed baseline

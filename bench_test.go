@@ -322,31 +322,6 @@ func benchCharacterizeLibrary(b *testing.B, parallelism int) {
 func BenchmarkCharacterizeLibrarySerial(b *testing.B)   { benchCharacterizeLibrary(b, 1) }
 func BenchmarkCharacterizeLibraryParallel(b *testing.B) { benchCharacterizeLibrary(b, 0) }
 
-// benchGenerateGrid measures the full 121-scenario duty-cycle grid on the
-// cheapest meaningful configuration (one cell, 2x2 OPC grid, no cache), so
-// the scenario-level fan-out — not the disk — dominates.
-func benchGenerateGrid(b *testing.B, parallelism int) {
-	cfg := char.TestConfig()
-	cfg.Slews = char.LogAxis(5*units.Ps, 947*units.Ps, 2)
-	cfg.Loads = char.LogAxis(0.5*units.FF, 20*units.FF, 2)
-	cfg.Cells = []string{"INV_X1"}
-	cfg.CacheDir = ""
-	cfg.Parallelism = parallelism
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		if err := cfg.GenerateGrid(context.Background(), 10, func(*liberty.Library) { n++ }); err != nil {
-			b.Fatal(err)
-		}
-		if n != 121 {
-			b.Fatalf("visited %d libraries, want 121", n)
-		}
-	}
-}
-
-func BenchmarkGenerateGridSerial(b *testing.B)   { benchGenerateGrid(b, 1) }
-func BenchmarkGenerateGridParallel(b *testing.B) { benchGenerateGrid(b, 0) }
-
 var dctNetlist onceResult[*netlist.Netlist]
 
 func BenchmarkSTALargeNetlist(b *testing.B) {

@@ -14,9 +14,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/cli"
 	"ageguard/internal/core"
 	"ageguard/internal/image"
@@ -83,10 +85,5 @@ func run(ctx context.Context, out string, size int, in string, retries int, stri
 }
 
 func save(path string, g *image.Gray) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return image.WritePGM(f, g)
+	return atomicfile.Write(path, func(w io.Writer) error { return image.WritePGM(w, g) })
 }

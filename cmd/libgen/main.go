@@ -31,12 +31,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/char"
 	"ageguard/internal/cli"
 	"ageguard/internal/liberty"
@@ -66,12 +68,9 @@ func run(ctx context.Context, out string, years float64, grid, merged, libFmt bo
 	ctx, sp := obs.StartSpan(ctx, "libgen.run")
 	defer sp.End()
 
-	cfg := char.New(
-		char.WithCacheDir(cache),
-		char.WithParallelism(par),
-		char.WithRetries(retries),
-		char.WithStrict(strict),
-	)
+	cfg := char.DefaultConfig()
+	cfg.CacheDir, cfg.Parallelism = cache, par
+	cfg.Retries, cfg.Strict = retries, strict
 	if cellList != "" {
 		cfg.Cells = strings.Split(cellList, ",")
 	}
@@ -109,11 +108,11 @@ func run(ctx context.Context, out string, years float64, grid, merged, libFmt bo
 		}
 		libs = append(libs, lib)
 		path := filepath.Join(out, lib.Name+".alib")
-		if err := writeLib(path, lib); err != nil {
+		if err := writeLib(path, lib, liberty.Write); err != nil {
 			return err
 		}
 		if libFmt {
-			if err := writeDotLib(filepath.Join(out, lib.Name+".lib"), lib); err != nil {
+			if err := writeLib(filepath.Join(out, lib.Name+".lib"), lib, liberty.WriteLiberty); err != nil {
 				return err
 			}
 		}
@@ -123,7 +122,7 @@ func run(ctx context.Context, out string, years float64, grid, merged, libFmt bo
 	if merged && len(libs) > 0 {
 		m := liberty.MergeLibraries("complete", libs)
 		path := filepath.Join(out, "complete.alib")
-		if err := writeLib(path, &m.Library); err != nil {
+		if err := writeLib(path, &m.Library, liberty.Write); err != nil {
 			return err
 		}
 		fmt.Printf("merged %d libraries (%d cells) -> %s\n", len(libs), len(m.Cells), path)
@@ -134,20 +133,7 @@ func run(ctx context.Context, out string, years float64, grid, merged, libFmt bo
 	return nil
 }
 
-func writeLib(path string, lib *liberty.Library) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return liberty.Write(f, lib)
-}
-
-func writeDotLib(path string, lib *liberty.Library) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return liberty.WriteLiberty(f, lib)
+// writeLib writes lib to path in the given format, atomically.
+func writeLib(path string, lib *liberty.Library, write func(io.Writer, *liberty.Library) error) error {
+	return atomicfile.Write(path, func(w io.Writer) error { return write(w, lib) })
 }

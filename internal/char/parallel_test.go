@@ -65,20 +65,22 @@ func tinyGridConfig(dir string) Config {
 }
 
 func TestGenerateGridConcurrentSharedCache(t *testing.T) {
-	// Two GenerateGrid runs over the full 121-scenario duty-cycle grid,
-	// started concurrently against ONE cache directory. The per-scenario
-	// singleflight plus atomic cache writes must yield: both succeed, each
-	// visits all 121 libraries in grid order, and the work is not done
-	// twice (every .alib exists exactly once, no stray temp files).
+	// Two CharacterizeAll runs over the full 121-scenario duty-cycle grid
+	// (as two concurrent grid queries make them), started concurrently
+	// against ONE cache directory. The per-scenario singleflight plus
+	// atomic cache writes must yield: both succeed, each returns all 121
+	// libraries in grid order, and the work is not done twice (every
+	// .alib exists exactly once, no stray temp files).
 	dir := t.TempDir()
 	cfg := tinyGridConfig(dir)
 
 	scens := aging.GridScenarios(10)
 	run := func() ([]string, error) {
-		var names []string
-		err := cfg.GenerateGrid(context.Background(), 10, func(l *liberty.Library) {
-			names = append(names, l.Name)
-		})
+		libs, err := cfg.CharacterizeAll(context.Background(), scens)
+		names := make([]string, len(libs))
+		for i, l := range libs {
+			names[i] = l.Name
+		}
 		return names, err
 	}
 	var wg sync.WaitGroup
@@ -123,7 +125,7 @@ func TestGenerateGridConcurrentSharedCache(t *testing.T) {
 	// Spot check: a cached library loads back with the right cell.
 	lib, err := cfg.loadCache(scens[0])
 	if err != nil {
-		t.Fatalf("cache miss after GenerateGrid: %v", err)
+		t.Fatalf("cache miss after CharacterizeAll: %v", err)
 	}
 	if _, ok := lib.Cell("INV_X1"); !ok {
 		t.Error("cached library lacks INV_X1")

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"ageguard/internal/aging"
-	"ageguard/internal/cells"
-	"ageguard/internal/conc"
 	"ageguard/internal/device"
 	"ageguard/internal/liberty"
 	"ageguard/internal/obs"
@@ -34,12 +32,11 @@ import (
 // times each sample by shifting just the grid points a lookup reads.
 // SampleLibrary materializes the same tables as a per-sample
 // instance-variant library, the reference the tests and the benchmark's
-// replay compare that loop against. The exact
-// validation mode (CharacterizeCellPerturbed) re-simulates a cell with
-// the drawn perturbation through the same SPICE path, so the difference
-// between the two is purely the first-order truncation error, which the
-// differential test (core's TestMCGuardbandSensitivityMatchesExact)
-// bounds.
+// replay compare that loop against. The exact reference (a helper of
+// core's tests) re-simulates each instance's cell with its drawn
+// perturbation through the same SPICE path (Config.Perturb), so the
+// difference between the two is purely the first-order truncation error,
+// which core's TestMCGuardbandSensitivityMatchesExact bounds.
 
 // Finite-difference steps for the sensitivity characterizations. The Vth
 // step is chosen near the per-instance sigma so the secant slope averages
@@ -214,24 +211,4 @@ func (sn *Sensitivity) SampleLibrary(name string, draws []InstDraw) (*liberty.Li
 		lib.Cells[vname] = &cp
 	}
 	return lib, nil
-}
-
-// CharacterizeCellPerturbed re-simulates one cell with an additional
-// per-instance perturbation through the full SPICE sweep — the exact
-// validation path of the Monte Carlo subsystem. It bypasses the disk
-// cache, checkpoints and singleflight (perturbations are per-instance
-// draws that would only pollute the cache); lim bounds the concurrently
-// running transient simulations.
-func (cfg Config) CharacterizeCellPerturbed(ctx context.Context, lim conc.Limiter, cell string, s aging.Scenario, pb device.Perturb) (*liberty.CellTiming, error) {
-	c, ok := cells.ByName(cell)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoCell, cell)
-	}
-	pcfg := cfg
-	pcfg.Perturb = cfg.Perturb.Add(pb)
-	ct, err := pcfg.characterizeCell(ctx, lim, c, s)
-	if err != nil {
-		return nil, fmt.Errorf("char: exact cell %s: %w", cell, err)
-	}
-	return ct, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ageguard/internal/aging"
-	"ageguard/internal/conc"
 	"ageguard/internal/device"
 	"ageguard/internal/liberty"
 )
@@ -161,6 +160,11 @@ func TestSampleLibraryAppliesDelta(t *testing.T) {
 	}
 }
 
+// TestCharacterizeCellPerturbedMatchesSensitivityStep: characterizing
+// one cell perturbed by exactly the finite-difference step, as core's
+// exact Monte Carlo reference does (Perturb and Cells set, no cache),
+// must land on the perturbed library the sensitivities were derived
+// from, so the first-order reconstruction base + step*S reproduces it.
 func TestCharacterizeCellPerturbedMatchesSensitivityStep(t *testing.T) {
 	cfg := sensConfig(t)
 	ctx := context.Background()
@@ -169,14 +173,15 @@ func TestCharacterizeCellPerturbedMatchesSensitivityStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-characterizing at exactly the finite-difference step must land on
-	// the perturbed library the sensitivities were derived from, so the
-	// first-order reconstruction base + step*S reproduces it bit-exactly.
-	lim := conc.NewLimiter(conc.Workers(cfg.Parallelism))
-	ct, err := cfg.CharacterizeCellPerturbed(ctx, lim, "INV_X1", s, device.Perturb{DVthP: SensStepVth})
+	pcfg := cfg
+	pcfg.Perturb = device.Perturb{DVthP: SensStepVth}
+	pcfg.Cells = []string{"INV_X1"}
+	pcfg.CacheDir = ""
+	lib, err := pcfg.Characterize(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ct := lib.Cells["INV_X1"]
 	base := sn.Base.Cells["INV_X1"]
 	sens := sn.arcs["INV_X1"]
 	for ai := range base.Arcs {

@@ -159,11 +159,9 @@ func (cfg Config) combArc(ctx context.Context, lim conc.Limiter, c *cells.Cell, 
 	return arc, nil
 }
 
-// solverOpts binds the per-point fault-injection seam (if any) and the
-// Jacobian mode into the solver options; p identifies the grid point to
-// the hook.
+// solverOpts binds the per-point fault-injection seam (if any) into the
+// solver options; p identifies the grid point to the hook.
 func (cfg Config) solverOpts(opts spice.Options, p Point) spice.Options {
-	opts.FiniteDiffJacobian = cfg.FiniteDiffJacobian
 	if cfg.FaultInject != nil {
 		opts.FaultHook = func(attempt int) error { return cfg.FaultInject(p, attempt) }
 	}

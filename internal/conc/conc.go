@@ -189,9 +189,10 @@ type flightCall[T any] struct {
 
 // Do executes fn for key, unless an identical call is already in flight, in
 // which case it waits and returns that call's result. If the shared call
-// failed with context.Canceled but ctx itself is still live (the leader
-// belonged to a different, since-canceled pipeline), the work is retried
-// rather than failing an unrelated caller.
+// died of its own cancellation or deadline (context.Canceled,
+// context.DeadlineExceeded or ErrCanceled) but ctx itself is still live,
+// the leader belonged to a different, since-stopped pipeline: this caller
+// takes the work over rather than failing with a foreign error.
 func (f *Flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (T, error) {
 	for {
 		f.mu.Lock()
@@ -206,8 +207,8 @@ func (f *Flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (T
 				var zero T
 				return zero, ctx.Err()
 			}
-			if errors.Is(c.err, context.Canceled) && ctx.Err() == nil {
-				continue // leader was canceled, we are not: take over
+			if ctx.Err() == nil && canceled(c.err) {
+				continue // leader was stopped, we are not: take over
 			}
 			return c.val, c.err
 		}
@@ -217,6 +218,13 @@ func (f *Flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (T
 		f.lead(key, c, fn)
 		return c.val, c.err
 	}
+}
+
+// canceled reports whether err means its pipeline was stopped rather
+// than that the work failed.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, ErrCanceled)
 }
 
 // lead runs fn as key's leader and publishes its result. The key is

@@ -231,30 +231,60 @@ func TestFlightErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestFlightRetriesAfterLeaderCanceled: a waiter whose ctx is live takes
+// the work over when the leader dies of its own cancellation or deadline,
+// however the leader's error wraps it, instead of inheriting that error.
 func TestFlightRetriesAfterLeaderCanceled(t *testing.T) {
-	var f Flight[int]
-	leaderIn := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		f.Do(context.Background(), "k", func() (int, error) {
-			close(leaderIn)
-			<-release
-			return 0, context.Canceled // leader's own pipeline was canceled
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"canceled", context.Canceled},
+		{"deadline", context.DeadlineExceeded},
+		{"wrapped_deadline", WrapCanceled(fmt.Errorf("char: cell INV_X1: %w", context.DeadlineExceeded))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var f Flight[int]
+			leaderIn := make(chan struct{})
+			release := make(chan struct{})
+			go func() {
+				f.Do(context.Background(), "k", func() (int, error) {
+					close(leaderIn)
+					<-release
+					return 0, tc.err // leader's own pipeline was stopped
+				})
+			}()
+			<-leaderIn
+			done := make(chan struct{})
+			var v int
+			var err error
+			go func() {
+				defer close(done)
+				v, err = f.Do(context.Background(), "k", func() (int, error) { return 9, nil })
+			}()
+			// Release the leader only once the waiter has joined its call.
+			for flightCallers("TestFlightRetriesAfterLeaderCanceled") < 2 {
+				runtime.Gosched()
+			}
+			close(release)
+			<-done
+			if err != nil || v != 9 {
+				t.Fatalf("follower after stopped leader: v=%d err=%v", v, err)
+			}
 		})
-	}()
-	<-leaderIn
-	done := make(chan struct{})
-	var v int
-	var err error
-	go func() {
-		defer close(done)
-		v, err = f.Do(context.Background(), "k", func() (int, error) { return 9, nil })
-	}()
-	close(release)
-	<-done
-	if err != nil || v != 9 {
-		t.Fatalf("follower after canceled leader: v=%d err=%v", v, err)
 	}
+}
+
+// flightCallers counts the goroutines inside Flight.Do whose stack names
+// the test function test.
+func flightCallers(test string) (n int) {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, ".(*Flight[...]).Do(") && strings.Contains(g, test) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestFlightPanicReleasesKey: a leader whose fn panics re-panics in its
@@ -282,16 +312,7 @@ func TestFlightPanicReleasesKey(t *testing.T) {
 	}()
 	// Once the waiter is inside Do it joins the leader's call, which
 	// cannot finish before release is closed.
-	inDo := func() (n int) {
-		buf := make([]byte, 1<<20)
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, ".(*Flight[...]).Do(") && strings.Contains(g, "TestFlightPanicReleasesKey") {
-				n++
-			}
-		}
-		return n
-	}
-	for inDo() < 2 {
+	for flightCallers("TestFlightPanicReleasesKey") < 2 {
 		runtime.Gosched()
 	}
 	close(release)

@@ -359,7 +359,7 @@ func (f Flow) fig5(ctx context.Context, circuits []string, aspect string,
 	sp.SetAttr("aspect", aspect)
 	sp.SetAttr("circuits", len(circuits))
 	rows := make([]Fig5Row, len(circuits))
-	err := conc.ParFor(ctx, f.workers(), len(circuits), func(i int) error {
+	err := conc.ParFor(ctx, conc.Workers(0), len(circuits), func(i int) error {
 		c := circuits[i]
 		nl, err := f.SynthesizeTraditional(ctx, c)
 		if err != nil {
@@ -473,7 +473,7 @@ type ContainmentReport struct {
 }
 
 // ContainmentAll runs the comparison over the circuit list. Circuits are
-// analyzed concurrently (bounded by Flow.Parallelism) into pre-indexed
+// analyzed concurrently (one worker per CPU) into pre-indexed
 // rows; the aggregation stays serial and order-stable. Canceling ctx
 // stops circuit dispatch and all in-flight synthesis/characterization
 // work; the error then matches conc.ErrCanceled.
@@ -482,7 +482,7 @@ func (f Flow) ContainmentAll(ctx context.Context, circuits []string) (*Containme
 	defer sp.End()
 	sp.SetAttr("circuits", len(circuits))
 	rows := make([]ContainmentRow, len(circuits))
-	err := conc.ParFor(ctx, f.workers(), len(circuits), func(i int) error {
+	err := conc.ParFor(ctx, conc.Workers(0), len(circuits), func(i int) error {
 		row, err := f.Containment(ctx, circuits[i])
 		if err != nil {
 			return err
@@ -664,8 +664,8 @@ func (g *GuardbandGrid) Format() string {
 // GuardbandGridFor synthesizes the circuit traditionally, then times
 // the one netlist under all 121 duty-cycle libraries of the paper's grid
 // with one sta.BatchTimer: the netlist topology is compiled once and
-// every library only rebinds timing views, fanning out over
-// Flow.Parallelism workers. Canceling ctx stops both the
+// every library only rebinds timing views, fanning out over one worker
+// per CPU. Canceling ctx stops both the
 // characterization sweep and the timing mid-flight with an error
 // matching conc.ErrCanceled.
 func (f Flow) GuardbandGridFor(ctx context.Context, circuit string) (*GuardbandGrid, error) {
@@ -694,7 +694,7 @@ func (f Flow) GuardbandGridFor(ctx context.Context, circuit string) (*GuardbandG
 		return nil, err
 	}
 	cps := make([]float64, len(libs))
-	err = conc.ParFor(ctx, f.workers(), len(libs), func(i int) error {
+	err = conc.ParFor(ctx, conc.Workers(0), len(libs), func(i int) error {
 		cp, err := bt.CP(ctx, libs[i])
 		cps[i] = cp
 		return err

@@ -14,12 +14,10 @@ import (
 // Fig3Stage is one gate on a motivational path with its arrival under the
 // fresh and aged libraries.
 type Fig3Stage struct {
-	Cell          string
-	FreshPS       float64 // stage arrival contribution, fresh [ps]
-	AgedPS        float64 // aged [ps]
-	DeltaPct      float64
-	FreshArrival  float64
-	AgedArrivalPS float64
+	Cell     string
+	FreshPS  float64 // stage arrival contribution, fresh [ps]
+	AgedPS   float64 // aged [ps]
+	DeltaPct float64
 }
 
 // Fig3Report reproduces the paper's Fig. 3: two register-to-register

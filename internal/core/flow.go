@@ -18,10 +18,12 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/char"
 	"ageguard/internal/conc"
 	"ageguard/internal/gatesim"
@@ -41,18 +43,7 @@ type Flow struct {
 	STA      sta.Config
 	Synth    synth.Config
 	Lifetime float64 // projected lifetime in years (paper: 10)
-
-	// Parallelism bounds the number of benchmark circuits analyzed
-	// concurrently by the multi-circuit experiment drivers (Fig5a/b/c,
-	// ContainmentAll): each circuit's synthesis + STA legs are independent,
-	// sharing only immutable libraries. 0 selects GOMAXPROCS, 1 keeps the
-	// original serial loops. (Characterization concurrency is governed
-	// separately by Char.Parallelism.)
-	Parallelism int
 }
-
-// workers resolves the circuit-level Parallelism knob.
-func (f Flow) workers() int { return conc.Workers(f.Parallelism) }
 
 // Default returns the paper's configuration: 45 nm devices, calibrated BTI
 // model, 7x7 OPC grid, 10-year lifetime, caches under the repository.
@@ -138,39 +129,14 @@ func (f Flow) Synthesized(ctx context.Context, circuit string, lib *liberty.Libr
 	if err != nil {
 		return nil, conc.WrapCanceled(err)
 	}
+	// Written atomically, so concurrent experiment legs synthesizing the
+	// same (circuit, library) never observe or produce a torn entry.
 	if path != "" {
-		if err := storeNetlistCache(path, nl); err != nil {
+		if err := atomicfile.Write(path, func(w io.Writer) error { return netlist.Write(w, nl) }); err != nil {
 			return nil, fmt.Errorf("core: caching netlist %s: %w", path, err)
 		}
 	}
 	return nl, nil
-}
-
-// storeNetlistCache writes the netlist atomically via a unique temp file,
-// so concurrent experiment legs synthesizing the same (circuit, library)
-// never observe or produce a torn cache entry.
-func storeNetlistCache(path string, nl *netlist.Netlist) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	fh, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if err := netlist.Write(fh, nl); err != nil {
-		fh.Close()
-		os.Remove(fh.Name())
-		return err
-	}
-	if err := fh.Close(); err != nil {
-		os.Remove(fh.Name())
-		return err
-	}
-	if err := os.Rename(fh.Name(), path); err != nil {
-		os.Remove(fh.Name())
-		return err
-	}
-	return nil
 }
 
 // synthConfig is the effective synthesis configuration: the flow's synth

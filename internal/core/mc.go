@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -52,17 +51,11 @@ type MCConfig struct {
 	// callers wanting typical process spread use device.DefaultVariation.
 	Variation device.Variation
 
-	// Exact replaces the first-order sensitivity tables with a full
-	// per-sample per-instance SPICE re-characterization — the validation
-	// reference. Orders of magnitude slower; samples run serially so the
-	// characterization can use all workers internally.
-	Exact bool
-
 	// Bins is the guardband histogram bin count (0 = DefaultMCBins).
 	Bins int
 
 	// Parallelism bounds concurrently timed samples (conc.Workers
-	// semantics). Ignored in Exact mode.
+	// semantics).
 	Parallelism int
 }
 
@@ -80,12 +73,7 @@ func (mc MCConfig) bins() int {
 	return DefaultMCBins
 }
 
-func (mc MCConfig) workers() int {
-	if mc.Exact {
-		return 1
-	}
-	return conc.Workers(mc.Parallelism)
-}
+func (mc MCConfig) workers() int { return conc.Workers(mc.Parallelism) }
 
 // MCHistogram is a fixed-width histogram of the per-sample guardbands
 // over [LoS, HiS] (the observed min and max).
@@ -105,7 +93,6 @@ type MCResult struct {
 	Samples   int
 	Seed      uint64
 	Variation device.Variation
-	Exact     bool
 
 	FreshCPS float64 // nominal fresh critical path [s]
 	AgedCPS  float64 // nominal aged critical path [s]
@@ -179,48 +166,38 @@ func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlis
 		Samples:   n,
 		Seed:      mc.Seed,
 		Variation: mc.Variation,
-		Exact:     mc.Exact,
 		FreshCPS:  fcp,
 		AgedCPS:   acp,
 	}
 	res.Guardbands = make([]float64, n)
 
-	var sample func(i int) (fresh, aged float64, err error)
-	if mc.Exact {
-		sample = f.exactSampler(ctx, nl, snFresh, snAged, s, mc)
-	} else {
-		fb, err := bt.BindDeltas(snFresh.Base, snFresh.Deltas())
-		if err != nil {
-			return nil, err
-		}
-		ab, err := bt.BindDeltas(snAged.Base, snAged.Deltas())
-		if err != nil {
-			return nil, err
-		}
-		// Samples reuse weights buffers. A buffer is made only when none
-		// is free, so there are at most as many as samples timed at once.
-		bufs := make(chan []liberty.DeltaWeights, mc.workers())
-		sample = func(i int) (float64, float64, error) {
-			var w []liberty.DeltaWeights
-			select {
-			case w = <-bufs:
-			default:
-				w = make([]liberty.DeltaWeights, len(nl.Insts))
-			}
-			defer func() { bufs <- w }()
-			for k, in := range nl.Insts {
-				w[k] = char.Weights(mc.Variation.Sample(mc.Seed, uint64(i), in.Name))
-			}
-			sf, err := fb.CP(ctx, w)
-			if err != nil {
-				return 0, 0, err
-			}
-			sa, err := ab.CP(ctx, w)
-			return sf, sa, err
-		}
+	fb, err := bt.BindDeltas(snFresh.Base, snFresh.Deltas())
+	if err != nil {
+		return nil, err
 	}
+	ab, err := bt.BindDeltas(snAged.Base, snAged.Deltas())
+	if err != nil {
+		return nil, err
+	}
+	// Samples reuse weights buffers. A buffer is made only when none is
+	// free, so there are at most as many as samples timed at once.
+	bufs := make(chan []liberty.DeltaWeights, mc.workers())
 	err = conc.ParFor(ctx, mc.workers(), n, func(i int) error {
-		sf, sa, err := sample(i)
+		var w []liberty.DeltaWeights
+		select {
+		case w = <-bufs:
+		default:
+			w = make([]liberty.DeltaWeights, len(nl.Insts))
+		}
+		defer func() { bufs <- w }()
+		for k, in := range nl.Insts {
+			w[k] = char.Weights(mc.Variation.Sample(mc.Seed, uint64(i), in.Name))
+		}
+		sf, err := fb.CP(ctx, w)
+		if err != nil {
+			return err
+		}
+		sa, err := ab.CP(ctx, w)
 		if err != nil {
 			return err
 		}
@@ -233,67 +210,6 @@ func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlis
 
 	res.reduce(mc.bins())
 	return res, nil
-}
-
-// exactSampler returns the sample step of Exact mode, the Monte Carlo
-// validation reference: it times the instance-variant netlist (every
-// instance on its own cell, named char.VariantCell) under per-sample
-// libraries whose cells are fully re-characterized. Exact samples run
-// serially and share one simulation limiter, so the per-cell SPICE sweeps
-// keep every worker busy.
-func (f Flow) exactSampler(ctx context.Context, nl *netlist.Netlist, snFresh, snAged *char.Sensitivity, s aging.Scenario, mc MCConfig) func(int) (float64, float64, error) {
-	vnl := nl.Clone()
-	insts := make([]char.InstDraw, len(vnl.Insts))
-	for i, in := range vnl.Insts {
-		insts[i] = char.InstDraw{Inst: in.Name, Cell: in.Cell}
-		in.Cell = char.VariantCell(in.Cell, in.Name)
-	}
-	lim := conc.NewLimiter(conc.Workers(f.Char.Parallelism))
-	return func(i int) (float64, float64, error) {
-		draws := make([]char.InstDraw, len(insts))
-		copy(draws, insts)
-		for k := range draws {
-			draws[k].Pb = mc.Variation.Sample(mc.Seed, uint64(i), draws[k].Inst)
-		}
-		freshLib, err := f.exactSampleLibrary(ctx, lim, snFresh, aging.Fresh(), draws, i)
-		if err != nil {
-			return 0, 0, err
-		}
-		agedLib, err := f.exactSampleLibrary(ctx, lim, snAged, s, draws, i)
-		if err != nil {
-			return 0, 0, err
-		}
-		sf, err := f.CP(ctx, vnl, freshLib)
-		if err != nil {
-			return 0, 0, err
-		}
-		sa, err := f.CP(ctx, vnl, agedLib)
-		return sf, sa, err
-	}
-}
-
-// exactSampleLibrary re-characterizes every drawn instance with its full
-// perturbation through the SPICE sweep and assembles the instance-variant
-// library — the Monte Carlo validation reference.
-func (f Flow) exactSampleLibrary(ctx context.Context, lim conc.Limiter, sn *char.Sensitivity, s aging.Scenario, draws []char.InstDraw, sample int) (*liberty.Library, error) {
-	lib := &liberty.Library{
-		Name:     fmt.Sprintf("mc_exact_%s_%d", sn.Base.Name, sample),
-		Scenario: sn.Base.Scenario,
-		Vdd:      sn.Base.Vdd,
-		Slews:    sn.Base.Slews,
-		Loads:    sn.Base.Loads,
-		Cells:    make(map[string]*liberty.CellTiming, len(draws)),
-	}
-	for _, d := range draws {
-		ct, err := f.Char.CharacterizeCellPerturbed(ctx, lim, d.Cell, s, d.Pb)
-		if err != nil {
-			return nil, err
-		}
-		cp := *ct
-		cp.Name = char.VariantCell(d.Cell, d.Inst)
-		lib.Cells[cp.Name] = &cp
-	}
-	return lib, nil
 }
 
 // reduce fills the distribution statistics from the per-sample guardbands.

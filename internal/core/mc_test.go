@@ -11,6 +11,7 @@ import (
 	"ageguard/internal/aging"
 	"ageguard/internal/char"
 	"ageguard/internal/device"
+	"ageguard/internal/liberty"
 	"ageguard/internal/netlist"
 	"ageguard/internal/sta"
 	"ageguard/internal/units"
@@ -149,27 +150,61 @@ func TestMCGuardbandSensitivityMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.Exact = true
-	exact, err := f.MCGuardbandNetlist(ctx, "mcchain", mcNetlist(), s, mc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := exactGuardbands(t, f, mcNetlist(), s, mc)
 
 	// First-order sensitivity truncation error, measured against the full
 	// per-sample SPICE re-characterization, must stay a small fraction of
 	// the nominal guardband on every sample.
-	nominal := exact.AgedCPS - exact.FreshCPS
-	for i := range exact.Guardbands {
-		diff := math.Abs(sens.Guardbands[i] - exact.Guardbands[i])
+	nominal := sens.AgedCPS - sens.FreshCPS
+	for i := range exact {
+		diff := math.Abs(sens.Guardbands[i] - exact[i])
 		if diff > 0.05*nominal+0.05*units.Ps {
 			t.Errorf("sample %d: sensitivity %v vs exact %v (diff %s, nominal %s)",
-				i, sens.Guardbands[i], exact.Guardbands[i],
+				i, sens.Guardbands[i], exact[i],
 				units.PsString(diff), units.PsString(nominal))
 		}
 	}
-	if exact.FreshCPS != sens.FreshCPS || exact.AgedCPS != sens.AgedCPS {
-		t.Errorf("nominal points differ between modes: %+v vs %+v", exact, sens)
+}
+
+// exactGuardbands is the exact Monte Carlo reference: per sample it
+// re-characterizes every instance's cell with the instance's full drawn
+// perturbation through the SPICE sweep (char.Config.Characterize with
+// Perturb and Cells set, no cache), fresh and aged, and times the
+// instance-variant netlist (every instance on its own cell, named
+// char.VariantCell) under the resulting libraries.
+func exactGuardbands(t *testing.T, f Flow, nl *netlist.Netlist, s aging.Scenario, mc MCConfig) []float64 {
+	t.Helper()
+	ctx := context.Background()
+	vnl := nl.Clone()
+	for _, in := range vnl.Insts {
+		in.Cell = char.VariantCell(in.Cell, in.Name)
 	}
+	gbs := make([]float64, mc.Samples)
+	for i := range gbs {
+		var cp [2]float64
+		for j, sc := range []aging.Scenario{aging.Fresh(), s} {
+			lib := &liberty.Library{Name: fmt.Sprintf("mc_exact_%d_%d", j, i), Cells: map[string]*liberty.CellTiming{}}
+			for _, in := range nl.Insts {
+				cfg := f.Char
+				cfg.Perturb = mc.Variation.Sample(mc.Seed, uint64(i), in.Name)
+				cfg.Cells = []string{in.Cell}
+				cfg.CacheDir = ""
+				cl, err := cfg.Characterize(ctx, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ct := *cl.Cells[in.Cell]
+				ct.Name = char.VariantCell(in.Cell, in.Name)
+				lib.Cells[ct.Name] = &ct
+			}
+			var err error
+			if cp[j], err = f.CP(ctx, vnl, lib); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gbs[i] = cp[1] - cp[0]
+	}
+	return gbs
 }
 
 // sampleLibraryGuardbands is the reference for MCGuardbandNetlist's

@@ -2,39 +2,31 @@ package core
 
 import (
 	"ageguard/internal/char"
-	"ageguard/internal/opt"
 	"ageguard/internal/sta"
-	"ageguard/internal/synth"
 )
 
 // Option configures a Flow under construction; see New.
-type Option = opt.Option[Flow]
+type Option func(*Flow)
 
-// New returns the Default flow with the options applied:
+// New returns the Default flow with the options applied in order:
 //
-//	f := core.New(core.WithParallelism(8), core.WithLifetime(10))
+//	f := core.New(core.WithLifetime(10), core.WithRetries(4))
 func New(opts ...Option) Flow {
-	return opt.Apply(Default(), opts...)
+	f := Default()
+	for _, o := range opts {
+		o(&f)
+	}
+	return f
 }
 
 // WithLifetime sets the projected lifetime in years.
 func WithLifetime(years float64) Option { return func(f *Flow) { f.Lifetime = years } }
-
-// WithParallelism bounds concurrently analyzed circuits (0 = all CPUs).
-func WithParallelism(n int) Option { return func(f *Flow) { f.Parallelism = n } }
 
 // WithCharConfig replaces the characterization configuration.
 func WithCharConfig(cfg char.Config) Option { return func(f *Flow) { f.Char = cfg } }
 
 // WithSTAConfig replaces the static-timing-analysis configuration.
 func WithSTAConfig(cfg sta.Config) Option { return func(f *Flow) { f.STA = cfg } }
-
-// WithSynthConfig replaces the synthesis configuration.
-func WithSynthConfig(cfg synth.Config) Option { return func(f *Flow) { f.Synth = cfg } }
-
-// WithCacheDir points the library and netlist caches at dir ("" disables
-// both).
-func WithCacheDir(dir string) Option { return func(f *Flow) { f.Char.CacheDir = dir } }
 
 // WithRetries sets the characterization solver retry-ladder depth
 // (0 = char.DefaultRetries, negative = disabled).

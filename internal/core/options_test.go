@@ -18,24 +18,22 @@ func TestNewDefaults(t *testing.T) {
 func TestNewOptionsApplyInOrder(t *testing.T) {
 	f := New(
 		WithLifetime(7),
-		WithParallelism(3),
-		WithCacheDir("first"),
-		WithCacheDir("second"),
+		WithRetries(3),
+		WithStrict(true),
+		WithLifetime(9),
 	)
-	if f.Lifetime != 7 {
-		t.Errorf("Lifetime = %v, want 7", f.Lifetime)
+	if f.Lifetime != 9 {
+		t.Errorf("Lifetime = %v, want last-wins 9", f.Lifetime)
 	}
-	if f.Parallelism != 3 {
-		t.Errorf("Parallelism = %v, want 3", f.Parallelism)
-	}
-	if f.Char.CacheDir != "second" {
-		t.Errorf("CacheDir = %q, want last-wins %q", f.Char.CacheDir, "second")
+	if f.Char.Retries != 3 || !f.Char.Strict {
+		t.Errorf("Retries, Strict = %v, %v, want 3, true", f.Char.Retries, f.Char.Strict)
 	}
 }
 
 func TestNewSubConfigOptions(t *testing.T) {
-	cc := char.New(char.WithCacheDir("cc"), char.WithParallelism(2))
-	sc := sta.New(sta.WithInputSlew(11), sta.WithWireCap(0.5))
+	cc := char.DefaultConfig()
+	cc.CacheDir, cc.Parallelism = "cc", 2
+	sc := sta.Config{InputSlew: 11, WireCap: 0.5}
 	f := New(WithCharConfig(cc), WithSTAConfig(sc))
 	if f.Char.CacheDir != "cc" || f.Char.Parallelism != 2 {
 		t.Errorf("char config not applied: %+v", f.Char)
@@ -45,11 +43,14 @@ func TestNewSubConfigOptions(t *testing.T) {
 	}
 }
 
-func TestWithCacheDirAfterCharConfig(t *testing.T) {
-	// WithCacheDir must compose with an earlier WithCharConfig instead of
-	// being clobbered by option ordering surprises.
-	f := New(WithCharConfig(char.New(char.WithCacheDir("a"))), WithCacheDir("b"))
-	if f.Char.CacheDir != "b" {
-		t.Errorf("CacheDir = %q, want %q", f.Char.CacheDir, "b")
+func TestWithRetriesAfterCharConfig(t *testing.T) {
+	// WithRetries and WithStrict must compose with an earlier
+	// WithCharConfig (as ageguardd applies them) instead of being
+	// clobbered by it.
+	cc := char.DefaultConfig()
+	cc.CacheDir = "a"
+	f := New(WithCharConfig(cc), WithRetries(4), WithStrict(true))
+	if f.Char.CacheDir != "a" || f.Char.Retries != 4 || !f.Char.Strict {
+		t.Errorf("char config = %+v, want CacheDir a, Retries 4, Strict", f.Char)
 	}
 }

@@ -1,11 +1,9 @@
 package gatesim
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"ageguard/internal/aging"
@@ -262,55 +260,6 @@ func TestCatalogLookup(t *testing.T) {
 	}
 	if _, ok := CatalogLookup("NOPE_X9"); ok {
 		t.Error("unknown cell accepted")
-	}
-}
-
-func TestWriteVCD(t *testing.T) {
-	sim, err := New(registered())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	vals := []uint64{0, 1, 1, 0}
-	err = sim.WriteVCD(&buf, func(k int) map[string]uint64 {
-		return map[string]uint64{"a": vals[k]}
-	}, len(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"$timescale 1ns $end",
-		"$scope module reg $end",
-		"$var wire 1",
-		"$enddefinitions $end",
-		"#0", "#3",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("VCD missing %q", want)
-		}
-	}
-	// Net "a" must toggle at least twice across the stimulus.
-	if strings.Count(text, "\n1!") == 0 && strings.Count(text, "\n0!") == 0 {
-		// identifiers are assigned alphabetically; just require some
-		// value-change lines exist after #1
-		if !strings.Contains(text, "#1\n") {
-			t.Error("no value changes recorded")
-		}
-	}
-}
-
-func TestVCDIdentifiers(t *testing.T) {
-	seen := map[string]bool{}
-	for i := 0; i < 500; i++ {
-		id := vcdID(i)
-		if seen[id] {
-			t.Fatalf("duplicate VCD id %q at %d", id, i)
-		}
-		seen[id] = true
-	}
-	if vcdName("y0[13]") != "y0(13)" {
-		t.Errorf("vcdName = %q", vcdName("y0[13]"))
 	}
 }
 

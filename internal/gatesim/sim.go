@@ -206,9 +206,6 @@ func (s *Sim) Eval(inputs map[string]uint64) map[string]uint64 {
 	return out
 }
 
-// NetNames returns all net names known to the simulator.
-func (s *Sim) NetNames() []string { return s.nets }
-
 // Activities runs the stimulus for the given number of 64-vector steps and
 // returns the per-net signal probability P(net = 1) — the input the
 // paper's dynamic-stress flow derives transistor duty cycles from.

@@ -333,10 +333,6 @@ func (ts *TimedSim) Cycle(inputs map[string]bool, period float64) map[string]boo
 	return out
 }
 
-// Settle flushes all pending events (as if the clock were stopped),
-// used between workload phases.
-func (ts *TimedSim) Settle() { ts.flush() }
-
 // Value returns the current logic value of a named net.
 func (ts *TimedSim) Value(net string) bool {
 	if i, ok := ts.netIdx[net]; ok {

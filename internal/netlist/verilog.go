@@ -81,124 +81,3 @@ func vname(s string) string {
 	}
 	return "\\" + s + " " // escaped identifier (trailing space required)
 }
-
-// ReadVerilog parses the structural-Verilog subset produced by
-// WriteVerilog (single module, one instance per line, named port
-// connections), enabling round trips through external tools.
-func ReadVerilog(r io.Reader) (*Netlist, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	n := &Netlist{}
-	var text strings.Builder
-	for sc.Scan() {
-		text.WriteString(sc.Text())
-		text.WriteByte('\n')
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	// Statement-split on ';'.
-	for _, stmt := range strings.Split(text.String(), ";") {
-		stmt = strings.TrimSpace(stmt)
-		if stmt == "" || stmt == "endmodule" {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(stmt, "module "):
-			open := strings.IndexByte(stmt, '(')
-			if open < 0 {
-				return nil, fmt.Errorf("netlist: bad module header")
-			}
-			n.Name = unvname(strings.TrimSpace(stmt[len("module "):open]))
-		case strings.HasPrefix(stmt, "input "):
-			for _, p := range splitNets(stmt[len("input "):]) {
-				if p != ClockNet {
-					n.Inputs = append(n.Inputs, p)
-				}
-			}
-		case strings.HasPrefix(stmt, "output "):
-			n.Outputs = append(n.Outputs, splitNets(stmt[len("output "):])...)
-		case strings.HasPrefix(stmt, "wire "):
-			// wires are implied by connections
-		default:
-			inst, err := parseVerilogInst(stmt)
-			if err != nil {
-				return nil, err
-			}
-			n.Insts = append(n.Insts, inst)
-		}
-	}
-	if n.Name == "" {
-		return nil, fmt.Errorf("netlist: no module found")
-	}
-	return n, nil
-}
-
-func splitNets(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f != "" {
-			out = append(out, unvname(f))
-		}
-	}
-	return out
-}
-
-func unvname(s string) string {
-	s = strings.TrimSpace(s)
-	if strings.HasPrefix(s, "\\") {
-		return strings.TrimSpace(s[1:])
-	}
-	return s
-}
-
-func parseVerilogInst(stmt string) (*Inst, error) {
-	open := strings.IndexByte(stmt, '(')
-	if open < 0 {
-		return nil, fmt.Errorf("netlist: bad instance %q", stmt)
-	}
-	head := strings.Fields(stmt[:open])
-	if len(head) != 2 {
-		return nil, fmt.Errorf("netlist: bad instance header %q", stmt[:open])
-	}
-	body := strings.TrimSuffix(strings.TrimSpace(stmt[open+1:]), ")")
-	pins := map[string]string{}
-	for _, conn := range splitTop(body) {
-		conn = strings.TrimSpace(conn)
-		if !strings.HasPrefix(conn, ".") {
-			return nil, fmt.Errorf("netlist: positional connection %q unsupported", conn)
-		}
-		lp := strings.IndexByte(conn, '(')
-		if lp < 0 || !strings.HasSuffix(conn, ")") {
-			return nil, fmt.Errorf("netlist: bad connection %q", conn)
-		}
-		pin := strings.TrimSpace(conn[1:lp])
-		net := unvname(conn[lp+1 : len(conn)-1])
-		pins[pin] = net
-	}
-	return &Inst{Name: unvname(head[1]), Cell: unvname(head[0]), Pins: pins}, nil
-}
-
-// splitTop splits on commas that are outside parentheses.
-func splitTop(s string) []string {
-	var out []string
-	depth, start := 0, 0
-	for i, r := range s {
-		switch r {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if strings.TrimSpace(s[start:]) != "" {
-		out = append(out, s[start:])
-	}
-	return out
-}

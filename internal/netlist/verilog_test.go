@@ -2,7 +2,6 @@ package netlist
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -15,33 +14,27 @@ func seqSample() *Netlist {
 	return n
 }
 
+// TestVerilogRoundTrip pins the structural Verilog that external tools
+// read back (stareport -verilog): the clock port first in a sequential
+// design, bus bits as escaped identifiers with their trailing space,
+// internal nets declared as wires, and named connections in pin order.
 func TestVerilogRoundTrip(t *testing.T) {
-	n := seqSample()
+	const want = `module top (clk, a, \b[0] , y);
+  input clk;
+  input a;
+  input \b[0] ;
+  output y;
+  wire n1;
+  NAND2_X1 g1 (.A1(a), .A2(\b[0] ), .ZN(n1));
+  DFF_X1 r1 (.CK(clk), .D(n1), .Q(y));
+endmodule
+`
 	var buf bytes.Buffer
-	if err := WriteVerilog(&buf, n); err != nil {
+	if err := WriteVerilog(&buf, seqSample()); err != nil {
 		t.Fatal(err)
 	}
-	text := buf.String()
-	for _, want := range []string{"module top", "input clk;", "output y;", "endmodule", "NAND2_X1 g1"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("verilog missing %q:\n%s", want, text)
-		}
-	}
-	got, err := ReadVerilog(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "top" || len(got.Insts) != 2 {
-		t.Fatalf("round trip: %+v", got)
-	}
-	if got.Insts[0].Pins["A2"] != "b[0]" {
-		t.Errorf("escaped bus net lost: %q", got.Insts[0].Pins["A2"])
-	}
-	if len(got.Inputs) != 2 || len(got.Outputs) != 1 {
-		t.Errorf("ports: in=%v out=%v", got.Inputs, got.Outputs)
-	}
-	if err := got.Check(look); err != nil {
-		t.Fatal(err)
+	if got := buf.String(); got != want {
+		t.Errorf("WriteVerilog =\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -54,22 +47,5 @@ func TestVerilogEscapedIdentifiers(t *testing.T) {
 	}
 	if vname("1bad") != "\\1bad " {
 		t.Error("leading digit must be escaped")
-	}
-	if unvname("\\x[3] ") != "x[3]" {
-		t.Error("unescape failed")
-	}
-}
-
-func TestReadVerilogRejectsPositional(t *testing.T) {
-	src := "module m (a, y);\ninput a;\noutput y;\nINV_X1 g (a, y);\nendmodule\n"
-	if _, err := ReadVerilog(strings.NewReader(src)); err == nil {
-		t.Error("positional connections should be rejected")
-	}
-}
-
-func TestSplitTop(t *testing.T) {
-	got := splitTop(".A(n1), .B(f(x)), .C(y)")
-	if len(got) != 3 {
-		t.Fatalf("splitTop = %v", got)
 	}
 }

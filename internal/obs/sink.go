@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
+
+	"ageguard/internal/atomicfile"
 )
 
 // Snapshot is a point-in-time copy of a registry: the run-manifest
@@ -137,29 +137,8 @@ func fmtSec(v float64) string {
 }
 
 // WriteManifest snapshots the registry and writes the JSON run-manifest to
-// path atomically (unique temp file + rename), so a reader polling the
-// file during a long sweep never observes a torn document.
+// path atomically (atomicfile.Write), so a reader polling the file during
+// a long sweep never observes a torn document.
 func (r *Registry) WriteManifest(path string) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if err := r.Snapshot().WriteJSON(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
+	return atomicfile.Write(path, r.Snapshot().WriteJSON)
 }

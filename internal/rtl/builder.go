@@ -130,15 +130,6 @@ func (b *Builder) ReduceOr(x Bus) logic.Lit {
 	return r
 }
 
-// ReduceAnd returns the AND of all bits.
-func (b *Builder) ReduceAnd(x Bus) logic.Lit {
-	r := logic.True
-	for _, l := range x {
-		r = b.A.And(r, l)
-	}
-	return r
-}
-
 // fullAdder returns (sum, carry) of three bits.
 func (b *Builder) fullAdder(x, y, c logic.Lit) (logic.Lit, logic.Lit) {
 	return b.A.Xor(b.A.Xor(x, y), c), b.A.Maj(x, y, c)

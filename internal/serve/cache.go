@@ -3,7 +3,6 @@ package serve
 import (
 	"container/list"
 	"context"
-	"errors"
 	"sync"
 
 	"ageguard/internal/conc"
@@ -52,56 +51,42 @@ func newCache(max int, reg *obs.Registry) *cache {
 // singleflight leader runs fill (and counts the miss); callers that
 // joined an in-flight fill count under serve.cache.shared. When the
 // leader dies of its *own* deadline or cancellation while this caller's
-// ctx is still live, the work is retried under this ctx instead of
-// inheriting the foreign error — a client with a short deadline must
-// not poison the fill for everyone queued behind it. A leader whose ctx
-// carries a set of failed fills (withFailedFills) in which key already
-// failed returns that error instead of filling again.
+// ctx is still live, conc.Flight hands the fill to this caller instead
+// of failing it with the foreign error — a client with a short deadline
+// must not poison the fill for everyone queued behind it. A leader whose
+// ctx carries a set of failed fills (withFailedFills) in which key
+// already failed returns that error instead of filling again.
 func (c *cache) get(ctx context.Context, key string, fill func(context.Context) (any, error)) (any, error) {
-	for {
-		c.mu.Lock()
-		if el, ok := c.m[key]; ok {
-			c.ll.MoveToFront(el)
-			v := el.Value.(*entry).val
-			c.mu.Unlock()
-			c.hits.Inc()
-			return v, nil
+	if v, ok := c.peek(key); ok {
+		return v, nil
+	}
+	led := false
+	v, err := c.flight.Do(ctx, key, func() (any, error) {
+		led = true
+		failed, _ := ctx.Value(failedFillsKey{}).(*sync.Map)
+		if failed != nil {
+			if err, ok := failed.Load(key); ok {
+				return nil, err.(error)
+			}
 		}
-		c.mu.Unlock()
-
-		led := false
-		v, err := c.flight.Do(ctx, key, func() (any, error) {
-			led = true
-			failed, _ := ctx.Value(failedFillsKey{}).(*sync.Map)
+		c.misses.Inc()
+		v, err := fill(ctx)
+		if err != nil {
 			if failed != nil {
-				if err, ok := failed.Load(key); ok {
-					return nil, err.(error)
-				}
+				failed.Store(key, err)
 			}
-			c.misses.Inc()
-			v, err := fill(ctx)
-			if err != nil {
-				if failed != nil {
-					failed.Store(key, err)
-				}
-				return nil, err
-			}
-			c.put(key, v)
-			return v, nil
-		})
-		if err == nil {
-			if !led {
-				c.shared.Inc()
-			}
-			return v, nil
+			return nil, err
 		}
-		if ctx.Err() == nil && !led &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-				errors.Is(err, conc.ErrCanceled)) {
-			continue
-		}
+		c.put(key, v)
+		return v, nil
+	})
+	if err != nil {
 		return nil, err
 	}
+	if !led {
+		c.shared.Inc()
+	}
+	return v, nil
 }
 
 // peek returns the cached value for key without filling on miss. A hit

@@ -83,11 +83,10 @@ func (s *Server) mcGuardband(ctx context.Context, req *api.MCGuardbandRequest) (
 			return nil, err
 		}
 		res, err := s.cfg.Flow.MCGuardbandNetlist(ctx, req.Circuit, nl, sc, core.MCConfig{
-			Samples:     samples,
-			Seed:        req.Seed,
-			Variation:   v,
-			Bins:        bins,
-			Parallelism: s.cfg.Flow.Parallelism,
+			Samples:   samples,
+			Seed:      req.Seed,
+			Variation: v,
+			Bins:      bins,
 		})
 		if err != nil {
 			return nil, err

@@ -291,7 +291,6 @@ func TestBackpressure429WithRetryAfter(t *testing.T) {
 	cfg := quickConfig(dir)
 	cfg.MaxInflight = 1
 	cfg.QueueDepth = 1
-	cfg.RetryAfter = 2 * time.Second
 	cl, shutdown := startServer(t, cfg)
 	defer shutdown()
 
@@ -319,8 +318,8 @@ func TestBackpressure429WithRetryAfter(t *testing.T) {
 			okN++
 		case errors.As(err, &apiErr) && apiErr.Saturated():
 			shedN++
-			if apiErr.RetryAfter < time.Second {
-				t.Errorf("Retry-After = %v, want >= 1s", apiErr.RetryAfter)
+			if apiErr.RetryAfter != time.Second {
+				t.Errorf("Retry-After = %v, want 1s", apiErr.RetryAfter)
 			}
 		default:
 			t.Errorf("unexpected error: %v", err)

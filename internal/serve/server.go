@@ -49,10 +49,9 @@ type Config struct {
 	// MaxInflight bounds the number of requests doing work concurrently
 	// (default 4). QueueDepth bounds how many more may wait for a work
 	// slot (default 4*MaxInflight); beyond that requests are rejected
-	// with 429 and Retry-After of RetryAfter (default 1s).
+	// with 429 and a Retry-After of one second.
 	MaxInflight int
 	QueueDepth  int
-	RetryAfter  time.Duration
 
 	// RequestTimeout is the per-request deadline (default 5m). It
 	// propagates into characterization and STA, whose inner loops check
@@ -88,9 +87,6 @@ func (c *Config) fill() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxInflight
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Minute
@@ -298,8 +294,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, errc, rejected, t
 	case s.queue <- struct{}{}:
 	default:
 		rejected.Inc()
-		secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
 			errors.New("server saturated: admission queue full"))
 		return nil, nil, false

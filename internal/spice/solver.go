@@ -22,8 +22,10 @@ import (
 //   - MOS conductances come from the analytic derivatives of the compact
 //     model (device.IdsDeriv, evaluated through the precomputed
 //     device.Model form) instead of finite differences, and a linear
-//     predictor seeds each Newton solve from the previous step's slope
-//     (Options.FiniteDiffJacobian restores the legacy behaviour).
+//     predictor seeds each Newton solve from the previous step's slope.
+//     The tests check both against references: finite differences of
+//     the assembled residual, and Newton solves started without the
+//     predictor.
 //
 // Solver state is recycled through a sync.Pool (spice.pool.{hits,misses}).
 // The pool is safe under the package's concurrency contract: each
@@ -66,15 +68,13 @@ type capStamp struct {
 // mosStamp is a compiled MOSFET: the precomputed compact model (hot,
 // first for locality), terminal node indices, drain/gate/source unknown
 // indices (-1 when fixed) and the flat offsets of the six Jacobian cells
-// its conductances touch. The full Params is retained only for the
-// finite-difference fallback path.
+// its conductances touch.
 type mosStamp struct {
 	m             device.Model
 	d, g, s       int32
 	id, ig, is    int32
 	pdd, pdg, pds int32 // row id × columns (d, g, s)
 	psd, psg, pss int32 // row is × columns (d, g, s)
-	p             device.Params
 }
 
 // solver holds per-run mutable state: the compiled stamp program plus the
@@ -93,9 +93,7 @@ type solver struct {
 	dx    []float64
 
 	// Predictor state: linear extrapolation of the last accepted step
-	// seeds the Newton iteration in analytic mode (see step). Disabled in
-	// FiniteDiffJacobian mode to preserve the legacy trajectory exactly.
-	predict  bool
+	// seeds the Newton iteration (see step).
 	havePrev bool
 	hPrev    float64
 
@@ -218,7 +216,7 @@ func (s *solver) compile(c *Circuit) {
 		}
 		s.mos = append(s.mos, mosStamp{
 			m: m.p.Model(),
-			p: m.p, d: int32(m.d), g: int32(m.g), s: int32(m.s),
+			d: int32(m.d), g: int32(m.g), s: int32(m.s),
 			id: id, ig: ig, is: is,
 			pdd: pos(id, id), pdg: pos(id, ig), pds: pos(id, is),
 			psd: pos(is, id), psg: pos(is, ig), pss: pos(is, is),
@@ -232,7 +230,6 @@ func (s *solver) compile(c *Circuit) {
 func (s *solver) initState(opts Options) {
 	s.opts = opts
 	s.iters = 0
-	s.predict = !opts.FiniteDiffJacobian
 	s.havePrev = false
 	for i, nd := range s.c.nodes {
 		switch nd.kind {
@@ -297,11 +294,9 @@ func (s *solver) step(t, h float64) (bool, float64) {
 	// history available, free nodes start from a linear extrapolation of
 	// the last accepted step instead — typically one Newton iteration
 	// cheaper. The converged solution is unchanged (same residual, same
-	// tolerance); only the iteration path differs, so the predictor is
-	// disabled in FiniteDiffJacobian mode to keep the legacy trajectory
-	// reproducible bit for bit.
+	// tolerance); only the iteration path differs.
 	copy(s.vCur, s.vPrev)
-	if s.predict && s.havePrev && s.hPrev > 0 {
+	if s.havePrev && s.hPrev > 0 {
 		r := h / s.hPrev
 		for k := range s.frees {
 			n := s.frees[k].node
@@ -344,9 +339,8 @@ func (s *solver) step(t, h float64) (bool, float64) {
 
 // assemble builds the Newton system J*dx = -F at the current trial point
 // by executing the compiled stamp program. F_i is the sum of currents
-// leaving free node i. MOS conductances are analytic (device.IdsDeriv)
-// unless Options.FiniteDiffJacobian selects the legacy finite-difference
-// evaluation; caps and resistors are always stamped analytically.
+// leaving free node i. MOS conductances are the analytic derivatives of
+// the compact model (device.IdsDeriv).
 func (s *solver) assemble(h float64) {
 	jac, rhs := s.jac, s.rhs
 	for i := range jac {
@@ -404,10 +398,6 @@ func (s *solver) assemble(h float64) {
 		}
 	}
 
-	if s.opts.FiniteDiffJacobian {
-		s.assembleMOSFD()
-		return
-	}
 	for i := range s.mos {
 		m := &s.mos[i]
 		ids, gds, gm, gms := m.m.Eval(vc[m.d], vc[m.g], vc[m.s])
@@ -433,55 +423,6 @@ func (s *solver) assemble(h float64) {
 			}
 			if m.pss >= 0 {
 				jac[m.pss] -= gms
-			}
-		}
-	}
-}
-
-// assembleMOSFD is the legacy finite-difference MOS Jacobian: one Ids
-// evaluation for the residual plus one forward-difference evaluation per
-// free terminal. Kept as Options.FiniteDiffJacobian so the analytic
-// derivatives can be cross-checked end to end (see the differential
-// characterization test in package char).
-func (s *solver) assembleMOSFD() {
-	const fd = 1e-5 // finite-difference perturbation [V]
-	jac, rhs := s.jac, s.rhs
-	vc := s.vCur
-	for i := range s.mos {
-		m := &s.mos[i]
-		vd, vg, vs := vc[m.d], vc[m.g], vc[m.s]
-		ids := m.p.Ids(vd, vg, vs)
-		if m.id >= 0 {
-			rhs[m.id] -= ids
-		}
-		if m.is >= 0 {
-			rhs[m.is] += ids
-		}
-		if m.id >= 0 {
-			g := (m.p.Ids(vd+fd, vg, vs) - ids) / fd
-			if m.pdd >= 0 {
-				jac[m.pdd] += g
-			}
-			if m.psd >= 0 {
-				jac[m.psd] -= g
-			}
-		}
-		if m.ig >= 0 {
-			g := (m.p.Ids(vd, vg+fd, vs) - ids) / fd
-			if m.pdg >= 0 {
-				jac[m.pdg] += g
-			}
-			if m.psg >= 0 {
-				jac[m.psg] -= g
-			}
-		}
-		if m.is >= 0 {
-			g := (m.p.Ids(vd, vg, vs+fd) - ids) / fd
-			if m.pds >= 0 {
-				jac[m.pds] += g
-			}
-			if m.pss >= 0 {
-				jac[m.pss] -= g
 			}
 		}
 	}

@@ -187,16 +187,6 @@ type Options struct {
 	// tests; production configurations leave it nil.
 	FaultHook func(attempt int) error
 
-	// FiniteDiffJacobian selects the legacy finite-difference MOS
-	// Jacobian (one Ids evaluation per free terminal per Newton
-	// iteration) instead of the analytic device.IdsDeriv stamps. The
-	// residual — and therefore the converged waveform — is the same
-	// either way; this escape hatch exists to cross-check the analytic
-	// derivatives end to end (differential tests characterize the full
-	// cell catalog in both modes) and to debug suspected derivative
-	// regressions after compact-model changes. Default false (analytic).
-	FiniteDiffJacobian bool
-
 	attempt int // escalation-ladder rung, set by RunRetry
 }
 
@@ -264,11 +254,6 @@ func (c *Circuit) runTransient(ctx context.Context, tstop float64, opts Options,
 		s.compile(c)
 	}
 	s.initState(opts)
-	if opts.FiniteDiffJacobian {
-		reg.Counter("spice.jacobian.fd").Inc()
-	} else {
-		reg.Counter("spice.jacobian.analytic").Inc()
-	}
 
 	t0 := time.Now()
 	accepted, rejected := int64(0), int64(0)

@@ -22,20 +22,6 @@ const (
 // ttMask returns the valid-bit mask for an n-leaf truth table.
 func ttMask(n int) uint16 { return uint16(1)<<(1<<uint(n)) - 1 }
 
-// ttVar returns the projection function of leaf i among n leaves.
-func ttVar(i int) uint16 {
-	switch i {
-	case 0:
-		return 0xAAAA
-	case 1:
-		return 0xCCCC
-	case 2:
-		return 0xF0F0
-	default:
-		return 0xFF00
-	}
-}
-
 // expand remaps a truth table over oldLeaves onto the superset newLeaves.
 func expand(tt uint16, oldLeaves, newLeaves []uint32) uint16 {
 	pos := make([]int, len(oldLeaves))

@@ -61,7 +61,8 @@ fuzz-smoke:
 		-fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # bench-smoke runs every kernel benchmark once: internal/sta's
-# (InnerLoop*, Grid*, MCSample at 400 and 3600 gates, TopPaths) and
+# (InnerLoop*, Grid*, MCSample at 400 and 3600 gates, TopPaths one-shot
+# and on a compiled BatchTimer) and
 # internal/char's SPICE kernel (ArcTransientINVX1, ArcTransientXOR2X1,
 # CharacterizeINVX1), about 4 s on a warm build cache, so a benchmark
 # that stops running fails verify instead of the next measurement. One

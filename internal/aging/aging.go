@@ -100,11 +100,6 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// IsFresh reports whether the scenario involves no aging at all.
-func (s Scenario) IsFresh() bool {
-	return s.Years == 0 || (s.LambdaP == 0 && s.LambdaN == 0)
-}
-
 // String formats the scenario as e.g. "10.0y lp=1.0 ln=1.0".
 func (s Scenario) String() string {
 	return fmt.Sprintf("%.1fy lp=%.1f ln=%.1f", s.Years, s.LambdaP, s.LambdaN)

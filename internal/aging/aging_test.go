@@ -214,3 +214,8 @@ func TestScenarioValidate(t *testing.T) {
 		}
 	}
 }
+
+// IsFresh reports whether the scenario involves no aging at all.
+func (s Scenario) IsFresh() bool {
+	return s.Years == 0 || (s.LambdaP == 0 && s.LambdaN == 0)
+}

@@ -26,44 +26,6 @@ func ByName(name string) (*Cell, bool) {
 	return c, ok
 }
 
-// MustByName is ByName that panics on unknown names; for internal tables.
-func MustByName(name string) *Cell {
-	c, ok := ByName(name)
-	if !ok {
-		panic("cells: unknown cell " + name)
-	}
-	return c
-}
-
-// Bases returns the distinct base names in the catalog, sorted.
-func Bases() []string {
-	catalogOnce.Do(buildCatalog)
-	set := map[string]bool{}
-	for _, c := range catalog {
-		set[c.Base] = true
-	}
-	var out []string
-	for b := range set {
-		out = append(out, b)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Variants returns all drive-strength variants of the given base, sorted
-// by ascending drive. Used by the gate-sizing optimization pass.
-func Variants(base string) []*Cell {
-	catalogOnce.Do(buildCatalog)
-	var out []*Cell
-	for _, c := range catalog {
-		if c.Base == base {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Drive < out[j].Drive })
-	return out
-}
-
 var (
 	catalogOnce   sync.Once
 	catalog       []*Cell

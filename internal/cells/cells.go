@@ -20,7 +20,6 @@ package cells
 
 import (
 	"fmt"
-	"sort"
 
 	"ageguard/internal/device"
 	"ageguard/internal/units"
@@ -119,22 +118,6 @@ func (t *Topology) pParallel(a, b string, w float64, gates ...string) {
 	for _, g := range gates {
 		t.pmos(a, g, b, w)
 	}
-}
-
-// Nodes returns the sorted set of all node names used by the topology.
-func (t *Topology) Nodes() []string {
-	set := map[string]bool{}
-	for _, d := range t.Devices {
-		set[d.D] = true
-		set[d.G] = true
-		set[d.S] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Cell is one standard cell.

@@ -1,6 +1,7 @@
 package cells
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -191,4 +192,58 @@ func TestNodesSortedUnique(t *testing.T) {
 			t.Fatalf("Nodes not sorted/unique: %v", n)
 		}
 	}
+}
+
+// MustByName is ByName that panics on unknown names; for internal tables.
+func MustByName(name string) *Cell {
+	c, ok := ByName(name)
+	if !ok {
+		panic("cells: unknown cell " + name)
+	}
+	return c
+}
+
+// Bases returns the distinct base names in the catalog, sorted.
+func Bases() []string {
+	catalogOnce.Do(buildCatalog)
+	set := map[string]bool{}
+	for _, c := range catalog {
+		set[c.Base] = true
+	}
+	var out []string
+	for b := range set {
+		out = append(out, b)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Variants returns all drive-strength variants of the given base, sorted
+// by ascending drive. Used by the gate-sizing optimization pass.
+func Variants(base string) []*Cell {
+	catalogOnce.Do(buildCatalog)
+	var out []*Cell
+	for _, c := range catalog {
+		if c.Base == base {
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Drive < out[j].Drive })
+	return out
+}
+
+// Nodes returns the sorted set of all node names used by the topology.
+func (t *Topology) Nodes() []string {
+	set := map[string]bool{}
+	for _, d := range t.Devices {
+		set[d.D] = true
+		set[d.G] = true
+		set[d.S] = true
+	}
+	out := make([]string, 0, len(set))
+	for n := range set {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
 }

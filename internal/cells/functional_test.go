@@ -52,10 +52,11 @@ func TestTopologyImplementsFunction(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s bits=%b: %v", c.Name, bits, err)
 			}
-			got := res.Final(out) > vdd/2
+			final := res.Voltage(res.Samples()-1, out)
+			got := final > vdd/2
 			if want := c.Eval(bits); got != want {
 				t.Errorf("%s(%0*b) = %v (%.3fV), want %v",
-					c.Name, n, bits, got, res.Final(out), want)
+					c.Name, n, bits, got, final, want)
 			}
 		}
 	}

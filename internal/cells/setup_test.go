@@ -38,7 +38,7 @@ func TestMeasureDFFSetup(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.Final(out) > 0.9*vdd
+		return res.Voltage(res.Samples()-1, out) > 0.9*vdd
 	}
 	lo, hi := 0.0, 60*units.Ps
 	if !captures(hi) {

@@ -297,13 +297,23 @@ func (cfg Config) libName(s aging.Scenario) string {
 	return fmt.Sprintf("aged_y%.1f_%s%s", s.Years, s.Key(), suffix)
 }
 
+// numericsVersion names the characterization numerics: the device
+// equations, the transient solver and the measurements that turn
+// waveforms into table values. Config.Hash includes it, so cache entries
+// written by older numerics are never read back as this build's. Bump it
+// with every change that moves a table value: TestNumericsFingerprint
+// fails on such a change, and its recorded value is re-recorded with the
+// bump.
+const numericsVersion = 1
+
 // Hash fingerprints every configuration knob that affects the simulated
-// tables: the device technology, the aging model, the exact grid axis
-// values (not just their counts), the VthOnly mode and the cell set. The
-// cache filename embeds it, so changing e.g. one OPC grid point can never
-// silently reuse a stale entry characterized under the old grid. The
-// hashed structs are plain numeric data, so the canonical %v dump is
-// deterministic across processes and builds.
+// tables: the numerics version, the device technology, the aging model,
+// the exact grid axis values (not just their counts), the VthOnly mode
+// and the cell set. The cache filename embeds it, so changing e.g. one
+// OPC grid point or the solver can never silently reuse a stale entry
+// characterized under the old grid or numerics. The hashed structs are
+// plain numeric data, so the canonical %v dump is deterministic across
+// processes and builds.
 //
 // Resilience knobs (Retries, Strict) and the fault-injection seams are
 // deliberately excluded: they never change the value of a converged grid
@@ -312,11 +322,9 @@ func (cfg Config) libName(s aging.Scenario) string {
 // salvaged points at load time (see loadCache).
 func (cfg Config) Hash() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "tech=%v|model=%v|slews=%v|loads=%v|vthonly=%v|cells=%q",
-		cfg.Tech, cfg.Model, cfg.Slews, cfg.Loads, cfg.VthOnly, cfg.Cells)
+	fmt.Fprintf(h, "numerics=%d|tech=%v|model=%v|slews=%v|loads=%v|vthonly=%v|cells=%q",
+		numericsVersion, cfg.Tech, cfg.Model, cfg.Slews, cfg.Loads, cfg.VthOnly, cfg.Cells)
 	if !cfg.Perturb.IsZero() {
-		// Appended conditionally so nominal-process hashes (and their
-		// cache filenames) are unchanged from earlier builds.
 		fmt.Fprintf(h, "|perturb=%v", cfg.Perturb)
 	}
 	return h.Sum64()

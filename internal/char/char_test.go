@@ -35,8 +35,18 @@ func TestLogAxis(t *testing.T) {
 	}
 }
 
+// catalogCell returns the catalog cell of that name.
+func catalogCell(t *testing.T, name string) *cells.Cell {
+	t.Helper()
+	c, ok := cells.ByName(name)
+	if !ok {
+		t.Fatalf("no catalog cell %q", name)
+	}
+	return c
+}
+
 func TestDiscoverArcs(t *testing.T) {
-	nand := cells.MustByName("NAND2_X1")
+	nand := catalogCell(t, "NAND2_X1")
 	arcs := DiscoverArcs(nand)
 	if len(arcs) != 2 {
 		t.Fatalf("NAND2 arcs = %d, want 2", len(arcs))
@@ -51,20 +61,20 @@ func TestDiscoverArcs(t *testing.T) {
 		t.Errorf("NAND2 A1 arc = %+v", arcs[0])
 	}
 
-	xor := cells.MustByName("XOR2_X1")
+	xor := catalogCell(t, "XOR2_X1")
 	xa := DiscoverArcs(xor)
 	if len(xa) != 4 {
 		t.Fatalf("XOR2 arcs = %d, want 4 (2 pins x 2 senses)", len(xa))
 	}
 
-	mux := cells.MustByName("MUX2_X1")
+	mux := catalogCell(t, "MUX2_X1")
 	ma := DiscoverArcs(mux)
 	// A (1 arc), B (1 arc), S (2 arcs).
 	if len(ma) != 4 {
 		t.Fatalf("MUX2 arcs = %d, want 4", len(ma))
 	}
 
-	inv := cells.MustByName("INV_X1")
+	inv := catalogCell(t, "INV_X1")
 	ia := DiscoverArcs(inv)
 	if len(ia) != 1 || ia[0].Sense != liberty.NegativeUnate {
 		t.Fatalf("INV arcs = %+v", ia)

@@ -662,34 +662,34 @@ func (g *GuardbandGrid) Format() string {
 }
 
 // GuardbandGridFor synthesizes the circuit traditionally, then times
-// the one netlist under all 121 duty-cycle libraries of the paper's grid
-// with one sta.BatchTimer: the netlist topology is compiled once and
-// every library only rebinds timing views, fanning out over one worker
-// per CPU. Canceling ctx stops both the
-// characterization sweep and the timing mid-flight with an error
-// matching conc.ErrCanceled.
+// the one netlist under the fresh library and all 121 duty-cycle
+// libraries of the paper's grid with one sta.BatchTimer: the netlist is
+// compiled once and every library only rebinds timing views, fanning out
+// over one worker per CPU. Canceling ctx stops both the characterization
+// sweep and the timing mid-flight with an error matching
+// conc.ErrCanceled.
 func (f Flow) GuardbandGridFor(ctx context.Context, circuit string) (*GuardbandGrid, error) {
 	ctx, sp := obs.StartSpan(ctx, "core.guardband.grid")
 	defer sp.End()
 	sp.SetAttr("circuit", circuit)
-	nl, err := f.SynthesizeTraditional(ctx, circuit)
-	if err != nil {
-		return nil, err
-	}
 	fresh, err := f.FreshLibrary(ctx)
 	if err != nil {
 		return nil, err
 	}
-	fcp, err := f.CP(ctx, nl, fresh)
+	nl, err := f.Synthesized(ctx, circuit, fresh)
+	if err != nil {
+		return nil, err
+	}
+	bt, err := sta.NewBatchTimer(ctx, nl, fresh, f.STA)
+	if err != nil {
+		return nil, err
+	}
+	fcp, err := bt.CP(ctx, fresh)
 	if err != nil {
 		return nil, err
 	}
 	scens := aging.GridScenarios(f.Lifetime)
 	libs, err := f.Char.CharacterizeAll(ctx, scens)
-	if err != nil {
-		return nil, err
-	}
-	bt, err := sta.NewBatchTimer(ctx, nl, libs[0], f.STA)
 	if err != nil {
 		return nil, err
 	}

@@ -151,20 +151,26 @@ func (f Flow) synthConfig() synth.Config {
 	return cfg
 }
 
+// synthVersion names the synthesis algorithms: logic optimization,
+// technology mapping and the post-mapping passes. netlistCachePath
+// includes it; bump it with every change that can alter a synthesized
+// netlist, so netlists cached by older synthesis are never read back.
+const synthVersion = 1
+
 // netlistCachePath keys cached netlists by circuit, library name and a
-// fingerprint of every configuration knob that shapes the synthesized
-// result: the full characterization config (the library name alone does
-// not encode grid axes or model constants) and the effective synthesis
-// config — which includes the threaded STA parameters, so changing
-// Flow.STA can never silently reuse a netlist optimized under different
-// timing conditions. A changed knob therefore never reuses a stale
-// netlist.
+// fingerprint of everything that shapes the synthesized result: the
+// synthesis version, the full characterization config (the library name
+// alone does not encode grid axes, model constants or the numerics
+// version) and the effective synthesis config — which includes the
+// threaded STA parameters, so changing Flow.STA can never silently reuse
+// a netlist optimized under different timing conditions. A changed knob
+// or algorithm therefore never reuses a stale netlist.
 func (f Flow) netlistCachePath(circuit string, lib *liberty.Library) string {
 	if f.Char.CacheDir == "" {
 		return ""
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "char=%016x|synth=%v", f.Char.Hash(), f.synthConfig())
+	fmt.Fprintf(h, "synthesis=%d|char=%016x|synth=%v", synthVersion, f.Char.Hash(), f.synthConfig())
 	return filepath.Join(f.Char.CacheDir,
 		fmt.Sprintf("netl_%s_%s_h%016x.netl", circuit, lib.Name, h.Sum64()))
 }
@@ -193,11 +199,11 @@ func (f Flow) SynthesizeAgingAware(ctx context.Context, circuit string) (*netlis
 // under the library, recording the analysis in the registry carried by
 // ctx.
 func (f Flow) CP(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library) (float64, error) {
-	res, err := sta.Analyze(ctx, nl, lib, f.STA)
+	bt, err := sta.NewBatchTimer(ctx, nl, lib, f.STA)
 	if err != nil {
 		return 0, err
 	}
-	return res.CP, nil
+	return bt.CP(ctx, lib)
 }
 
 // Guardband is one guardband estimation outcome (paper Fig. 4b): the
@@ -226,11 +232,15 @@ func (f Flow) StaticGuardband(ctx context.Context, circuit string, nl *netlist.N
 	if err != nil {
 		return Guardband{}, err
 	}
-	fcp, err := f.CP(ctx, nl, fresh)
+	bt, err := sta.NewBatchTimer(ctx, nl, fresh, f.STA)
 	if err != nil {
 		return Guardband{}, err
 	}
-	acp, err := f.CP(ctx, nl, aged)
+	fcp, err := bt.CP(ctx, fresh)
+	if err != nil {
+		return Guardband{}, err
+	}
+	acp, err := bt.CP(ctx, aged)
 	if err != nil {
 		return Guardband{}, err
 	}

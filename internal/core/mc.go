@@ -115,10 +115,25 @@ func (f Flow) MCGuardband(ctx context.Context, circuit string, s aging.Scenario,
 	return f.MCGuardbandNetlist(ctx, circuit, nl, s, mc)
 }
 
-// MCGuardbandNetlist runs the Monte Carlo guardband estimation on an
-// already-synthesized netlist. Results are bit-identical for equal
-// (netlist, scenario, MCConfig) regardless of MCConfig.Parallelism.
+// MCGuardbandNetlist compiles an already-synthesized netlist against the
+// fresh library and runs MCGuardbandTimer on it.
 func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlist.Netlist, s aging.Scenario, mc MCConfig) (*MCResult, error) {
+	fresh, err := f.FreshLibrary(ctx)
+	if err != nil {
+		return nil, err
+	}
+	bt, err := sta.NewBatchTimer(ctx, nl, fresh, f.STA)
+	if err != nil {
+		return nil, err
+	}
+	return f.MCGuardbandTimer(ctx, circuit, bt, s, mc)
+}
+
+// MCGuardbandTimer runs the Monte Carlo guardband estimation on a
+// compiled netlist, whose footprints must be the flow's libraries'.
+// Results are bit-identical for equal (netlist, scenario, MCConfig)
+// regardless of MCConfig.Parallelism.
+func (f Flow) MCGuardbandTimer(ctx context.Context, circuit string, bt *sta.BatchTimer, s aging.Scenario, mc MCConfig) (*MCResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "core.guardband.mc")
 	defer sp.End()
 	sp.SetAttr("circuit", circuit)
@@ -142,15 +157,11 @@ func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlis
 		return nil, err
 	}
 
-	// One compiled topology of the netlist serves the nominal point and
-	// every sample: pin capacitances are geometry-only, so loads — and
-	// the compiled topology — are shared by both scenarios. The nominal
-	// point equals StaticGuardband's (BatchTimer.CP is bit-identical to
+	// The one compiled netlist serves the nominal point and every
+	// sample: pin capacitances are geometry-only, so loads — and the
+	// compiled topology — are shared by both scenarios. The nominal point
+	// equals StaticGuardband's (BatchTimer.CP is bit-identical to
 	// Analyze).
-	bt, err := sta.NewBatchTimer(ctx, nl, snFresh.Base, f.STA)
-	if err != nil {
-		return nil, err
-	}
 	fcp, err := bt.CP(ctx, snFresh.Base)
 	if err != nil {
 		return nil, err
@@ -181,17 +192,18 @@ func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlis
 	}
 	// Samples reuse weights buffers. A buffer is made only when none is
 	// free, so there are at most as many as samples timed at once.
+	insts := bt.Insts()
 	bufs := make(chan []liberty.DeltaWeights, mc.workers())
 	err = conc.ParFor(ctx, mc.workers(), n, func(i int) error {
 		var w []liberty.DeltaWeights
 		select {
 		case w = <-bufs:
 		default:
-			w = make([]liberty.DeltaWeights, len(nl.Insts))
+			w = make([]liberty.DeltaWeights, len(insts))
 		}
 		defer func() { bufs <- w }()
-		for k, in := range nl.Insts {
-			w[k] = char.Weights(mc.Variation.Sample(mc.Seed, uint64(i), in.Name))
+		for k, inst := range insts {
+			w[k] = char.Weights(mc.Variation.Sample(mc.Seed, uint64(i), inst))
 		}
 		sf, err := fb.CP(ctx, w)
 		if err != nil {

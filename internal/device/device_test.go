@@ -260,3 +260,34 @@ func TestModelMatchesIdsDeriv(t *testing.T) {
 		}
 	}
 }
+
+// Gm returns the numerical transconductance dIds/dVg at the operating point.
+func (p Params) Gm(vd, vg, vs float64) float64 {
+	const h = 1e-4
+	return (p.Ids(vd, vg+h, vs) - p.Ids(vd, vg-h, vs)) / (2 * h)
+}
+
+// Gds returns the numerical output conductance dIds/dVd.
+func (p Params) Gds(vd, vg, vs float64) float64 {
+	const h = 1e-4
+	return (p.Ids(vd+h, vg, vs) - p.Ids(vd-h, vg, vs)) / (2 * h)
+}
+
+// EffectiveResistance estimates the switching resistance Vdd/(2*Ion),
+// used for quick RC delay sanity checks in tests.
+func (p Params) EffectiveResistance(vdd float64) float64 {
+	ion := p.OnCurrent(vdd)
+	if ion <= 0 {
+		return math.Inf(1)
+	}
+	return vdd / (2 * ion)
+}
+
+// OnCurrent returns the saturated on-current at full gate drive with the
+// given supply, a convenient figure of merit for tests and calibration.
+func (p Params) OnCurrent(vdd float64) float64 {
+	if p.Type == NMOS {
+		return p.Ids(vdd, vdd, 0)
+	}
+	return -p.Ids(0, 0, vdd)
+}

@@ -203,23 +203,6 @@ func (ct *CellTiming) ArcsFor(pin string) []Arc {
 	return out
 }
 
-// WorstDelay returns the largest delay of any arc/edge at (slew, load),
-// a convenient pessimistic summary used by the mapper's quick estimates.
-func (ct *CellTiming) WorstDelay(slew, load float64) float64 {
-	var w float64
-	for _, a := range ct.Arcs {
-		for e := 0; e < 2; e++ {
-			if a.Delay[e] == nil {
-				continue
-			}
-			if d := a.Delay[e].At(slew, load); d > w {
-				w = d
-			}
-		}
-	}
-	return w
-}
-
 // Library is one characterized library: all cells under a single aging
 // scenario.
 type Library struct {

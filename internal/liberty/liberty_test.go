@@ -253,3 +253,20 @@ func TestMustCellPanics(t *testing.T) {
 	}()
 	testLibrary().MustCell("NOPE")
 }
+
+// WorstDelay returns the largest delay of any arc/edge at (slew, load),
+// a convenient pessimistic summary used by the mapper's quick estimates.
+func (ct *CellTiming) WorstDelay(slew, load float64) float64 {
+	var w float64
+	for _, a := range ct.Arcs {
+		for e := 0; e < 2; e++ {
+			if a.Delay[e] == nil {
+				continue
+			}
+			if d := a.Delay[e].At(slew, load); d > w {
+				w = d
+			}
+		}
+	}
+	return w
+}

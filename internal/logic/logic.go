@@ -30,14 +30,6 @@ func (l Lit) Node() uint32 { return uint32(l) >> 1 }
 // Compl reports whether the literal is complemented.
 func (l Lit) Compl() bool { return l&1 == 1 }
 
-// NotIf complements the literal when c is true.
-func (l Lit) NotIf(c bool) Lit {
-	if c {
-		return l ^ 1
-	}
-	return l
-}
-
 const inputMark = math.MaxUint32
 
 // AIG is an And-Inverter Graph. Create with New; nodes are appended
@@ -70,9 +62,6 @@ func New() *AIG {
 
 // NumNodes returns the node count including constants and inputs.
 func (a *AIG) NumNodes() int { return len(a.fan0) }
-
-// NumAnds returns the number of AND nodes.
-func (a *AIG) NumAnds() int { return len(a.fan0) - 1 - len(a.inputs) }
 
 // NumInputs returns the primary-input count.
 func (a *AIG) NumInputs() int { return len(a.inputs) }
@@ -154,12 +143,6 @@ func (a *AIG) And(x, y Lit) Lit {
 // Or returns x OR y.
 func (a *AIG) Or(x, y Lit) Lit { return a.And(x.Not(), y.Not()).Not() }
 
-// Nand returns NOT (x AND y).
-func (a *AIG) Nand(x, y Lit) Lit { return a.And(x, y).Not() }
-
-// Nor returns NOT (x OR y).
-func (a *AIG) Nor(x, y Lit) Lit { return a.Or(x, y).Not() }
-
 // Xor returns x XOR y.
 func (a *AIG) Xor(x, y Lit) Lit {
 	return a.Or(a.And(x, y.Not()), a.And(x.Not(), y))
@@ -176,17 +159,6 @@ func (a *AIG) Mux(s, t, f Lit) Lit {
 // Maj returns the majority of three literals (full-adder carry).
 func (a *AIG) Maj(x, y, z Lit) Lit {
 	return a.Or(a.And(x, y), a.Or(a.And(x, z), a.And(y, z)))
-}
-
-// MaxLevel returns the largest output logic depth.
-func (a *AIG) MaxLevel() int {
-	m := 0
-	for _, o := range a.outputs {
-		if l := a.Level(o.L); l > m {
-			m = l
-		}
-	}
-	return m
 }
 
 // Eval64 evaluates the network bit-parallel over 64 input vectors at once.

@@ -183,3 +183,31 @@ func TestInputNames(t *testing.T) {
 		t.Error("NumInputs wrong")
 	}
 }
+
+// NotIf complements the literal when c is true.
+func (l Lit) NotIf(c bool) Lit {
+	if c {
+		return l ^ 1
+	}
+	return l
+}
+
+// NumAnds returns the number of AND nodes.
+func (a *AIG) NumAnds() int { return len(a.fan0) - 1 - len(a.inputs) }
+
+// Nand returns NOT (x AND y).
+func (a *AIG) Nand(x, y Lit) Lit { return a.And(x, y).Not() }
+
+// Nor returns NOT (x OR y).
+func (a *AIG) Nor(x, y Lit) Lit { return a.Or(x, y).Not() }
+
+// MaxLevel returns the largest output logic depth.
+func (a *AIG) MaxLevel() int {
+	m := 0
+	for _, o := range a.outputs {
+		if l := a.Level(o.L); l > m {
+			m = l
+		}
+	}
+	return m
+}

@@ -465,13 +465,18 @@ func TestVLIWCrossBypass(t *testing.T) {
 func TestBenchmarkSizes(t *testing.T) {
 	for name, gen := range Benchmarks() {
 		a := gen()
-		if a.NumAnds() < 500 {
-			t.Errorf("%s: only %d AND nodes; too small to be a realistic benchmark", name, a.NumAnds())
+		ands := a.NumNodes() - 1 - a.NumInputs() // node 0 is the constant
+		if ands < 500 {
+			t.Errorf("%s: only %d AND nodes; too small to be a realistic benchmark", name, ands)
 		}
-		if a.MaxLevel() < 10 {
-			t.Errorf("%s: depth %d too shallow", name, a.MaxLevel())
+		depth := 0
+		for _, o := range a.Outputs() {
+			depth = max(depth, a.Level(o.L))
+		}
+		if depth < 10 {
+			t.Errorf("%s: depth %d too shallow", name, depth)
 		}
 		t.Logf("%s: %d ands, depth %d, %d in, %d out",
-			name, a.NumAnds(), a.MaxLevel(), a.NumInputs(), len(a.Outputs()))
+			name, ands, depth, a.NumInputs(), len(a.Outputs()))
 	}
 }

@@ -17,9 +17,9 @@ import (
 // batch answer is bit-identical to its single-request counterpart by
 // construction and validation exists once. Items run in parallel over
 // internal/conc under the batch's one admission ticket; their
-// libraries, netlists and analyzers come from the same LRU +
-// singleflight as single requests, so items (and concurrent single
-// queries) that share a scenario characterize it once.
+// libraries, compiled netlists and critical paths come from the same
+// LRU + singleflight as single requests, so items (and concurrent
+// single queries) that share a scenario characterize it once.
 //
 // The marshaled wire fragment of every successful item is memoized in
 // the LRU under the item's raw request bytes. A later item with the

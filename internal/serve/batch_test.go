@@ -54,8 +54,8 @@ func worstSc() api.Scenario { return api.Scenario{Kind: "worst", Years: 10} }
 
 // testBatchItems is the canonical 12-item heterogeneous batch the batch
 // tests share: heavy duplication on purpose, so the count of unique
-// fills (3 libraries: fresh/worst/balance, 1 netlist, 3 analyzers, 1
-// paths response) is far below the item count.
+// fills (3 libraries: fresh/worst/balance, 1 compiled netlist, 3
+// critical paths, 1 paths response) is far below the item count.
 func testBatchItems() []api.BatchItem {
 	gb := func(sc api.Scenario) api.BatchItem {
 		return api.GuardbandItem(api.GuardbandRequest{Circuit: testCircuit, Scenario: sc})
@@ -93,7 +93,7 @@ func TestBatchPlannerDedupes(t *testing.T) {
 	run()
 	snap := s.reg.Snapshot()
 	if got := snap.Counters["serve.cache.misses"]; got != 8 {
-		t.Errorf("cold batch misses = %d, want 8 (3 libs + 1 netlist + 3 analyzers + 1 paths response)", got)
+		t.Errorf("cold batch misses = %d, want 8 (3 libs + 1 compiled netlist + 3 CPs + 1 paths response)", got)
 	}
 	if got := snap.Counters["serve.batch.items"]; got != 12 {
 		t.Errorf("batch.items = %d, want 12", got)

@@ -10,10 +10,11 @@ import (
 )
 
 // cache is the daemon's bounded in-memory LRU, keyed by namespaced
-// strings ("lib|...", "nl|...", "az|..."), with per-key singleflight:
-// concurrent misses for one key run the fill function once and share
-// its result. Values are immutable once inserted (libraries, netlists,
-// response payloads) or guard their own mutation (analyzerEntry).
+// strings ("lib|...", "nl|...", "cp|...", reply keys), with per-key
+// singleflight: concurrent misses for one key run the fill function
+// once and share its result. Every value is immutable once inserted
+// (libraries, compiled netlists, critical-path delays, replies), so
+// readers share it without a lock.
 type cache struct {
 	mu  sync.Mutex
 	max int

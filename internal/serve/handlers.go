@@ -6,12 +6,10 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 
 	"ageguard/internal/aging"
 	"ageguard/internal/core"
 	"ageguard/internal/liberty"
-	"ageguard/internal/netlist"
 	"ageguard/internal/sta"
 	"ageguard/pkg/ageguard/api"
 )
@@ -118,40 +116,37 @@ func (s *Server) library(ctx context.Context, sc aging.Scenario) (*liberty.Libra
 	return v.(*liberty.Library), nil
 }
 
-// netlist returns the traditionally synthesized netlist for a circuit
-// through the LRU.
-func (s *Server) netlist(ctx context.Context, circuit string) (*netlist.Netlist, error) {
+// timer returns the compiled form of a circuit's traditionally
+// synthesized netlist through the LRU: the circuit is synthesized with
+// the LRU's fresh library and compiled against it once, and only the
+// sta.BatchTimer stays resident. Every scenario's guardband, paths and
+// Monte Carlo fill times on it.
+func (s *Server) timer(ctx context.Context, circuit string) (*sta.BatchTimer, error) {
 	key := "nl|" + s.cfgHash + "|" + circuit
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
-		return s.cfg.Flow.SynthesizeTraditional(ctx, circuit)
+		lib, err := s.library(ctx, aging.Fresh())
+		if err != nil {
+			return nil, err
+		}
+		nl, err := s.cfg.Flow.Synthesized(ctx, circuit, lib)
+		if err != nil {
+			return nil, err
+		}
+		return sta.NewBatchTimer(ctx, nl, lib, s.cfg.Flow.STA)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*netlist.Netlist), nil
+	return v.(*sta.BatchTimer), nil
 }
 
-// analyzerEntry wraps a compiled sta.Analyzer for shared use: the
-// engine's lazy traceback mutates internal state, so every read goes
-// through the entry mutex.
-type analyzerEntry struct {
-	mu sync.Mutex
-	az *sta.Analyzer
-}
-
-func (e *analyzerEntry) cp() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.az.CP()
-}
-
-// analyzer returns the compiled timing engine for (circuit, scenario)
-// through the LRU: topology compilation and the forward pass happen
-// once; warm queries only read the precomputed critical path.
-func (s *Server) analyzer(ctx context.Context, circuit string, sc aging.Scenario) (*analyzerEntry, error) {
-	key := "az|" + s.cfgHash + "|" + circuit + "|" + scenarioKey(sc)
+// cp returns the critical-path delay of a circuit under a scenario
+// through the LRU: the fill times the circuit's timer once; warm
+// queries read the stored float.
+func (s *Server) cp(ctx context.Context, circuit string, sc aging.Scenario) (float64, error) {
+	key := "cp|" + s.cfgHash + "|" + circuit + "|" + scenarioKey(sc)
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
-		nl, err := s.netlist(ctx, circuit)
+		bt, err := s.timer(ctx, circuit)
 		if err != nil {
 			return nil, err
 		}
@@ -159,16 +154,12 @@ func (s *Server) analyzer(ctx context.Context, circuit string, sc aging.Scenario
 		if err != nil {
 			return nil, err
 		}
-		az, err := sta.NewAnalyzer(ctx, nl, lib, s.cfg.Flow.STA)
-		if err != nil {
-			return nil, err
-		}
-		return &analyzerEntry{az: az}, nil
+		return bt.CP(ctx, lib)
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return v.(*analyzerEntry), nil
+	return v.(float64), nil
 }
 
 // guardband answers POST /v1/guardband: fresh and aged critical paths
@@ -184,15 +175,14 @@ func (s *Server) guardband(ctx context.Context, req *api.GuardbandRequest) (any,
 	if err != nil {
 		return nil, err
 	}
-	fresh, err := s.analyzer(ctx, req.Circuit, aging.Fresh())
+	fcp, err := s.cp(ctx, req.Circuit, aging.Fresh())
 	if err != nil {
 		return nil, fmt.Errorf("fresh analysis: %w", err)
 	}
-	aged, err := s.analyzer(ctx, req.Circuit, sc)
+	acp, err := s.cp(ctx, req.Circuit, sc)
 	if err != nil {
 		return nil, fmt.Errorf("aged analysis: %w", err)
 	}
-	fcp, acp := fresh.cp(), aged.cp()
 	resp := api.GuardbandResponse{
 		Version:    api.APIVersion,
 		Circuit:    req.Circuit,
@@ -317,7 +307,7 @@ func (s *Server) paths(ctx context.Context, req *api.PathsRequest) (any, error) 
 	}
 	key := fmt.Sprintf("paths|%s|%s|%s|%d", s.cfgHash, req.Circuit, scenarioKey(sc), k)
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
-		nl, err := s.netlist(ctx, req.Circuit)
+		bt, err := s.timer(ctx, req.Circuit)
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +315,7 @@ func (s *Server) paths(ctx context.Context, req *api.PathsRequest) (any, error) 
 		if err != nil {
 			return nil, err
 		}
-		ps, err := sta.TopPaths(ctx, nl, lib, s.cfg.Flow.STA, k)
+		ps, err := bt.TopPaths(ctx, lib, k)
 		if err != nil {
 			return nil, err
 		}

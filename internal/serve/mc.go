@@ -78,11 +78,11 @@ func (s *Server) mcGuardband(ctx context.Context, req *api.MCGuardbandRequest) (
 	key := "mc|" + s.cfgHash + "|" + req.Circuit + "|" + scenarioKey(sc) + "|" +
 		mcParamKey(samples, req.Seed, v, bins)
 	out, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
-		nl, err := s.netlist(ctx, req.Circuit)
+		bt, err := s.timer(ctx, req.Circuit)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.cfg.Flow.MCGuardbandNetlist(ctx, req.Circuit, nl, sc, core.MCConfig{
+		res, err := s.cfg.Flow.MCGuardbandTimer(ctx, req.Circuit, bt, sc, core.MCConfig{
 			Samples:   samples,
 			Seed:      req.Seed,
 			Variation: v,

@@ -200,7 +200,7 @@ func TestRequestValidation(t *testing.T) {
 func TestHerdCharacterizesOnce(t *testing.T) {
 	// 100 identical guardband queries hit a cold server at once. The LRU +
 	// singleflight must do the underlying work exactly once per key: two
-	// libraries, one netlist, two analyzers = 5 misses total, everything
+	// libraries, one compiled netlist, two CPs = 5 misses total, everything
 	// else served as a hit or an in-flight share. Runs under -race in
 	// make verify, which is the real assertion on the cache's locking.
 	cfg := quickConfig(sharedDir(t))
@@ -239,7 +239,7 @@ func TestHerdCharacterizesOnce(t *testing.T) {
 	}
 	snap := s.Registry().Snapshot()
 	if got := snap.Counters["serve.cache.misses"]; got != 5 {
-		t.Errorf("cache misses = %d, want exactly 5 (lib fresh, lib aged, netlist, analyzer x2)", got)
+		t.Errorf("cache misses = %d, want exactly 5 (lib fresh, lib aged, compiled netlist, CP x2)", got)
 	}
 	if ok := snap.Counters["serve.guardband.ok"]; ok != 100 {
 		t.Errorf("ok count = %d, want 100", ok)

@@ -3,9 +3,9 @@
 // degradation-aware libraries. The wire types live in pkg/ageguard/api;
 // a typed client in pkg/ageguard/client.
 //
-// The daemon keeps a bounded in-memory LRU of parsed libraries,
-// synthesized netlists and compiled STA analyzers keyed by the
-// characterization config hash, with per-key singleflight so a herd of
+// The daemon keeps a bounded in-memory LRU of parsed libraries, one
+// compiled netlist (sta.BatchTimer) per circuit, critical-path delays
+// and whole replies, keyed by the characterization config hash, with per-key singleflight so a herd of
 // identical cold queries characterizes once. Admission is a bounded
 // queue: requests beyond the in-flight limit wait in the queue, and
 // requests beyond the queue are rejected immediately with 429 and a

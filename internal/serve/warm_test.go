@@ -102,10 +102,10 @@ func TestWarmStartPrePopulatesLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both library lookups must hit the pre-populated LRU: the only
-	// misses are the netlist and the two analyzer compilations.
+	// misses are the compiled netlist and the two critical paths.
 	snap = s.Registry().Snapshot()
 	if got := snap.Counters["serve.cache.misses"]; got != 3 {
-		t.Errorf("cache misses = %d, want 3 (netlist + 2 analyzers; libraries warm)", got)
+		t.Errorf("cache misses = %d, want 3 (compiled netlist + 2 CPs; libraries warm)", got)
 	}
 	if got := snap.Counters["serve.cache.hits"]; got < 2 {
 		t.Errorf("cache hits = %d, want >= 2 (both libraries)", got)

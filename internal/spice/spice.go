@@ -107,17 +107,11 @@ func (c *Circuit) Gnd() NodeID { return 0 }
 // Vdd returns the supply node.
 func (c *Circuit) Vdd() NodeID { return 1 }
 
-// Supply returns the supply voltage the circuit was created with.
-func (c *Circuit) Supply() float64 { return c.vdd }
-
 // Node creates a new free (solved-for) node with the given name.
 func (c *Circuit) Node(name string) NodeID {
 	c.nodes = append(c.nodes, node{name: name, kind: kindFree, idx: -1})
 	return NodeID(len(c.nodes) - 1)
 }
-
-// NodeName returns the name given to n at creation.
-func (c *Circuit) NodeName(n NodeID) string { return c.nodes[n].name }
 
 // NumNodes returns the total node count including ground and supply.
 func (c *Circuit) NumNodes() int { return len(c.nodes) }
@@ -157,11 +151,6 @@ func (c *Circuit) C(a, b NodeID, farads float64) {
 		return
 	}
 	c.caps = append(c.caps, capInst{a: a, b: b, c: farads})
-}
-
-// R adds a resistor of value ohms between nodes a and b.
-func (c *Circuit) R(a, b NodeID, ohms float64) {
-	c.res = append(c.res, resInst{a: a, b: b, g: 1 / ohms})
 }
 
 // Options tunes the transient analysis. The zero value selects defaults
@@ -361,9 +350,6 @@ func (r *Result) At(n NodeID, t float64) float64 {
 	f := (t - ts[lo]) / (ts[hi] - ts[lo])
 	return units.Lerp(r.Voltage(lo, n), r.Voltage(hi, n), f)
 }
-
-// Final returns the last sampled voltage of node n.
-func (r *Result) Final(n NodeID) float64 { return r.Voltage(len(r.T)-1, n) }
 
 // Cross returns the first time after 'after' at which node n crosses
 // voltage v in the given direction (rising: from below to at-or-above).

@@ -277,3 +277,17 @@ func TestConcurrentIndependentCircuits(t *testing.T) {
 		}
 	}
 }
+
+// Supply returns the supply voltage the circuit was created with.
+func (c *Circuit) Supply() float64 { return c.vdd }
+
+// NodeName returns the name given to n at creation.
+func (c *Circuit) NodeName(n NodeID) string { return c.nodes[n].name }
+
+// R adds a resistor of value ohms between nodes a and b.
+func (c *Circuit) R(a, b NodeID, ohms float64) {
+	c.res = append(c.res, resInst{a: a, b: b, g: 1 / ohms})
+}
+
+// Final returns the last sampled voltage of node n.
+func (r *Result) Final(n NodeID) float64 { return r.Voltage(len(r.T)-1, n) }

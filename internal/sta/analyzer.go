@@ -2,6 +2,7 @@ package sta
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -46,18 +47,22 @@ type cSink struct {
 // topological order and nets in order of first appearance. The topology
 // holds each instance's n.Insts position, its input and output nets, the
 // fanout sinks of every net in reference FanoutMap order, and the
-// endpoint lists. It can be shared read-only between bindings against
-// different libraries (a BatchTimer does exactly that).
+// endpoint lists. It keeps the design and instance names but no pointer
+// into the netlist: an instance's cell is its binding's. It is never
+// written after the compile, so bindings against different libraries
+// share it (a BatchTimer does exactly that).
 type topology struct {
-	n    *netlist.Netlist
-	nets []string // net id -> name
-	clk  int32    // id of netlist.ClockNet (always allocated)
+	design string   // netlist name
+	names  []string // instance names in n.Insts order
+	nets   []string // net id -> name
+	clk    int32    // id of netlist.ClockNet (always allocated)
 
 	src []int32 // per instance: its index in n.Insts
 	// fp is each instance's cell in the library the topology was compiled
-	// with: its footprint. A binding against another library must match
-	// its pin names and order, or the traversal order and load summation
-	// order would differ.
+	// with: its footprint, and by name the cell a new binding binds. A
+	// binding against another library must match its pin names and
+	// order, or the traversal order and load summation order would
+	// differ.
 	fp []*liberty.CellTiming
 
 	inNet     []int32 // instance i's input nets in cell input order: inNet[inStart[i]:inStart[i+1]]
@@ -73,8 +78,8 @@ type topology struct {
 	piNets  []int32 // n.Inputs in order
 }
 
-// inst returns the netlist instance of topological index i.
-func (t *topology) inst(i int) *netlist.Inst { return t.n.Insts[t.src[i]] }
+// name returns the name of the instance of topological index i.
+func (t *topology) name(i int) string { return t.names[t.src[i]] }
 
 // inputs returns instance i's input nets in cell input order.
 func (t *topology) inputs(i int) []int32 { return t.inNet[t.inStart[i]:t.inStart[i+1]] }
@@ -88,7 +93,7 @@ func (t *topology) fanout(net int32) []cSink { return t.sinks[t.sinkStart[net]:t
 func (t *topology) instIndex() map[string]int32 {
 	m := make(map[string]int32, len(t.src))
 	for i, k := range t.src {
-		m[t.n.Insts[k].Name] = int32(i)
+		m[t.names[k]] = int32(i)
 	}
 	return m
 }
@@ -101,11 +106,15 @@ func newTopology(n *netlist.Netlist, lib *liberty.Library) (*topology, error) {
 	}
 	ni := len(src)
 	t := &topology{
-		n:       n,
+		design:  n.Name,
+		names:   make([]string, len(n.Insts)),
 		src:     src,
 		fp:      make([]*liberty.CellTiming, ni),
 		inStart: make([]int32, ni+1),
 		outNet:  make([]int32, ni),
+	}
+	for k, in := range n.Insts {
+		t.names[k] = in.Name
 	}
 	pos := make([]int32, ni) // n.Insts index -> topological index
 	for i, k := range src {
@@ -210,8 +219,9 @@ func (b *binding) shift(t *topology, i int) *liberty.DeltaWeights {
 }
 
 // errFootprint signals a cell whose pin footprint deviates from the
-// topology's expectations; the caller recompiles the topology.
-var errFootprint = fmt.Errorf("sta: cell footprint differs from compiled topology")
+// topology's: Analyzer.Swap then recompiles its netlist, and every other
+// caller fails.
+var errFootprint = errors.New("cell pin footprint differs from the compiled topology")
 
 // footprintMatches reports whether ct has the pins of the footprint fp:
 // the same output, the same input names in the same order, and the same
@@ -239,7 +249,7 @@ func checkPins(lib *liberty.Library, ct *liberty.CellTiming) error {
 func (b *binding) bindInst(t *topology, i int, cell string) error {
 	ct, ok := b.lib.Cell(cell)
 	if !ok {
-		return fmt.Errorf("sta: library %q has no cell %q (inst %s)", b.lib.Name, cell, t.inst(i).Name)
+		return fmt.Errorf("sta: library %q has no cell %q (inst %s)", b.lib.Name, cell, t.name(i))
 	}
 	if !footprintMatches(t.fp[i], ct) {
 		return errFootprint
@@ -257,8 +267,9 @@ func (b *binding) bindInst(t *topology, i int, cell string) error {
 	return nil
 }
 
-// newBinding binds every instance of the topology against lib, using each
-// instance's current Cell name.
+// newBinding binds every instance of the topology to its footprint cell's
+// namesake in lib. A cell whose footprint differs fails with an error
+// wrapping errFootprint.
 func newBinding(t *topology, lib *liberty.Library) (*binding, error) {
 	ni := len(t.src)
 	b := &binding{
@@ -275,7 +286,9 @@ func newBinding(t *topology, lib *liberty.Library) (*binding, error) {
 	nets := make([]int32, arcs)
 	for i, fp := range t.fp {
 		b.arcNet[i], nets = nets[:0:len(fp.Arcs)], nets[len(fp.Arcs):]
-		if err := b.bindInst(t, i, t.inst(i).Cell); err != nil {
+		if err := b.bindInst(t, i, fp.Name); err == errFootprint {
+			return nil, fmt.Errorf("sta: %s: library %q, cell %q (inst %s): %w", t.design, lib.Name, fp.Name, t.name(i), err)
+		} else if err != nil {
 			return nil, err
 		}
 	}
@@ -437,7 +450,7 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 		}
 	}
 	if math.IsInf(arr[0], -1) && math.IsInf(arr[1], -1) {
-		return arr, slw, pr, fmt.Errorf("sta: instance %s has no arrival (undriven inputs?)", t.inst(i).Name)
+		return arr, slw, pr, fmt.Errorf("sta: instance %s has no arrival (undriven inputs?)", t.name(i))
 	}
 	return arr, slw, pr, nil
 }
@@ -498,7 +511,7 @@ func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liber
 		}
 	}
 	if math.IsInf(arr[0], -1) && math.IsInf(arr[1], -1) {
-		return arr, slw, pr, fmt.Errorf("sta: instance %s has no arrival (undriven inputs?)", t.inst(i).Name)
+		return arr, slw, pr, fmt.Errorf("sta: instance %s has no arrival (undriven inputs?)", t.name(i))
 	}
 	return arr, slw, pr, nil
 }
@@ -573,7 +586,7 @@ func scanEndpoints(t *topology, b *binding, s *state) error {
 		}
 	})
 	if bestEnd < 0 {
-		return fmt.Errorf("sta: no timing endpoints in %s", t.n.Name)
+		return fmt.Errorf("sta: no timing endpoints in %s", t.design)
 	}
 	s.cp = bestDelay
 	s.bestEnd, s.bestEdge, s.bestSetup = bestEnd, bestEdge, bestSetup
@@ -662,13 +675,13 @@ func materialize(t *topology, b *binding, s *state, cfg *Config) *Result {
 		}
 		res.Slack[name] = sl
 	}
-	res.Worst = traceCompiled(t, s, s.bestEnd, s.bestEdge, s.bestSetup)
+	res.Worst = traceCompiled(t, b, s, s.bestEnd, s.bestEdge, s.bestSetup)
 	return res
 }
 
 // traceCompiled reconstructs the timing path ending at one edge of an
 // endpoint net by following the compiled predecessors back to its launch.
-func traceCompiled(t *topology, s *state, end int32, endEdge liberty.Edge, setup float64) Path {
+func traceCompiled(t *topology, b *binding, s *state, end int32, endEdge liberty.Edge, setup float64) Path {
 	p := Path{Endpoint: t.nets[end], EndEdge: endEdge, Setup: setup}
 	p.Delay = s.arr[end][endEdge] + setup
 	net, edge := end, endEdge
@@ -677,10 +690,9 @@ func traceCompiled(t *topology, s *state, end int32, endEdge liberty.Edge, setup
 		if pr.inst < 0 {
 			break
 		}
-		in := t.inst(int(pr.inst))
 		p.Steps = append(p.Steps, Step{
-			Inst:    in.Name,
-			Cell:    in.Cell,
+			Inst:    t.name(int(pr.inst)),
+			Cell:    b.ct[pr.inst].Name,
 			Pin:     pr.pin,
 			FromNet: t.nets[pr.fromNet],
 			ToNet:   t.nets[net],
@@ -712,10 +724,12 @@ func traceCompiled(t *topology, s *state, end int32, endEdge liberty.Edge, setup
 // fanout cone.
 //
 // The Analyzer takes ownership of the netlist: Swap updates Inst.Cell in
-// place so the netlist and the compiled state never diverge. It is not
-// safe for concurrent use; run one Analyzer per goroutine (a BatchTimer
-// shares only the immutable topology).
+// place so the netlist and the compiled state never diverge, and a
+// footprint-changing swap recompiles it. It is not safe for concurrent
+// use; run one Analyzer per goroutine (a BatchTimer is immutable and
+// shared).
 type Analyzer struct {
+	n      *netlist.Netlist
 	t      *topology
 	b      *binding
 	s      *state
@@ -745,7 +759,7 @@ func NewAnalyzer(ctx context.Context, n *netlist.Netlist, lib *liberty.Library, 
 	if err != nil {
 		return nil, err
 	}
-	a := &Analyzer{t: t, b: b, s: newState(len(t.nets)), cfg: cfg, dirty: make([]bool, len(t.src))}
+	a := &Analyzer{n: n, t: t, b: b, s: newState(len(t.nets)), cfg: cfg, dirty: make([]bool, len(t.src))}
 	if err := forwardFull(t, b, a.s, &a.cfg); err != nil {
 		return nil, err
 	}
@@ -783,7 +797,7 @@ func (a *Analyzer) Result() *Result {
 // error.
 func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sta: %s: %w", a.t.n.Name, err)
+		return nil, fmt.Errorf("sta: %s: %w", a.n.Name, err)
 	}
 	if len(swaps) == 0 {
 		return nil, nil
@@ -797,7 +811,7 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 	for k, sw := range swaps {
 		i, ok := a.byName[sw.Inst]
 		if !ok {
-			return nil, fmt.Errorf("sta: %s: no instance %q", a.t.n.Name, sw.Inst)
+			return nil, fmt.Errorf("sta: %s: no instance %q", a.n.Name, sw.Inst)
 		}
 		ct, ok := a.b.lib.Cell(sw.Cell)
 		if !ok {
@@ -815,7 +829,7 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 	loadDirty := make(map[int32]struct{})
 	for k, sw := range swaps {
 		i := idx[k]
-		in := a.t.inst(int(i))
+		in := a.n.Insts[a.t.src[i]]
 		undo[len(swaps)-1-k] = CellSwap{Inst: sw.Inst, Cell: in.Cell}
 		in.Cell = sw.Cell
 		if err := a.b.bindInst(a.t, int(i), sw.Cell); err == errFootprint {
@@ -894,7 +908,7 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 // re-runs the full analysis — Swap's fallback when a footprint changes
 // or the incremental sweep fails.
 func (a *Analyzer) rebuild() error {
-	t, b, err := compile(a.t.n, a.b.lib)
+	t, b, err := compile(a.n, a.b.lib)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package sta
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ageguard/internal/conc"
@@ -11,31 +12,33 @@ import (
 	"ageguard/internal/obs"
 )
 
-// BatchTimer is the many-libraries counterpart of Analyzer for workloads
-// that re-time ONE fixed netlist many times and only need the
-// critical-path delay: the paper's Fig. 5 duty-cycle grid (up to 121 aged
-// libraries, one CP call each) and the Monte Carlo statistical STA inner
-// loop, which binds each base library once (BindDeltas) and times every
-// sample as per-instance shifts of it (DeltaBinding.CP). The netlist
-// topology (levelization, net numbering, fanout sinks, endpoint lists) is
-// compiled once at construction; each CP call performs only the
-// per-library binding and arrival propagation.
+// BatchTimer is the compiled form of one netlist, timed under many
+// libraries: the paper's Fig. 5 duty-cycle grid (up to 121 aged
+// libraries, one CP call each), the guardband and top-K path queries of
+// the daemon, and the Monte Carlo statistical STA inner loop, which binds
+// each base library once (BindDeltas) and times every sample as
+// per-instance shifts of it (DeltaBinding.CP). The netlist topology
+// (levelization, net numbering, fanout sinks, endpoint lists) is compiled
+// once at construction; each call performs only the per-library binding
+// and arrival propagation.
 //
-// Unlike Analyzer, a BatchTimer is safe for concurrent use: the compiled
-// topology is immutable and every CP call allocates its own binding and
-// state. CP results are bit-identical to a standalone Analyze of the same
-// (netlist, library) pair — the same floating-point operations run in the
-// same order.
+// A BatchTimer is immutable and self-contained: it keeps the design,
+// instance and net names and the template's cells (their pin
+// footprints), but no reference to the netlist, so later edits of the
+// netlist do not reach it. It is safe for concurrent use; every call allocates its own
+// binding and state. One footprint rule holds for every library it
+// times: each cell must have the pins, in the same order, of its
+// namesake in the template (the flow's fresh and aged libraries all do);
+// a library that breaks it is an error. Results are bit-identical to a
+// standalone Analyze of the same (netlist, library) pair — the same
+// floating-point operations run in the same order.
 type BatchTimer struct {
 	topo *topology
 	cfg  Config
 }
 
-// NewBatchTimer compiles the netlist topology against the template
-// library's cell footprints. Any library whose footprints match the
-// template (the flow's aged libraries all do) can then be timed with CP;
-// one that deviates gets its own topology.
-// The netlist must not be mutated while the BatchTimer is in use.
+// NewBatchTimer compiles the netlist against the template library's cell
+// footprints.
 func NewBatchTimer(ctx context.Context, n *netlist.Netlist, template *liberty.Library, cfg Config) (*BatchTimer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", n.Name, err))
@@ -48,30 +51,37 @@ func NewBatchTimer(ctx context.Context, n *netlist.Netlist, template *liberty.Li
 	return &BatchTimer{topo: topo, cfg: cfg}, nil
 }
 
+// Insts returns the compiled netlist's instance names in n.Insts order,
+// the order of DeltaBinding.CP's weights.
+func (bt *BatchTimer) Insts() []string { return slices.Clone(bt.topo.names) }
+
 // CP times the compiled netlist under lib and returns the critical-path
-// delay, bit-identical to Analyze(ctx, netlist, lib, cfg).CP. A library
-// whose cell footprints deviate from the compiled topology is timed on a
-// topology compiled for it (counted in sta.incremental.fallbacks).
+// delay, bit-identical to Analyze(ctx, netlist, lib, cfg).CP.
 func (bt *BatchTimer) CP(ctx context.Context, lib *liberty.Library) (float64, error) {
-	t := bt.topo
-	if err := ctx.Err(); err != nil {
-		return 0, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", t.n.Name, err))
-	}
-	reg := obs.From(ctx)
-	reg.Counter("sta.analyses").Inc()
-	b, err := newBinding(t, lib)
-	if err == errFootprint {
-		reg.Counter("sta.incremental.fallbacks").Inc()
-		t, b, err = compile(t.n, lib)
-	}
+	_, s, err := bt.time(ctx, lib)
 	if err != nil {
 		return 0, err
 	}
+	return s.cp, nil
+}
+
+// time binds lib to the compiled netlist and propagates its arrivals,
+// counting one sta.analyses.
+func (bt *BatchTimer) time(ctx context.Context, lib *liberty.Library) (*binding, *state, error) {
+	t := bt.topo
+	if err := ctx.Err(); err != nil {
+		return nil, nil, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", t.design, err))
+	}
+	obs.From(ctx).Counter("sta.analyses").Inc()
+	b, err := newBinding(t, lib)
+	if err != nil {
+		return nil, nil, err
+	}
 	s := newState(len(t.nets))
 	if err := forwardFull(t, b, s, &bt.cfg); err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	return s.cp, nil
+	return b, s, nil
 }
 
 // DeltaBinding is one base library bound to a BatchTimer's compiled
@@ -94,9 +104,8 @@ type DeltaBinding struct {
 
 // BindDeltas binds lib to the compiled netlist with deltas, the per-arc
 // delta tables of every cell the netlist instantiates, aligned with the
-// cell's arcs in lib. lib's cell footprints must match the compiled
-// topology's (the flow's fresh and aged libraries all do). The
-// interleaved tables of a cell are shared by its instances.
+// cell's arcs in lib. The interleaved tables of a cell are shared by its
+// instances.
 func (bt *BatchTimer) BindDeltas(lib *liberty.Library, deltas map[string][]liberty.ArcDelta) (*DeltaBinding, error) {
 	t := bt.topo
 	b, err := newBinding(t, lib)
@@ -106,13 +115,13 @@ func (bt *BatchTimer) BindDeltas(lib *liberty.Library, deltas map[string][]liber
 	b.tables = make([][]arcShift, len(t.src))
 	byCell := make(map[string][]arcShift)
 	for i := range t.src {
-		in := t.inst(i)
-		sh, ok := byCell[in.Cell]
+		ct := b.ct[i]
+		sh, ok := byCell[ct.Name]
 		if !ok {
-			ct, d := b.ct[i], deltas[in.Cell]
+			d := deltas[ct.Name]
 			if len(d) != len(ct.Arcs) {
 				return nil, fmt.Errorf("sta: %d delta arcs for the %d arcs of cell %q (inst %s)",
-					len(d), len(ct.Arcs), in.Cell, in.Name)
+					len(d), len(ct.Arcs), ct.Name, t.name(i))
 			}
 			sh = make([]arcShift, len(ct.Arcs))
 			for ai := range ct.Arcs {
@@ -122,7 +131,7 @@ func (bt *BatchTimer) BindDeltas(lib *liberty.Library, deltas map[string][]liber
 					sh[ai].slew[e] = a.OutSlew[e].Interleave(&d[ai].OutSlew, e)
 				}
 			}
-			byCell[in.Cell] = sh
+			byCell[ct.Name] = sh
 		}
 		b.tables[i] = sh
 	}
@@ -136,19 +145,20 @@ func (bt *BatchTimer) BindDeltas(lib *liberty.Library, deltas map[string][]liber
 }
 
 // CP times one sample and returns its critical-path delay: instance
-// n.Insts[k] times on its cell's tables shifted by weights w[k], and an
-// instance whose weights are all zero on the unshifted tables. The result
-// is bit-identical to BatchTimer.CP under the instance-variant library
-// whose cells carry liberty.Table.Shift of each table (the library
-// char.Sensitivity.SampleLibrary builds), because every lookup shifts
-// exactly the four grid points it reads (liberty.ShiftTable.At).
+// n.Insts[k] (BatchTimer.Insts()[k]) times on its cell's tables shifted
+// by weights w[k], and an instance whose weights are all zero on the
+// unshifted tables. The result is bit-identical to BatchTimer.CP under
+// the instance-variant library whose cells carry liberty.Table.Shift of
+// each table (the library char.Sensitivity.SampleLibrary builds),
+// because every lookup shifts exactly the four grid points it reads
+// (liberty.ShiftTable.At).
 func (db *DeltaBinding) CP(ctx context.Context, w []liberty.DeltaWeights) (float64, error) {
 	t := db.bt.topo
 	if err := ctx.Err(); err != nil {
-		return 0, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", t.n.Name, err))
+		return 0, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", t.design, err))
 	}
 	if len(w) != len(t.src) {
-		return 0, fmt.Errorf("sta: %s: %d weights for %d instances", t.n.Name, len(w), len(t.src))
+		return 0, fmt.Errorf("sta: %s: %d weights for %d instances", t.design, len(w), len(t.src))
 	}
 	obs.From(ctx).Counter("sta.analyses").Inc()
 	b := *db.b

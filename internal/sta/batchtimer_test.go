@@ -2,9 +2,11 @@ package sta
 
 import (
 	"context"
+	"errors"
 	"maps"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -107,6 +109,65 @@ func TestBatchTimerMissingCell(t *testing.T) {
 	}
 }
 
+// TestBatchTimerSelfContained: a BatchTimer keeps the instance names and
+// cells it was compiled with, so renaming every instance and moving every
+// instance that has another drive onto it after the compile changes
+// nothing it reports. CP and TopPaths under fresh and worst-case
+// libraries equal the reference on an untouched clone of the netlist,
+// and Insts lists the clone's names.
+func TestBatchTimerSelfContained(t *testing.T) {
+	libs := []*liberty.Library{lib(t, aging.Fresh()), lib(t, aging.WorstCase(10))}
+	nl := randNetlist(rand.New(rand.NewSource(21)), 150)
+	ref := nl.Clone()
+	ctx := context.Background()
+	bt, err := NewBatchTimer(ctx, nl, libs[0], Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for _, in := range nl.Insts {
+		in.Name += "_renamed"
+		if vars := variantCells(libs[0], in.Cell); len(vars) > 0 {
+			in.Cell = vars[len(vars)-1]
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no instance has another drive")
+	}
+	for _, l := range libs {
+		got, err := bt.CP(ctx, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := analyzeReference(ref, l, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want.CP {
+			t.Errorf("CP under %s after the netlist edits: %v != reference %v", l.Name, got, want.CP)
+		}
+		paths, err := bt.TopPaths(ctx, l, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPaths, err := topPathsReference(ref, l, Config{}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(paths, wantPaths) {
+			t.Errorf("TopPaths under %s after the netlist edits differ from the reference", l.Name)
+		}
+	}
+	var names []string
+	for _, in := range ref.Insts {
+		names = append(names, in.Name)
+	}
+	if !slices.Equal(bt.Insts(), names) {
+		t.Error("Insts differs from the compiled netlist's instance names")
+	}
+}
+
 // permuted returns a copy of l in which cell lists its input pins in
 // reverse order: the same timing tables under a different footprint.
 func permuted(l *liberty.Library, cell string) *liberty.Library {
@@ -160,9 +221,11 @@ func TestArcFromNonInputRejected(t *testing.T) {
 
 // TestFootprintMismatchRecompiles: a library whose cell lists its inputs
 // in another order than the compiled topology cannot be bound to it.
-// BatchTimer.CP under that library, and Analyzer.Swap onto that cell,
-// must compile a topology of their own, match the reference bit for bit,
-// and count each fallback once in sta.incremental.fallbacks.
+// BatchTimer.CP and TopPaths under that library fail with the footprint
+// error and count no fallback, and the timer still times the template
+// library. Analyzer.Swap onto that cell must compile a topology of its
+// own, match the reference bit for bit, and count each fallback once in
+// sta.incremental.fallbacks.
 func TestFootprintMismatchRecompiles(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctx := obs.With(context.Background(), reg)
@@ -196,10 +259,17 @@ func TestFootprintMismatchRecompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, l := range []*liberty.Library{perm, fresh, perm} {
+	for _, l := range []*liberty.Library{perm, fresh, perm} {
 		got, err := bt.CP(ctx, l)
-		if err != nil {
-			t.Fatal(err)
+		_, perr := bt.TopPaths(ctx, l, 3)
+		if l == perm {
+			if !errors.Is(err, errFootprint) || !errors.Is(perr, errFootprint) {
+				t.Fatalf("CP, TopPaths under %s: errors %v, %v, want the footprint error", l.Name, err, perr)
+			}
+			continue
+		}
+		if err != nil || perr != nil {
+			t.Fatal(err, perr)
 		}
 		want, err := analyzeReference(nl, l, Config{})
 		if err != nil {
@@ -208,9 +278,9 @@ func TestFootprintMismatchRecompiles(t *testing.T) {
 		if got != want.CP {
 			t.Fatalf("CP under %s: %v != reference %v", l.Name, got, want.CP)
 		}
-		if n, wantN := fallbacks(), int64(i/2+1); n != wantN {
-			t.Fatalf("after CP %d under %s: fallbacks = %d, want %d", i, l.Name, n, wantN)
-		}
+	}
+	if n := fallbacks(); n != 0 {
+		t.Fatalf("after the BatchTimer calls: fallbacks = %d, want 0", n)
 	}
 
 	a, err := NewAnalyzer(ctx, nl, perm, Config{})
@@ -221,8 +291,8 @@ func TestFootprintMismatchRecompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := fallbacks(); n != 3 {
-		t.Fatalf("after swap onto %s: fallbacks = %d, want 3", cell, n)
+	if n := fallbacks(); n != 1 {
+		t.Fatalf("after swap onto %s: fallbacks = %d, want 1", cell, n)
 	}
 	want, err := analyzeReference(nl, perm, Config{})
 	if err != nil {
@@ -232,8 +302,8 @@ func TestFootprintMismatchRecompiles(t *testing.T) {
 	if _, err := a.Swap(ctx, undo...); err != nil {
 		t.Fatal(err)
 	}
-	if n := fallbacks(); n != 4 {
-		t.Fatalf("after undo: fallbacks = %d, want 4", n)
+	if n := fallbacks(); n != 2 {
+		t.Fatalf("after undo: fallbacks = %d, want 2", n)
 	}
 	want, err = analyzeReference(nl, perm, Config{})
 	if err != nil {

@@ -24,8 +24,9 @@ import (
 //     one sample, timed from per-instance weights on two DeltaBindings,
 //     at 400 and 3600 gates;
 //  4. one /v1/paths miss — TopPaths k=10 on a netlist the size of the
-//     paper's circuits, which compiles the topology, binds, propagates
-//     and traces every time.
+//     paper's circuits: one-shot (compile, bind, propagate, trace), and
+//     on a BatchTimer compiled outside the loop (bind, propagate, trace),
+//     which is what the daemon pays per miss.
 //
 // Run them with go test ./internal/sta/ -run XXX -bench 'InnerLoop|Grid|MCSample|TopPaths';
 // each pair (Incremental vs Full, Batch vs SerialFull) is one
@@ -172,15 +173,32 @@ func BenchmarkMCSample(b *testing.B) {
 	}
 }
 
+// BenchmarkTopPaths times TopPaths k=10 at 3600 gates one-shot
+// (TopPaths/oneshot) and on a BatchTimer compiled outside the loop
+// (TopPaths/compiled).
 func BenchmarkTopPaths(b *testing.B) {
 	l := lib(b, aging.Fresh())
 	nl := randNetlist(rand.New(rand.NewSource(7)), 3600)
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TopPaths(ctx, nl, l, Config{}, 10); err != nil {
+	b.Run("oneshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := TopPaths(ctx, nl, l, Config{}, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("compiled", func(b *testing.B) {
+		bt, err := NewBatchTimer(ctx, nl, l, Config{})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := bt.TopPaths(ctx, l, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -12,13 +12,17 @@
 // at their data pin plus setup time; the critical-path delay is therefore
 // the minimum usable clock period.
 //
-// One compiled engine (analyzer.go) answers every query. An Analyzer
-// times one netlist under one library and re-times it incrementally after
-// cell swaps; a BatchTimer times one netlist under many libraries;
-// Analyze, TopPaths and PathDelayUnder are one-shot uses of the same
-// compiled state. reference_test.go holds a string-keyed reference
-// analysis that only tests run: the specification the engine must match
-// bit for bit.
+// One compiled engine (analyzer.go) answers every query. A BatchTimer is
+// the immutable, self-contained compiled form of one netlist: it holds no
+// reference to the netlist and times it under any library whose cells
+// keep the template's pin footprints (CP, TopPaths, and Monte Carlo
+// samples through BindDeltas); a library that changes a footprint is an
+// error. An Analyzer times one netlist under one library and re-times it
+// incrementally after cell swaps, recompiling its own netlist when a swap
+// changes a footprint. Analyze, the free TopPaths and PathDelayUnder are
+// one-shot uses of the same compiled state. reference_test.go holds a
+// string-keyed reference analysis that only tests run: the specification
+// the engine must match bit for bit.
 package sta
 
 import (
@@ -146,12 +150,12 @@ func PathDelayUnder(ctx context.Context, n *netlist.Netlist, p Path, lib *libert
 		if t.nets[net] != st.ToNet {
 			return 0, fmt.Errorf("sta: path step %s drives net %s, not %s", st.Inst, t.nets[net], st.ToNet)
 		}
-		ct, cell := b.ct[in], t.inst(int(in)).Cell
+		ct := b.ct[in]
 		load := computeLoad(t, b, &cfg, net)
 		if ct.Seq && i == 0 {
 			arc := ct.ArcsFor(ct.Clock)
 			if len(arc) == 0 {
-				return 0, fmt.Errorf("sta: %s has no clock arc", cell)
+				return 0, fmt.Errorf("sta: %s has no clock arc", ct.Name)
 			}
 			arrival = arc[0].Delay[st.OutEdge].At(cfg.ClockSlew, load)
 			slew = arc[0].OutSlew[st.OutEdge].At(cfg.ClockSlew, load)
@@ -166,7 +170,7 @@ func PathDelayUnder(ctx context.Context, n *netlist.Netlist, p Path, lib *libert
 			}
 		}
 		if chosen == nil {
-			return 0, fmt.Errorf("sta: no arc %s->%s (%v) on %s", st.Pin, st.ToNet, st.OutEdge, cell)
+			return 0, fmt.Errorf("sta: no arc %s->%s (%v) on %s", st.Pin, st.ToNet, st.OutEdge, ct.Name)
 		}
 		arrival += chosen.Delay[st.OutEdge].At(slew, load)
 		slew = chosen.OutSlew[st.OutEdge].At(slew, load)

@@ -335,16 +335,24 @@ func TestEndpointsAndTopPaths(t *testing.T) {
 // reference retrace and re-timing, bit for bit: random netlists under
 // fresh and worst-case libraries, k from one path to more than there are
 // endpoint-edges, and every returned path re-timed under the other
-// library.
+// library. Both libraries are timed one-shot and through one BatchTimer
+// per netlist and config, compiled against the fresh library.
 func TestTopPathsMatchesReference(t *testing.T) {
 	libs := []*liberty.Library{lib(t, aging.Fresh()), lib(t, aging.WorstCase(10))}
 	rng := rand.New(rand.NewSource(5))
 	ctx := context.Background()
 	cfgs := []Config{{}, {OutputLoad: 12 * units.FF, InputSlew: 35 * units.Ps}}
 	for _, nl := range []*netlist.Netlist{chain(3), randNetlist(rng, 40), randNetlist(rng, 150)} {
+		bts := make([]*BatchTimer, len(cfgs))
+		for ci, cfg := range cfgs {
+			var err error
+			if bts[ci], err = NewBatchTimer(ctx, nl, libs[0], cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for li, l := range libs {
 			other := libs[1-li]
-			for _, cfg := range cfgs {
+			for ci, cfg := range cfgs {
 				all, err := topPathsReference(nl, l, cfg, -1)
 				if err != nil {
 					t.Fatal(err)
@@ -361,6 +369,13 @@ func TestTopPathsMatchesReference(t *testing.T) {
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: TopPaths differs from the reference retrace", what)
+					}
+					compiled, err := bts[ci].TopPaths(ctx, l, k)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if !reflect.DeepEqual(compiled, want) {
+						t.Fatalf("%s: BatchTimer.TopPaths differs from the reference retrace", what)
 					}
 					for i, p := range got {
 						g, err := PathDelayUnder(ctx, nl, p, other, cfg)

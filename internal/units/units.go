@@ -46,9 +46,6 @@ const (
 // temperature typical for aging analysis.
 const RoomTempK = 300.0
 
-// Vt returns the thermal voltage kT/q at temperature tempK.
-func Vt(tempK float64) float64 { return Boltzmann * tempK / Q }
-
 // PsString formats a time in seconds as picoseconds with two decimals.
 func PsString(sec float64) string { return fmt.Sprintf("%.2fps", sec/Ps) }
 

@@ -67,3 +67,6 @@ func TestSecondsPerYear(t *testing.T) {
 		t.Errorf("SecondsPerYear = %v out of range", SecondsPerYear)
 	}
 }
+
+// Vt returns the thermal voltage kT/q at temperature tempK.
+func Vt(tempK float64) float64 { return Boltzmann * tempK / Q }

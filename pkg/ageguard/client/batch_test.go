@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -152,161 +151,5 @@ func TestBatchResultCountMismatchIsIntegrityError(t *testing.T) {
 func TestBatchRejectsEmptyInput(t *testing.T) {
 	if _, err := New("http://127.0.0.1:0").Batch(context.Background(), nil); err == nil {
 		t.Error("empty batch accepted")
-	}
-}
-
-// batchEchoServer answers every guardband item with a well-formed
-// response and records the circuits of each exchange it serves.
-func batchEchoServer(t *testing.T, mu *sync.Mutex, seen map[string]int, tag int) *httptest.Server {
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req api.BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Error(err)
-		}
-		res := make([]api.BatchItemResult, len(req.Items))
-		for i, it := range req.Items {
-			mu.Lock()
-			seen[it.Guardband.Circuit] = tag
-			mu.Unlock()
-			res[i] = gbResult(it.Guardband.Circuit)
-		}
-		json.NewEncoder(w).Encode(api.BatchResponse{Version: api.APIVersion, Items: res})
-	}))
-}
-
-// TestRouterRoutingIsStable: the shard→backend assignment is a pure
-// function of the key and the endpoint list — rebuilt routers agree,
-// and every query for one identity picks the same backend.
-func TestRouterRoutingIsStable(t *testing.T) {
-	eps := []string{"http://a.invalid", "http://b.invalid", "http://c.invalid"}
-	r1, err := NewRouter(eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := NewRouter(eps)
-	used := map[int]bool{}
-	for _, circuit := range []string{"DSP", "FFT", "RISC", "AES", "MUL", "DIV", "ALU", "CRC"} {
-		key, err := shardKey(gbItem(circuit))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := r1.pickIdx(key)
-		if b := r1.pickIdx(key); b != a {
-			t.Errorf("%s: same router disagrees with itself: %d vs %d", circuit, a, b)
-		}
-		if b := r2.pickIdx(key); b != a {
-			t.Errorf("%s: rebuilt router remapped %d -> %d", circuit, a, b)
-		}
-		used[a] = true
-	}
-	if len(used) < 2 {
-		t.Errorf("8 circuits all landed on one backend; ring is not spreading")
-	}
-	if _, err := NewRouter(nil); err == nil {
-		t.Error("empty endpoint list accepted")
-	}
-}
-
-// TestRouterBatchScatterGather: a mixed batch scatters to the backends
-// owning each item's shard and reassembles in input order; both
-// occurrences of a circuit land on the same backend.
-func TestRouterBatchScatterGather(t *testing.T) {
-	var mu sync.Mutex
-	seenA, seenB := map[string]int{}, map[string]int{}
-	a := batchEchoServer(t, &mu, seenA, 0)
-	defer a.Close()
-	b := batchEchoServer(t, &mu, seenB, 1)
-	defer b.Close()
-
-	r, err := NewRouter([]string{a.URL, b.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	circuits := []string{"DSP", "FFT", "RISC", "AES", "MUL", "DIV", "ALU", "CRC"}
-	var items []api.BatchItem
-	for _, c := range circuits {
-		items = append(items, gbItem(c), gbItem(c)) // duplicates must co-locate
-	}
-	resp, err := r.Batch(context.Background(), items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Items) != len(items) {
-		t.Fatalf("got %d results for %d items", len(resp.Items), len(items))
-	}
-	for i, it := range items {
-		res := resp.Items[i]
-		if res.Error != nil || res.Guardband == nil || res.Guardband.Circuit != it.Guardband.Circuit {
-			t.Errorf("item %d: %+v, want answer for %s", i, res, it.Guardband.Circuit)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, c := range circuits {
-		_, onA := seenA[c]
-		_, onB := seenB[c]
-		if onA == onB {
-			t.Errorf("circuit %s served by %d backends, want exactly one", c, btoi(onA)+btoi(onB))
-		}
-	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// TestRouterBatchBackendFailureIsolated: when one backend's whole
-// exchange fails, only its items carry errors; the healthy backend's
-// answers stand.
-func TestRouterBatchBackendFailureIsolated(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[string]int{}
-	healthy := batchEchoServer(t, &mu, seen, 0)
-	defer healthy.Close()
-	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusInternalServerError)
-		json.NewEncoder(w).Encode(api.ErrorResponse{Version: api.APIVersion, Error: "disk on fire"})
-	}))
-	defer broken.Close()
-
-	r, err := NewRouter([]string{healthy.URL, broken.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pick one circuit per backend so both shards are exercised. The
-	// ring hashes the backends' random httptest ports, so a fixed name
-	// list could land entirely on one backend under an unlucky split;
-	// generate names until both are covered.
-	byBackend := map[int]string{}
-	for i := 0; len(byBackend) < 2 && i < 10000; i++ {
-		c := fmt.Sprintf("CIRC%d", i)
-		key, kerr := shardKey(gbItem(c))
-		if kerr != nil {
-			t.Fatal(kerr)
-		}
-		idx := r.pickIdx(key)
-		if _, ok := byBackend[idx]; !ok {
-			byBackend[idx] = c
-		}
-	}
-	if len(byBackend) != 2 {
-		t.Fatalf("could not find circuits covering both backends: %v", byBackend)
-	}
-
-	items := []api.BatchItem{gbItem(byBackend[0]), gbItem(byBackend[1]), gbItem(byBackend[0])}
-	resp, err := r.Batch(context.Background(), items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, 2} {
-		if res := resp.Items[i]; res.Error != nil || res.Guardband == nil {
-			t.Errorf("healthy-shard item %d = %+v, want clean answer", i, res)
-		}
-	}
-	if res := resp.Items[1]; res.Error == nil || res.Error.Status != 500 {
-		t.Errorf("broken-shard item = %+v, want status-500 error", res)
 	}
 }

@@ -62,14 +62,17 @@ fuzz-smoke:
 
 # bench-smoke runs every kernel benchmark once: internal/sta's
 # (InnerLoop*, Grid*, MCSample at 400 and 3600 gates, TopPaths one-shot
-# and on a compiled BatchTimer) and
-# internal/char's SPICE kernel (ArcTransientINVX1, ArcTransientXOR2X1,
-# CharacterizeINVX1), about 4 s on a warm build cache, so a benchmark
-# that stops running fails verify instead of the next measurement. One
-# iteration measures nothing; time with -benchtime 2s or more.
+# and on a compiled BatchTimer), internal/char's SPICE kernel
+# (ArcTransientINVX1, ArcTransientXOR2X1, CharacterizeINVX1) and cache
+# load of a daemon-size library (VerifyCacheFile), and internal/liberty's
+# parser (Read/reference and Read/bytes on a daemon-size library), about
+# 4 s on a warm build cache, so a benchmark that stops running fails
+# verify instead of the next measurement. One iteration measures
+# nothing; time with -benchtime 2s or more.
 bench-smoke:
 	$(GO) test ./internal/sta/ -run XXX -bench . -benchtime 1x
 	$(GO) test ./internal/char/ -run XXX -bench . -benchtime 1x
+	$(GO) test ./internal/liberty/ -run XXX -bench . -benchtime 1x
 
 # cover-gate re-runs the full test suite with a coverage profile and
 # fails if total statement coverage drops below the committed baseline

@@ -2,9 +2,13 @@ package char
 
 import (
 	"context"
+	"io"
+	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/cells"
 	"ageguard/internal/liberty"
 	"ageguard/internal/units"
@@ -18,7 +22,9 @@ import (
 //     INV_X1 and a multi-stage XOR2_X1 arc, with allocation tracking
 //     (b.ReportAllocs);
 //  2. a small Characterize run (wall clock), the unit of work the
-//     121-library grid repeats.
+//     121-library grid repeats;
+//  3. one cache load of a daemon-size library (VerifyCacheFile), which
+//     warm starts and Monte Carlo fills repeat.
 //
 // Run them with go test ./internal/char/ -run XXX -bench .
 // The daemon-level benchmark is perfbench/ (see its README).
@@ -78,6 +84,63 @@ func BenchmarkCharacterizeINVX1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cfg.Characterize(ctx, aging.WorstCase(10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifyCacheFile loads a daemon-size cache entry end to end —
+// read, checksum, parse — as the cache loader, the warm start and the
+// scrubber do. The entry is written to a temporary directory, not the
+// repository cache: every catalog cell with its real arcs over
+// DefaultConfig's 7×7 grid, with arbitrary full-precision table values
+// in place of characterized ones, which parse alike.
+func BenchmarkVerifyCacheFile(b *testing.B) {
+	cfg := DefaultConfig()
+	s := aging.WorstCase(10)
+	rng := rand.New(rand.NewSource(1))
+	table := func() *liberty.Table {
+		t := liberty.NewTable(cfg.Slews, cfg.Loads)
+		for _, row := range t.Values {
+			for j := range row {
+				row[j] = 1e-11 * (0.5 + 10*rng.Float64())
+			}
+		}
+		return t
+	}
+	arc := func(pin string, sense liberty.Sense, when uint) liberty.Arc {
+		return liberty.Arc{Pin: pin, Sense: sense, When: when,
+			Delay: [2]*liberty.Table{table(), table()}, OutSlew: [2]*liberty.Table{table(), table()}}
+	}
+	lib := &liberty.Library{
+		Name: cfg.libName(s), Scenario: s, Vdd: cfg.Tech.Vdd,
+		Slews: cfg.Slews, Loads: cfg.Loads, Cells: map[string]*liberty.CellTiming{},
+	}
+	for _, c := range cells.All() {
+		ct := &liberty.CellTiming{
+			Name: c.Name, Base: c.Base, Drive: c.Drive, AreaUm2: c.AreaUm2,
+			Inputs: c.Inputs, Output: c.Output, PinCap: map[string]float64{},
+		}
+		for _, p := range c.Inputs {
+			ct.PinCap[p] = c.PinCap(cfg.Tech, p)
+		}
+		if c.Seq {
+			ct.Seq, ct.Clock, ct.Data, ct.SetupPS, ct.HoldPS = true, c.Clock, c.Data, dffSetup, dffHold
+			ct.Arcs = []liberty.Arc{arc(c.Clock, liberty.PositiveUnate, 0)}
+		} else {
+			for _, spec := range DiscoverArcs(c) {
+				ct.Arcs = append(ct.Arcs, arc(spec.Pin, spec.Sense, spec.When))
+			}
+		}
+		lib.Cells[c.Name] = ct
+	}
+	path := filepath.Join(b.TempDir(), "daemon.alib")
+	if err := atomicfile.Write(path, func(w io.Writer) error { return liberty.WriteSummed(w, lib) }); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := VerifyCacheFile(path); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 package char
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,22 +32,28 @@ func CachedConfig() Config {
 }
 
 // VerifyCacheFile loads one on-disk .alib entry end to end: it reads
-// the whole file, verifies the trailing fnv64a checksum when present
-// (files written before the checksum existed fall back to the parser's
-// structural ENDLIB/bounds checks), and parses the library. Every
-// integrity failure — a bad checksum, a truncation, an unparseable body
-// — wraps ErrCacheCorrupt; a missing file wraps fs.ErrNotExist. It is
-// the shared integrity gate of the characterization cache loader and
-// of ageguardd's warm-start scan and background scrubber.
+// the whole file, verifies its trailing fnv64a checksum and parses the
+// library. The checksum is mandatory: every entry under a current
+// config hash was written by liberty.WriteSummed, so a file whose #SUM
+// line is missing or whose marker is damaged is corrupt, not legacy.
+// Every integrity failure — a missing or bad checksum, a truncation, an
+// unparseable body — wraps ErrCacheCorrupt; a missing file wraps
+// fs.ErrNotExist. It is the shared integrity gate of the
+// characterization cache loader and of ageguardd's warm-start scan and
+// background scrubber.
 func VerifyCacheFile(path string) (*liberty.Library, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := liberty.VerifySummed(data); err != nil {
+	summed, err := liberty.VerifySummed(data)
+	if err == nil && !summed {
+		err = errors.New("no checksum line")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCacheCorrupt, path, err)
 	}
-	lib, err := liberty.Read(bytes.NewReader(data))
+	lib, err := liberty.Parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCacheCorrupt, path, err)
 	}

@@ -3,6 +3,7 @@ package char
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -90,5 +91,62 @@ func TestTruncatedCacheDetected(t *testing.T) {
 		if strings.Contains(e, ".tmp") {
 			t.Errorf("stray temp file %s after rebuild", e)
 		}
+	}
+}
+
+// TestCacheChecksumRequired: a cache entry whose #SUM marker is damaged
+// or missing is corrupt, not a legacy file, even though its library
+// data is intact: one flipped marker byte would otherwise switch off
+// checksum protection for the life of the file. Characterize counts it
+// under char.cache.corrupt and rebuilds a byte-identical entry.
+func TestCacheChecksumRequired(t *testing.T) {
+	dir := t.TempDir()
+	cfg := TestConfig()
+	cfg.Cells = []string{"INV_X1"}
+	cfg.CacheDir = dir
+	s := aging.WorstCase(10)
+	if _, err := cfg.Characterize(context.Background(), s); err != nil {
+		t.Fatal(err)
+	}
+	path := cfg.cachePath(s)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := strings.LastIndex(string(full), "\n#SUM fnv64a ") + 1
+	if marker == 0 {
+		t.Fatal("cache entry has no checksum line")
+	}
+	damaged := map[string][]byte{"no checksum line": full[:marker]}
+	for i := marker; i < marker+len("#SUM fnv64a "); i++ {
+		b := append([]byte(nil), full...)
+		b[i] ^= 0x04
+		damaged[fmt.Sprintf("marker byte %d flipped", i-marker)] = b
+	}
+	for name, b := range damaged {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cfg.loadCache(s); !errors.Is(err, ErrCacheCorrupt) {
+			t.Errorf("%s: loadCache = %v, want ErrCacheCorrupt", name, err)
+		}
+	}
+
+	if err := os.WriteFile(path, damaged["marker byte 1 flipped"], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if _, err := cfg.Characterize(obs.With(context.Background(), reg), s); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("char.cache.corrupt").Value(); n != 1 {
+		t.Errorf("char.cache.corrupt = %d, want 1", n)
+	}
+	rebuilt, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rebuilt) != string(full) {
+		t.Error("rebuilt cache entry differs from the original serialization")
 	}
 }

@@ -3,6 +3,7 @@ package char
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ageguard/internal/aging"
 	"ageguard/internal/device"
@@ -59,10 +60,10 @@ const (
 
 // Sensitivity is a characterized library together with first-order
 // per-arc sensitivities to the four variation parameters. Build with
-// Config.Sensitivities; time samples from Base and Deltas
-// (sta.BatchTimer.BindDeltas), or materialize a sample's instance
-// library with SampleLibrary. Immutable after construction and safe for
-// concurrent use.
+// Config.Sensitivities or Config.SensitivitiesAround; time samples from
+// Base and Deltas (sta.BatchTimer.BindDeltas), or materialize a
+// sample's instance library with SampleLibrary. Immutable after
+// construction and safe for concurrent use.
 type Sensitivity struct {
 	// Base is the nominal library the sensitivities are taken around.
 	Base *liberty.Library
@@ -82,20 +83,39 @@ func Weights(pb device.Perturb) liberty.DeltaWeights {
 	return liberty.DeltaWeights{sensVthP: pb.DVthP, sensVthN: pb.DVthN, sensMuP: pb.DMuP, sensMuN: pb.DMuN}
 }
 
-// Sensitivities characterizes the nominal library plus one single-axis
-// perturbed library per variation parameter (five characterizations, all
-// cache-eligible since Config.Perturb enters the cache hash) and returns
-// the finite-difference sensitivity tables. The perturbed runs execute
-// sequentially — each is internally parallel under cfg.Parallelism, so
-// stacking them would only oversubscribe the simulation limiter.
+// Sensitivities characterizes the nominal library of s and builds the
+// sensitivities around it (SensitivitiesAround).
 func (cfg Config) Sensitivities(ctx context.Context, s aging.Scenario) (*Sensitivity, error) {
+	base, err := cfg.Characterize(ctx, s)
+	if err != nil {
+		return nil, fmt.Errorf("char: sensitivity base: %w", err)
+	}
+	return cfg.SensitivitiesAround(ctx, s, base)
+}
+
+// SensitivitiesAround characterizes one single-axis perturbed library
+// per variation parameter (four characterizations, all cache-eligible
+// since Config.Perturb enters the cache hash) and returns the
+// finite-difference sensitivity tables around base, which must be this
+// configuration's nominal library for s: a caller that holds it, such
+// as ageguardd's library cache, saves loading it again. A base with
+// another name or other axes is rejected, since its tables would not
+// pair grid point for grid point with the perturbed ones. The perturbed
+// runs execute sequentially — each is internally parallel under
+// cfg.Parallelism, so stacking them would only oversubscribe the
+// simulation limiter.
+func (cfg Config) SensitivitiesAround(ctx context.Context, s aging.Scenario, base *liberty.Library) (*Sensitivity, error) {
 	ctx, sp := obs.StartSpan(ctx, "char.sensitivities")
 	defer sp.End()
 	sp.SetAttr("scenario", s.String())
 
-	base, err := cfg.Characterize(ctx, s)
-	if err != nil {
-		return nil, fmt.Errorf("char: sensitivity base: %w", err)
+	if base == nil {
+		return nil, fmt.Errorf("char: sensitivity base for %s is nil", s)
+	}
+	if want := cfg.libName(s); base.Name != want ||
+		!slices.Equal(base.Slews, cfg.Slews) || !slices.Equal(base.Loads, cfg.Loads) {
+		return nil, fmt.Errorf("char: sensitivity base %s on a %dx%d grid is not %s on this config's %dx%d grid",
+			base.Name, len(base.Slews), len(base.Loads), want, len(cfg.Slews), len(cfg.Loads))
 	}
 	steps := [numSensParams]device.Perturb{
 		sensVthP: {DVthP: SensStepVth},

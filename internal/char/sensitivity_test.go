@@ -243,3 +243,95 @@ func TestDiffTableAndApplyDelta(t *testing.T) {
 		t.Error("nil base did not propagate")
 	}
 }
+
+// TestSensitivitiesAroundMatchesSensitivities: sensitivities built
+// around a separately loaded base library equal Sensitivities' in every
+// bit of every delta table, and share that base. A base that is not
+// this config's library for the scenario is rejected: one for another
+// scenario, and one on another grid, whose tables would not pair grid
+// point for grid point with the perturbed ones (a larger grid would
+// index past them).
+func TestSensitivitiesAroundMatchesSensitivities(t *testing.T) {
+	cfg := sensConfig(t)
+	ctx := context.Background()
+	s := aging.WorstCase(10)
+	want, err := cfg.Sensitivities(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := cfg.Characterize(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cfg.SensitivitiesAround(ctx, s, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Base != base {
+		t.Error("SensitivitiesAround did not keep the given base")
+	}
+	if len(got.arcs) != len(want.arcs) {
+		t.Fatalf("%d cells with deltas, want %d", len(got.arcs), len(want.arcs))
+	}
+	tables := 0
+	for name, wa := range want.arcs {
+		ga := got.arcs[name]
+		if len(ga) != len(wa) {
+			t.Fatalf("%s: %d arcs, want %d", name, len(ga), len(wa))
+		}
+		for ai := range wa {
+			for p := 0; p < numSensParams; p++ {
+				for e := 0; e < 2; e++ {
+					for _, pair := range [][2]*liberty.Table{
+						{ga[ai].Delay[p][e], wa[ai].Delay[p][e]},
+						{ga[ai].OutSlew[p][e], wa[ai].OutSlew[p][e]},
+					} {
+						g, w := pair[0], pair[1]
+						if (g == nil) != (w == nil) {
+							t.Fatalf("%s arc %d param %d edge %d: nil mismatch", name, ai, p, e)
+						}
+						if w == nil {
+							continue
+						}
+						tables++
+						for i, row := range w.Values {
+							for j, v := range row {
+								if math.Float64bits(g.Values[i][j]) != math.Float64bits(v) {
+									t.Fatalf("%s arc %d param %d edge %d [%d][%d]: %v, want %v",
+										name, ai, p, e, i, j, g.Values[i][j], v)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if tables == 0 {
+		t.Fatal("no delta tables compared")
+	}
+
+	fresh, err := cfg.Characterize(ctx, aging.Fresh())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cfg.SensitivitiesAround(ctx, s, fresh); err == nil {
+		t.Error("the fresh library was accepted as the worst-case base")
+	}
+	wide := cfg
+	wide.Slews = LogAxis(cfg.Slews[0], cfg.Slews[len(cfg.Slews)-1], len(cfg.Slews)+1)
+	wide.Loads = LogAxis(cfg.Loads[0], cfg.Loads[len(cfg.Loads)-1], len(cfg.Loads)+1)
+	other, err := wide.Characterize(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Name != base.Name {
+		t.Fatalf("the grid is not in the library name (%s vs %s): the test needs a base that differs only in its grid", other.Name, base.Name)
+	}
+	if _, err := cfg.SensitivitiesAround(ctx, s, other); err == nil {
+		t.Error("a base on a 4x4 grid was accepted for a 3x3 config")
+	}
+	if _, err := cfg.SensitivitiesAround(ctx, s, nil); err == nil {
+		t.Error("a nil base was accepted")
+	}
+}

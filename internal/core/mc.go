@@ -116,9 +116,14 @@ func (f Flow) MCGuardband(ctx context.Context, circuit string, s aging.Scenario,
 }
 
 // MCGuardbandNetlist compiles an already-synthesized netlist against the
-// fresh library and runs MCGuardbandTimer on it.
+// fresh library and runs MCGuardbandTimer on it with the fresh and aged
+// libraries of the flow.
 func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlist.Netlist, s aging.Scenario, mc MCConfig) (*MCResult, error) {
 	fresh, err := f.FreshLibrary(ctx)
+	if err != nil {
+		return nil, err
+	}
+	aged, err := f.Library(ctx, s)
 	if err != nil {
 		return nil, err
 	}
@@ -126,14 +131,17 @@ func (f Flow) MCGuardbandNetlist(ctx context.Context, circuit string, nl *netlis
 	if err != nil {
 		return nil, err
 	}
-	return f.MCGuardbandTimer(ctx, circuit, bt, s, mc)
+	return f.MCGuardbandTimer(ctx, circuit, bt, s, fresh, aged, mc)
 }
 
 // MCGuardbandTimer runs the Monte Carlo guardband estimation on a
 // compiled netlist, whose footprints must be the flow's libraries'.
-// Results are bit-identical for equal (netlist, scenario, MCConfig)
-// regardless of MCConfig.Parallelism.
-func (f Flow) MCGuardbandTimer(ctx context.Context, circuit string, bt *sta.BatchTimer, s aging.Scenario, mc MCConfig) (*MCResult, error) {
+// fresh and aged are the flow's libraries for the fresh scenario and
+// for s (Flow.FreshLibrary and Flow.Library), which the caller already
+// holds; the sensitivities are taken around them, so only the perturbed
+// libraries are loaded. Results are bit-identical for equal (netlist,
+// scenario, MCConfig) regardless of MCConfig.Parallelism.
+func (f Flow) MCGuardbandTimer(ctx context.Context, circuit string, bt *sta.BatchTimer, s aging.Scenario, fresh, aged *liberty.Library, mc MCConfig) (*MCResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "core.guardband.mc")
 	defer sp.End()
 	sp.SetAttr("circuit", circuit)
@@ -148,11 +156,11 @@ func (f Flow) MCGuardbandTimer(ctx context.Context, circuit string, bt *sta.Batc
 		reg.Histogram("core.mc.seconds").Since(t0)
 	}()
 
-	snFresh, err := f.Char.Sensitivities(ctx, aging.Fresh())
+	snFresh, err := f.Char.SensitivitiesAround(ctx, aging.Fresh(), fresh)
 	if err != nil {
 		return nil, err
 	}
-	snAged, err := f.Char.Sensitivities(ctx, s)
+	snAged, err := f.Char.SensitivitiesAround(ctx, s, aged)
 	if err != nil {
 		return nil, err
 	}

@@ -11,15 +11,17 @@ import (
 // sumMarker introduces the trailing integrity line of a summed .alib
 // file: "#SUM fnv64a <16 hex digits>\n", covering every byte that
 // precedes the line. The marker is a comment, so parsers that predate
-// the checksum (and Read itself) skip it unchanged — old files without
-// the line remain valid, protected only by the ENDLIB/bounds checks.
+// the checksum (and Parse itself) skip it unchanged, and files without
+// the line still parse; char's cache loader, though, requires it.
 const sumMarker = "#SUM fnv64a "
 
 // WriteSummed serializes the library exactly like Write and appends the
-// trailing checksum line. Any later truncation or bit flip of the file
-// — including one that removes the checksum line itself, since the
-// summed region ends with ENDLIB followed by the marker — is detected
-// by VerifySummed.
+// trailing checksum line. While the marker survives, VerifySummed
+// detects any later bit flip of the summed region or of the digest and
+// any truncation inside the checksum line. A truncation that removes
+// the marker, or a flip inside it, leaves a file VerifySummed reports
+// as unsummed: a loader that knows its files were summed must treat
+// that as corruption too, as char.VerifyCacheFile does.
 func WriteSummed(w io.Writer, l *Library) error {
 	h := fnv.New64a()
 	if err := Write(io.MultiWriter(w, h), l); err != nil {
@@ -31,11 +33,11 @@ func WriteSummed(w io.Writer, l *Library) error {
 
 // VerifySummed checks the trailing checksum of a serialized library.
 // summed reports whether the file carries one at all: legacy files
-// (written before the checksum existed) return (false, nil) and the
-// caller falls back to the parser's structural ENDLIB/bounds checks.
-// A present-but-wrong checksum — truncation inside the line, a
-// corrupted digest, or data bytes that no longer hash to it — returns a
-// non-nil error.
+// (written before the checksum existed) return (false, nil), and a
+// caller that accepts them falls back to the parser's structural
+// ENDLIB/bounds checks. A present-but-wrong checksum — truncation
+// inside the line, a corrupted digest, or data bytes that no longer
+// hash to it — returns a non-nil error.
 func VerifySummed(data []byte) (summed bool, err error) {
 	i := bytes.LastIndex(data, []byte("\n"+sumMarker))
 	if i < 0 {

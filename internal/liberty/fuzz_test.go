@@ -2,10 +2,10 @@ package liberty
 
 import (
 	"bytes"
-
-	"ageguard/internal/aging"
 	"strings"
 	"testing"
+
+	"ageguard/internal/aging"
 )
 
 // fuzzSeedLibrary serializes a minimal two-cell library so the fuzzer
@@ -69,7 +69,11 @@ func fuzzSeedLibrary() []byte {
 // FuzzLibertyRead asserts the cache deserializer's contract on arbitrary
 // bytes: parse cleanly or return an error — never panic, never hang. A
 // successfully parsed library must also survive re-serialization and
-// re-parse (the cache writer/loader round trip).
+// re-parse (the cache writer/loader round trip). Read must agree with
+// the reference reader it replaced: both fail, or both return libraries
+// equal in every field and every float's bits. That comparison is
+// skipped for inputs with bytes of 0x80 and above, where the reference
+// also splits at Unicode spaces, which Write never emits.
 func FuzzLibertyRead(f *testing.F) {
 	seed := fuzzSeedLibrary()
 	f.Add(seed)
@@ -82,8 +86,22 @@ func FuzzLibertyRead(f *testing.F) {
 	// Oversized axes must be refused before TABLE blocks can allocate
 	// len(Slews)*len(Loads) floats per arc (found by this fuzzer).
 	f.Add([]byte("LIBRARY big\nSLEWS" + strings.Repeat(" 1e-12", 5000) + "\nENDLIB\n"))
+	// Line ends and spacing the two readers must treat alike.
+	f.Add(bytes.ReplaceAll(seed, []byte("\n"), []byte("\r\n")))
+	f.Add([]byte("\t LIBRARY \v l\f\r\n  # note\n\nENDLIB"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := Read(bytes.NewReader(data))
+		if !hasHighBytes(data) {
+			ref, rerr := readReference(bytes.NewReader(data))
+			if (err == nil) != (rerr == nil) {
+				t.Fatalf("Read error %v, reference error %v", err, rerr)
+			}
+			if err == nil {
+				if d := diffLibraries(l, ref); d != "" {
+					t.Fatalf("Read and reference differ at %s", d)
+				}
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -95,6 +113,15 @@ func FuzzLibertyRead(f *testing.F) {
 			t.Fatalf("round trip failed: %v", err)
 		}
 	})
+}
+
+func hasHighBytes(data []byte) bool {
+	for _, b := range data {
+		if b >= 0x80 {
+			return true
+		}
+	}
+	return false
 }
 
 func TestFuzzSeedParses(t *testing.T) {

@@ -2,6 +2,7 @@ package liberty
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -69,15 +70,28 @@ func writeTable(w io.Writer, t *Table) {
 	}
 }
 
-// Read parses a library previously produced by Write. The ENDLIB
-// terminator is mandatory: a file that ends before it — e.g. a cache
-// entry truncated by a crashed or killed writer — is rejected rather
-// than silently parsed as a smaller library, so cache loaders can detect
-// every prefix truncation as corruption and rebuild.
+// Read parses a library previously produced by Write: it reads r to
+// the end and parses the bytes with Parse.
 func Read(r io.Reader) (*Library, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	p := &parser{sc: sc}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("liberty: %w", err)
+	}
+	return Parse(data)
+}
+
+// Parse parses the bytes of a library previously produced by Write. The
+// ENDLIB terminator is mandatory: a file that ends before it — e.g. a
+// cache entry truncated by a crashed or killed writer — is rejected
+// rather than silently parsed as a smaller library, so cache loaders can
+// detect every prefix truncation as corruption and rebuild.
+//
+// Lines and fields are split in place and numbers parsed straight from
+// data, so the parse allocates little beyond the library it returns.
+// That library holds copies of every name and never aliases data: a
+// resident library must not pin the bytes of its file.
+func Parse(data []byte) (*Library, error) {
+	p := &parser{data: data, f: make([][]byte, 0, 16)}
 	lib, err := p.library()
 	if err != nil {
 		return nil, fmt.Errorf("liberty: line %d: %w", p.lineNo, err)
@@ -85,39 +99,76 @@ func Read(r io.Reader) (*Library, error) {
 	return lib, nil
 }
 
+// parser splits data into lines at '\n' and each line into fields at
+// ASCII spaces, the only separators Write emits.
 type parser struct {
-	sc     *bufio.Scanner
+	data   []byte
+	pos    int // offset of the first line not yet read
 	lineNo int
-	peeked []string
-	done   bool
+	f      [][]byte // fields of the current line, reused for every line
+	peeked [][]byte
 }
 
-func (p *parser) next() ([]string, error) {
+// maxLineBytes is the length at which a line is rejected. It is the
+// line limit of the reference reader the tests compare Parse against
+// (reference_test.go), so that both accept the same files; Write's
+// longest lines are axis lines, which maxAxisPoints keeps far below it.
+const maxLineBytes = 1 << 20
+
+// next returns the fields of the next line that is neither blank nor a
+// comment. They alias data and the parser's field buffer, so they are
+// valid until the next call.
+func (p *parser) next() ([][]byte, error) {
 	if p.peeked != nil {
 		f := p.peeked
 		p.peeked = nil
 		return f, nil
 	}
-	for p.sc.Scan() {
+	for p.pos < len(p.data) {
+		line := p.data[p.pos:]
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+		}
+		if len(line) >= maxLineBytes {
+			return nil, fmt.Errorf("line longer than %d bytes", maxLineBytes)
+		}
+		p.pos += len(line) + 1
 		p.lineNo++
-		line := strings.TrimSpace(p.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		p.f = splitFields(p.f[:0], line)
+		if len(p.f) == 0 || p.f[0][0] == '#' {
 			continue
 		}
-		return strings.Fields(line), nil
+		return p.f, nil
 	}
-	if err := p.sc.Err(); err != nil {
-		return nil, err
-	}
-	p.done = true
 	return nil, io.EOF
 }
 
-func (p *parser) unread(f []string) { p.peeked = f }
+func (p *parser) unread(f [][]byte) { p.peeked = f }
+
+// isSpace marks the bytes strings.Fields splits ASCII text at.
+var isSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields appends the fields of line to dst.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	for i := 0; ; {
+		for i < len(line) && isSpace[line[i]] {
+			i++
+		}
+		if i == len(line) {
+			return dst
+		}
+		j := i
+		for j < len(line) && !isSpace[line[j]] {
+			j++
+		}
+		dst = append(dst, line[i:j:j])
+		i = j
+	}
+}
 
 // need guards field accesses against lines a truncation cut mid-token:
 // they must surface as parse errors, never index panics.
-func need(f []string, n int) error {
+func need(f [][]byte, n int) error {
 	if len(f) < n {
 		return fmt.Errorf("short %s line", f[0])
 	}
@@ -131,14 +182,10 @@ func need(f []string, n int) error {
 // must fail parsing instead of driving a multi-gigabyte allocation.
 const maxAxisPoints = 1024
 
-func parseAxis(fields []string) ([]float64, error) {
+func parseAxis(fields [][]byte) ([]float64, error) {
 	if len(fields) > maxAxisPoints {
 		return nil, fmt.Errorf("axis has %d points, limit %d", len(fields), maxAxisPoints)
 	}
-	return parseFloats(fields)
-}
-
-func parseFloats(fields []string) ([]float64, error) {
 	out := make([]float64, len(fields))
 	if err := parseInto(out, fields); err != nil {
 		return nil, err
@@ -146,16 +193,43 @@ func parseFloats(fields []string) ([]float64, error) {
 	return out, nil
 }
 
+// parseFloat parses one field. The string conversion does not escape,
+// so it needs no allocation.
+func parseFloat(b []byte) (float64, error) { return strconv.ParseFloat(string(b), 64) }
+
 // parseInto parses fields into dst, which must be at least as long.
-func parseInto(dst []float64, fields []string) error {
+func parseInto(dst []float64, fields [][]byte) error {
 	for i, f := range fields {
-		v, err := strconv.ParseFloat(f, 64)
+		v, err := parseFloat(f)
 		if err != nil {
 			return err
 		}
 		dst[i] = v
 	}
 	return nil
+}
+
+// names copies fields into strings; no fields give nil.
+func names(fields [][]byte) []string {
+	if len(fields) == 0 {
+		return nil
+	}
+	out := make([]string, len(fields))
+	for i, f := range fields {
+		out[i] = string(f)
+	}
+	return out
+}
+
+// pinName returns pin b of ct as a string, sharing the string of the
+// input pin of that name when there is one.
+func pinName(ct *CellTiming, b []byte) string {
+	for _, in := range ct.Inputs {
+		if in == string(b) {
+			return in
+		}
+	}
+	return string(b)
 }
 
 func (p *parser) library() (*Library, error) {
@@ -168,18 +242,18 @@ func (p *parser) library() (*Library, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch f[0] {
+		switch string(f[0]) {
 		case "LIBRARY":
 			if err := need(f, 2); err != nil {
 				return nil, err
 			}
-			l.Name = f[1]
+			l.Name = string(f[1])
 		case "SCENARIO":
 			if err := need(f, 6); err != nil {
 				return nil, err
 			}
-			v, err := parseFloats(f[1:6])
-			if err != nil {
+			var v [5]float64
+			if err := parseInto(v[:], f[1:6]); err != nil {
 				return nil, err
 			}
 			l.Scenario = aging.Scenario{Years: v[0], TempK: v[1], Vdd: v[2], LambdaP: v[3], LambdaN: v[4]}
@@ -187,7 +261,7 @@ func (p *parser) library() (*Library, error) {
 			if err := need(f, 2); err != nil {
 				return nil, err
 			}
-			v, err := strconv.ParseFloat(f[1], 64)
+			v, err := parseFloat(f[1])
 			if err != nil {
 				return nil, err
 			}
@@ -213,7 +287,7 @@ func (p *parser) library() (*Library, error) {
 		case "ENDLIB":
 			// Write always emits a LIBRARY header; a file reaching ENDLIB
 			// without one would re-serialize as a short LIBRARY line that
-			// Read itself rejects, so refuse the round-trip asymmetry here.
+			// Parse itself rejects, so refuse the round-trip asymmetry here.
 			if l.Name == "" {
 				return nil, fmt.Errorf("missing LIBRARY header")
 			}
@@ -224,20 +298,22 @@ func (p *parser) library() (*Library, error) {
 	}
 }
 
-func (p *parser) cell(l *Library, hdr []string) (*CellTiming, error) {
+// cell parses a CELL block. Like arc, it reads its header's fields
+// before the next line overwrites them.
+func (p *parser) cell(l *Library, hdr [][]byte) (*CellTiming, error) {
 	if len(hdr) < 5 {
 		return nil, fmt.Errorf("short CELL header")
 	}
-	drive, err := strconv.Atoi(hdr[3])
+	drive, err := strconv.Atoi(string(hdr[3]))
 	if err != nil {
 		return nil, err
 	}
-	areaV, err := strconv.ParseFloat(hdr[4], 64)
+	areaV, err := parseFloat(hdr[4])
 	if err != nil {
 		return nil, err
 	}
 	ct := &CellTiming{
-		Name: hdr[1], Base: hdr[2], Drive: drive, AreaUm2: areaV,
+		Name: string(hdr[1]), Base: string(hdr[2]), Drive: drive, AreaUm2: areaV,
 		PinCap: map[string]float64{},
 	}
 	for {
@@ -245,41 +321,44 @@ func (p *parser) cell(l *Library, hdr []string) (*CellTiming, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch f[0] {
+		switch string(f[0]) {
 		case "OUTPUT":
 			if err := need(f, 2); err != nil {
 				return nil, err
 			}
-			ct.Output = f[1]
+			ct.Output = string(f[1])
 		case "INPUTS":
-			ct.Inputs = append([]string(nil), f[1:]...)
+			ct.Inputs = names(f[1:])
 		case "PINCAP":
 			if err := need(f, 3); err != nil {
 				return nil, err
 			}
-			v, err := strconv.ParseFloat(f[2], 64)
+			v, err := parseFloat(f[2])
 			if err != nil {
 				return nil, err
 			}
-			ct.PinCap[f[1]] = v
+			ct.PinCap[pinName(ct, f[1])] = v
 		case "SEQ":
 			if err := need(f, 5); err != nil {
 				return nil, err
 			}
 			ct.Seq = true
-			ct.Clock, ct.Data = f[1], f[2]
-			if ct.SetupPS, err = strconv.ParseFloat(f[3], 64); err != nil {
+			ct.Clock, ct.Data = pinName(ct, f[1]), pinName(ct, f[2])
+			if ct.SetupPS, err = parseFloat(f[3]); err != nil {
 				return nil, err
 			}
-			if ct.HoldPS, err = strconv.ParseFloat(f[4], 64); err != nil {
+			if ct.HoldPS, err = parseFloat(f[4]); err != nil {
 				return nil, err
 			}
 		case "ARC":
-			arc, err := p.arc(l, f)
+			arc, err := p.arc(l, ct, f)
 			if err != nil {
 				return nil, err
 			}
-			ct.Arcs = append(ct.Arcs, *arc)
+			if ct.Arcs == nil {
+				ct.Arcs = make([]Arc, 0, len(ct.Inputs))
+			}
+			ct.Arcs = append(ct.Arcs, arc)
 		case "ENDCELL":
 			return ct, nil
 		default:
@@ -289,12 +368,12 @@ func (p *parser) cell(l *Library, hdr []string) (*CellTiming, error) {
 }
 
 // parseSalv decodes a "SALV <edge> <i> <j>" salvage marker.
-func parseSalv(f []string) (SalvagePoint, error) {
+func parseSalv(f [][]byte) (SalvagePoint, error) {
 	var sp SalvagePoint
 	if len(f) < 4 {
 		return sp, fmt.Errorf("short SALV line")
 	}
-	switch f[1] {
+	switch string(f[1]) {
 	case "rise":
 		sp.Edge = Rise
 	case "fall":
@@ -302,11 +381,11 @@ func parseSalv(f []string) (SalvagePoint, error) {
 	default:
 		return sp, fmt.Errorf("bad SALV edge %q", f[1])
 	}
-	i, err := strconv.Atoi(f[2])
+	i, err := strconv.Atoi(string(f[2]))
 	if err != nil {
 		return sp, err
 	}
-	j, err := strconv.Atoi(f[3])
+	j, err := strconv.Atoi(string(f[3]))
 	if err != nil {
 		return sp, err
 	}
@@ -314,73 +393,82 @@ func parseSalv(f []string) (SalvagePoint, error) {
 	return sp, nil
 }
 
-func (p *parser) arc(l *Library, hdr []string) (*Arc, error) {
+func (p *parser) arc(l *Library, ct *CellTiming, hdr [][]byte) (Arc, error) {
 	if len(hdr) < 4 {
-		return nil, fmt.Errorf("short ARC header")
+		return Arc{}, fmt.Errorf("short ARC header")
 	}
-	a := &Arc{Pin: hdr[1]}
-	switch hdr[2] {
+	a := Arc{Pin: pinName(ct, hdr[1])}
+	switch string(hdr[2]) {
 	case "positive_unate":
 		a.Sense = PositiveUnate
 	case "negative_unate":
 		a.Sense = NegativeUnate
 	default:
-		return nil, fmt.Errorf("bad sense %q", hdr[2])
+		return Arc{}, fmt.Errorf("bad sense %q", hdr[2])
 	}
-	when, err := strconv.ParseUint(hdr[3], 10, 32)
+	when, err := strconv.ParseUint(string(hdr[3]), 10, 32)
 	if err != nil {
-		return nil, err
+		return Arc{}, err
 	}
 	a.When = uint(when)
 	for {
 		f, err := p.next()
 		if err != nil {
-			return nil, err
+			return Arc{}, err
 		}
-		if f[0] == "SALV" {
+		if string(f[0]) == "SALV" {
 			sp, err := parseSalv(f)
 			if err != nil {
-				return nil, err
+				return Arc{}, err
 			}
 			a.Salvaged = append(a.Salvaged, sp)
 			continue
 		}
-		if f[0] != "TABLE" {
+		if string(f[0]) != "TABLE" {
 			p.unread(f)
 			return a, nil
 		}
 		if err := need(f, 3); err != nil {
-			return nil, err
+			return Arc{}, err
 		}
 		var edge Edge
-		switch f[2] {
+		switch string(f[2]) {
 		case "rise":
 			edge = Rise
 		case "fall":
 			edge = Fall
 		default:
-			return nil, fmt.Errorf("bad edge %q", f[2])
+			return Arc{}, fmt.Errorf("bad edge %q", f[2])
+		}
+		// A bad kind is reported after the rows are read, as the
+		// reference reader does; its field does not outlive the first
+		// row, so the kind is resolved here.
+		var dst *[2]*Table
+		var badKind string
+		switch string(f[1]) {
+		case "delay":
+			dst = &a.Delay
+		case "slew":
+			dst = &a.OutSlew
+		default:
+			badKind = string(f[1])
 		}
 		t := NewTable(l.Slews, l.Loads)
 		for i, vals := range t.Values {
 			row, err := p.next()
 			if err != nil {
-				return nil, err
+				return Arc{}, err
 			}
 			if len(row) != len(vals) {
-				return nil, fmt.Errorf("table row %d has %d values, want %d", i, len(row), len(vals))
+				return Arc{}, fmt.Errorf("table row %d has %d values, want %d", i, len(row), len(vals))
 			}
 			if err := parseInto(vals, row); err != nil {
-				return nil, err
+				return Arc{}, err
 			}
 		}
-		switch f[1] {
-		case "delay":
-			a.Delay[edge] = t
-		case "slew":
-			a.OutSlew[edge] = t
-		default:
-			return nil, fmt.Errorf("bad table kind %q", f[1])
+		if dst == nil {
+			return Arc{}, fmt.Errorf("bad table kind %q", badKind)
 		}
+		dst[edge] = t
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strconv"
 
+	"ageguard/internal/aging"
 	"ageguard/internal/core"
 	"ageguard/internal/device"
 	"ageguard/pkg/ageguard/api"
@@ -82,7 +83,15 @@ func (s *Server) mcGuardband(ctx context.Context, req *api.MCGuardbandRequest) (
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.cfg.Flow.MCGuardbandTimer(ctx, req.Circuit, bt, sc, core.MCConfig{
+		fresh, err := s.library(ctx, aging.Fresh())
+		if err != nil {
+			return nil, err
+		}
+		aged, err := s.library(ctx, sc)
+		if err != nil {
+			return nil, err
+		}
+		res, err := s.cfg.Flow.MCGuardbandTimer(ctx, req.Circuit, bt, sc, fresh, aged, core.MCConfig{
 			Samples:   samples,
 			Seed:      req.Seed,
 			Variation: v,

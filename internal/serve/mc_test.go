@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"ageguard/internal/core"
+	"ageguard/internal/device"
 	"ageguard/pkg/ageguard/api"
 )
 
@@ -83,5 +89,81 @@ func TestMCGuardbandDeterministicAndMemoized(t *testing.T) {
 		`{"circuit":"RISC-5P","scenario":{"kind":"worst"},"samples":6,"seed":43,"bins":8}`)
 	if string(other) == string(cold) {
 		t.Error("seed 43 reproduced seed 42's distribution")
+	}
+}
+
+// TestMCMissReusesResidentBases: once the guardband of a circuit and
+// scenario is warm, its fresh and aged libraries are resident, and a
+// Monte Carlo miss takes its sensitivities around them: it loads only
+// the eight perturbed libraries from the disk cache, so char.cache.hits
+// moves by exactly 8 (ten loads, before the bases were passed in). The
+// reply equals core.Flow.MCGuardbandNetlist's for the same circuit,
+// scenario and seed in all 64 bits of every number.
+func TestMCMissReusesResidentBases(t *testing.T) {
+	cfg := quickConfig(sharedDir(t))
+	s := New(cfg, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	gb, err := http.Post(ts.URL+"/v1/guardband", "application/json",
+		strings.NewReader(`{"circuit":"RISC-5P","scenario":{"kind":"worst"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb.Body.Close()
+	if gb.StatusCode != http.StatusOK {
+		t.Fatalf("guardband status %d", gb.StatusCode)
+	}
+	// A first query puts every perturbed library on disk, so the
+	// measured one finds them all there.
+	postMC(t, ts.URL, `{"circuit":"RISC-5P","scenario":{"kind":"worst"},"samples":4,"seed":1,"bins":8}`)
+	hits := func() int64 { return s.Registry().Snapshot().Counters["char.cache.hits"] }
+	before := hits()
+	raw := postMC(t, ts.URL, `{"circuit":"RISC-5P","scenario":{"kind":"worst"},"samples":6,"seed":2,"bins":8}`)
+	if d := hits() - before; d != 8 {
+		t.Errorf("a Monte Carlo miss loaded %d libraries from the disk cache, want the 8 perturbed ones", d)
+	}
+
+	var got api.MCGuardbandResponse
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := s.resolveScenario(api.Scenario{Kind: "worst"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	nl, err := cfg.Flow.SynthesizeTraditional(ctx, testCircuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cfg.Flow.MCGuardbandNetlist(ctx, testCircuit, nl, sc, core.MCConfig{
+		Samples: 6, Seed: 2, Variation: device.DefaultVariation(), Bins: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"fresh_cp_s", got.FreshCPs, want.FreshCPS},
+		{"aged_cp_s", got.AgedCPs, want.AgedCPS},
+		{"mean_s", got.MeanS, want.MeanS},
+		{"std_s", got.StdS, want.StdS},
+		{"p50_s", got.P50S, want.P50S},
+		{"p95_s", got.P95S, want.P95S},
+		{"p999_s", got.P999S, want.P999S},
+		{"min_s", got.MinS, want.MinS},
+		{"max_s", got.MaxS, want.MaxS},
+		{"hist.lo_s", got.Hist.LoS, want.Hist.LoS},
+		{"hist.hi_s", got.Hist.HiS, want.Hist.HiS},
+	} {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			t.Errorf("%s = %v, MCGuardbandNetlist gives %v", f.name, f.got, f.want)
+		}
+	}
+	if !slices.Equal(got.Hist.Counts, want.Hist.Counts) {
+		t.Errorf("histogram %v, MCGuardbandNetlist gives %v", got.Hist.Counts, want.Hist.Counts)
 	}
 }

@@ -14,14 +14,18 @@ import (
 // A daemon killed mid-run loses its in-memory LRU but not the disk
 // caches its characterizations left behind. On boot the warm-start scan
 // walks the library cache directory, verifies every entry written for
-// this config hash (trailing #SUM checksum for new files, structural
-// ENDLIB/bounds checks for legacy ones) and pre-populates the LRU, so
-// the first repeat query after a restart is served from the warm path
-// instead of re-characterizing. Files that fail verification are
-// quarantined — renamed aside with a .corrupt suffix — so the next miss
-// re-characterizes cleanly instead of tripping over the same bad bytes
-// forever. The scrubber repeats the verification sweep periodically to
-// catch corruption that lands while the daemon runs.
+// this config hash (char.VerifyCacheFile: the trailing #SUM checksum,
+// which every entry must carry, then the parser's structural checks)
+// and pre-populates the LRU, so the first repeat query after a restart
+// is served from the warm path instead of re-characterizing. Files that
+// fail verification, including files whose checksum line is missing or
+// whose marker is damaged, are quarantined — renamed aside with a
+// .corrupt suffix — so the next miss re-characterizes cleanly instead
+// of tripping over the same bad bytes forever. The scrubber repeats the
+// verification sweep periodically to catch corruption that lands while
+// the daemon runs. It sweeps every .alib file of the directory, so it
+// also quarantines files of old config hashes written before the
+// checksum existed, which no current config loads.
 //
 // Readiness is split from liveness: /healthz answers as soon as the
 // listener is up (the process is alive), /readyz answers 200 only after

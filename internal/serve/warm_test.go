@@ -116,18 +116,25 @@ func TestWarmStartQuarantinesCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	populateCache(t, dir)
 	files := alibFiles(t, dir)
-	if len(files) == 0 {
-		t.Fatal("no cached libraries to corrupt")
+	if len(files) < 2 {
+		t.Fatalf("%d cached libraries, want the fresh and the aged one to corrupt", len(files))
 	}
-	// Flip one data-region byte: the trailing checksum catches it even
-	// though the file still parses as a structurally valid library.
-	b, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0x04
-	if err := os.WriteFile(files[0], b, 0o644); err != nil {
-		t.Fatal(err)
+	// Flip one data-region byte of the first: the trailing checksum
+	// catches it even though the file still parses as a structurally
+	// valid library. Flip one byte of the second's checksum marker: its
+	// library data is intact, but a cache entry must carry a checksum.
+	for i, at := range []func(b []byte) int{
+		func(b []byte) int { return len(b) / 2 },
+		func(b []byte) int { return strings.LastIndex(string(b), "#SUM") + 1 },
+	} {
+		b, err := os.ReadFile(files[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[at(b)] ^= 0x04
+		if err := os.WriteFile(files[i], b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cfg := quickConfig(dir)
@@ -146,14 +153,16 @@ func TestWarmStartQuarantinesCorruptEntry(t *testing.T) {
 	waitReady(t, cl)
 
 	snap := s.Registry().Snapshot()
-	if got := snap.Counters["serve.warm.quarantined"]; got != 1 {
-		t.Errorf("warm.quarantined = %d, want 1", got)
+	if got := snap.Counters["serve.warm.quarantined"]; got != 2 {
+		t.Errorf("warm.quarantined = %d, want 2", got)
 	}
-	if _, err := os.Stat(files[0] + quarantineSuffix); err != nil {
-		t.Errorf("corrupt file not quarantined: %v", err)
-	}
-	if _, err := os.Stat(files[0]); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("corrupt file still present under its cache name")
+	for _, f := range files[:2] {
+		if _, err := os.Stat(f + quarantineSuffix); err != nil {
+			t.Errorf("corrupt file not quarantined: %v", err)
+		}
+		if _, err := os.Stat(f); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("corrupt file %s still present under its cache name", filepath.Base(f))
+		}
 	}
 	// The quarantined scenario re-characterizes cleanly on demand.
 	if _, err := cl.Guardband(context.Background(), api.GuardbandRequest{

@@ -63,8 +63,9 @@ fuzz-smoke:
 # bench-smoke runs every kernel benchmark once: internal/sta's
 # (InnerLoop*, Grid*, MCSample at 400 and 3600 gates, TopPaths one-shot
 # and on a compiled BatchTimer), internal/char's SPICE kernel
-# (ArcTransientINVX1, ArcTransientXOR2X1, CharacterizeINVX1) and cache
-# load of a daemon-size library (VerifyCacheFile), and internal/liberty's
+# (ArcTransientINVX1, ArcTransientXOR2X1, CharacterizeINVX1), cache
+# load of a daemon-size library (VerifyCacheFile) and a daemon-size
+# scenario's sensitivities (SensitivitiesAround), and internal/liberty's
 # parser (Read/reference and Read/bytes on a daemon-size library), about
 # 4 s on a warm build cache, so a benchmark that stops running fails
 # verify instead of the next measurement. One iteration measures

@@ -2,20 +2,17 @@ package char
 
 import (
 	"context"
-	"io"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"ageguard/internal/aging"
-	"ageguard/internal/atomicfile"
 	"ageguard/internal/cells"
 	"ageguard/internal/liberty"
 	"ageguard/internal/units"
 )
 
 // This file measures the transistor-level transient kernel — the hot path
-// of every characterization run — at two levels:
+// of every characterization run — and the cache loads that replace it:
 //
 //  1. one full per-arc characterization point (circuit build +
 //     retry-ladder transient + delay/slew measurement) on a single-stage
@@ -24,7 +21,10 @@ import (
 //  2. a small Characterize run (wall clock), the unit of work the
 //     121-library grid repeats;
 //  3. one cache load of a daemon-size library (VerifyCacheFile), which
-//     warm starts and Monte Carlo fills repeat.
+//     warm starts and Monte Carlo fills repeat;
+//  4. the sensitivities of one daemon-size scenario around a held base
+//     (SensitivitiesAround): four cache loads and the interleaving of
+//     every table, the per-scenario cost of a Monte Carlo miss.
 //
 // Run them with go test ./internal/char/ -run XXX -bench .
 // The daemon-level benchmark is perfbench/ (see its README).
@@ -89,15 +89,10 @@ func BenchmarkCharacterizeINVX1(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyCacheFile loads a daemon-size cache entry end to end —
-// read, checksum, parse — as the cache loader, the warm start and the
-// scrubber do. The entry is written to a temporary directory, not the
-// repository cache: every catalog cell with its real arcs over
-// DefaultConfig's 7×7 grid, with arbitrary full-precision table values
-// in place of characterized ones, which parse alike.
-func BenchmarkVerifyCacheFile(b *testing.B) {
-	cfg := DefaultConfig()
-	s := aging.WorstCase(10)
+// daemonLibrary returns a daemon-size library for s: every catalog cell
+// with its real arcs over cfg's grid, with arbitrary full-precision
+// table values in place of characterized ones, which parse alike.
+func daemonLibrary(cfg Config, s aging.Scenario) *liberty.Library {
 	rng := rand.New(rand.NewSource(1))
 	table := func() *liberty.Table {
 		t := liberty.NewTable(cfg.Slews, cfg.Loads)
@@ -134,13 +129,52 @@ func BenchmarkVerifyCacheFile(b *testing.B) {
 		}
 		lib.Cells[c.Name] = ct
 	}
-	path := filepath.Join(b.TempDir(), "daemon.alib")
-	if err := atomicfile.Write(path, func(w io.Writer) error { return liberty.WriteSummed(w, lib) }); err != nil {
+	return lib
+}
+
+// BenchmarkVerifyCacheFile loads a daemon-size cache entry end to end —
+// read, checksum, parse — as the cache loader, the warm start and the
+// scrubber do. The entry (daemonLibrary over DefaultConfig's 7×7 grid)
+// is written to a temporary directory, not the repository cache.
+func BenchmarkVerifyCacheFile(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.CacheDir = b.TempDir()
+	s := aging.WorstCase(10)
+	if err := cfg.storeCache(s, daemonLibrary(cfg, s)); err != nil {
 		b.Fatal(err)
 	}
+	path := cfg.cachePath(s)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := VerifyCacheFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSensitivitiesAround builds a daemon-size scenario's
+// sensitivities around a base library the caller holds, as an ageguardd
+// Monte Carlo fill does: it loads the four perturbed libraries from the
+// cache and interleaves every base table with its sensitivities. Each
+// perturbed entry is daemonLibrary, written to a temporary directory at
+// the path of its perturbed config, cfg.Perturb.Add(step), so every load
+// hits.
+func BenchmarkSensitivitiesAround(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.CacheDir = b.TempDir()
+	s := aging.WorstCase(10)
+	base := daemonLibrary(cfg, s)
+	for _, step := range sensSteps {
+		pcfg := cfg
+		pcfg.Perturb = cfg.Perturb.Add(step)
+		if err := pcfg.storeCache(s, base); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := cfg.SensitivitiesAround(ctx, s, base); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,26 +16,28 @@ import (
 // for every sampled device perturbation would cost a full characterization
 // per sample; instead we characterize the library a handful of times —
 // once nominal plus once per variation parameter at a small step — and
-// build first-order per-arc sensitivity tables
+// take first-order per-arc sensitivities
 //
 //	S_p[i][j] = (D_{step p}[i][j] - D_nominal[i][j]) / step_p
 //
-// for every arc's delay and output-slew tables. A sampled instance with
+// of every arc's delay and output-slew tables. A sampled instance with
 // parameter draws (dVthP, dVthN, dMuP, dMuN) then times with the table
 //
 //	D[i][j] = max(0, D_nominal[i][j] + sum_p draw_p * S_p[i][j])
 //
-// (liberty.Table.Shift). Because NLDM interpolation (liberty.Table.At) is
-// linear in the table values, a lookup on that table reads only four
-// shifted grid points, so the Monte Carlo loop (core.MCGuardbandNetlist)
-// never builds it: sta.BatchTimer.BindDeltas interleaves Base's tables
-// with Deltas once per query (liberty.ShiftTable), and sta.DeltaBinding
-// times each sample by shifting just the grid points a lookup reads.
-// SampleLibrary materializes the same tables as a per-sample
-// instance-variant library, the reference the tests and the benchmark's
-// replay compare that loop against. The exact reference (a helper of
-// core's tests) re-simulates each instance's cell with its drawn
-// perturbation through the same SPICE path (Config.Perturb), so the
+// The sensitivities have one layout, built here once per scenario: each
+// nominal table interleaved with its S_p (liberty.ShiftTable, one
+// liberty.ArcShift per arc). Because NLDM interpolation is linear in the
+// table values, a lookup on a sample's table reads only four shifted
+// grid points, so the Monte Carlo loop (core.MCGuardbandNetlist) never
+// builds it: sta.BatchTimer.BindDeltas shares these tables with every
+// instance of a cell, and sta.DeltaBinding times each sample by shifting
+// just the grid points a lookup reads (liberty.ShiftTable.At).
+// SampleLibrary materializes the same tables (liberty.ShiftTable.Shifted)
+// as a per-sample instance-variant library, the reference the tests and
+// the benchmark's replay compare that loop against. The exact reference
+// (a helper of core's tests) re-simulates each instance's cell with its
+// drawn perturbation through the same SPICE path (Config.Perturb), so the
 // difference between the two is purely the first-order truncation error,
 // which core's TestMCGuardbandSensitivityMatchesExact bounds.
 
@@ -48,8 +50,7 @@ const (
 	SensStepMu  = -0.05 // relative
 )
 
-// Variation parameter indices within liberty.ArcDelta and
-// liberty.DeltaWeights.
+// Variation parameter indices within liberty.DeltaWeights.
 const (
 	sensVthP = iota
 	sensVthN
@@ -58,27 +59,40 @@ const (
 	numSensParams
 )
 
+// sensSteps are the single-axis perturbations of the sensitivity
+// characterizations, and sensStepSize their sizes, per parameter.
+var (
+	sensSteps = [numSensParams]device.Perturb{
+		sensVthP: {DVthP: SensStepVth},
+		sensVthN: {DVthN: SensStepVth},
+		sensMuP:  {DMuP: SensStepMu},
+		sensMuN:  {DMuN: SensStepMu},
+	}
+	sensStepSize = [numSensParams]float64{SensStepVth, SensStepVth, SensStepMu, SensStepMu}
+)
+
 // Sensitivity is a characterized library together with first-order
 // per-arc sensitivities to the four variation parameters. Build with
 // Config.Sensitivities or Config.SensitivitiesAround; time samples from
-// Base and Deltas (sta.BatchTimer.BindDeltas), or materialize a
+// Base and Shifts (sta.BatchTimer.BindDeltas), or materialize a
 // sample's instance library with SampleLibrary. Immutable after
 // construction and safe for concurrent use.
 type Sensitivity struct {
 	// Base is the nominal library the sensitivities are taken around.
 	Base *liberty.Library
 
-	// cell name -> per-arc sensitivities; a nil table mirrors a nil table
-	// in the base arc.
-	arcs map[string][]liberty.ArcDelta
+	// cell name -> per-arc tables interleaved with their sensitivities;
+	// an edge without base tables holds the zero ShiftTable.
+	arcs map[string][]liberty.ArcShift
 }
 
-// Deltas returns the per-cell, per-arc sensitivity tables, aligned with
-// Base's arcs. The map is shared: treat it as read-only.
-func (sn *Sensitivity) Deltas() map[string][]liberty.ArcDelta { return sn.arcs }
+// Shifts returns the per-cell, per-arc interleaved tables, aligned with
+// Base's arcs. The map and its tables are shared: treat them as
+// read-only.
+func (sn *Sensitivity) Shifts() map[string][]liberty.ArcShift { return sn.arcs }
 
 // Weights returns a perturbation's draws as the weights of the
-// sensitivity tables.
+// sensitivities.
 func Weights(pb device.Perturb) liberty.DeltaWeights {
 	return liberty.DeltaWeights{sensVthP: pb.DVthP, sensVthN: pb.DVthN, sensMuP: pb.DMuP, sensMuN: pb.DMuN}
 }
@@ -95,14 +109,14 @@ func (cfg Config) Sensitivities(ctx context.Context, s aging.Scenario) (*Sensiti
 
 // SensitivitiesAround characterizes one single-axis perturbed library
 // per variation parameter (four characterizations, all cache-eligible
-// since Config.Perturb enters the cache hash) and returns the
-// finite-difference sensitivity tables around base, which must be this
-// configuration's nominal library for s: a caller that holds it, such
-// as ageguardd's library cache, saves loading it again. A base with
-// another name or other axes is rejected, since its tables would not
-// pair grid point for grid point with the perturbed ones. The perturbed
-// runs execute sequentially — each is internally parallel under
-// cfg.Parallelism, so stacking them would only oversubscribe the
+// since Config.Perturb enters the cache hash) and interleaves each of
+// base's tables with its finite-difference sensitivities. base must be
+// this configuration's nominal library for s: a caller that holds it,
+// such as ageguardd's library cache, saves loading it again. A base
+// with another name or other axes is rejected, since its tables would
+// not pair grid point for grid point with the perturbed ones. The
+// perturbed runs execute sequentially — each is internally parallel
+// under cfg.Parallelism, so stacking them would only oversubscribe the
 // simulation limiter.
 func (cfg Config) SensitivitiesAround(ctx context.Context, s aging.Scenario, base *liberty.Library) (*Sensitivity, error) {
 	ctx, sp := obs.StartSpan(ctx, "char.sensitivities")
@@ -117,15 +131,8 @@ func (cfg Config) SensitivitiesAround(ctx context.Context, s aging.Scenario, bas
 		return nil, fmt.Errorf("char: sensitivity base %s on a %dx%d grid is not %s on this config's %dx%d grid",
 			base.Name, len(base.Slews), len(base.Loads), want, len(cfg.Slews), len(cfg.Loads))
 	}
-	steps := [numSensParams]device.Perturb{
-		sensVthP: {DVthP: SensStepVth},
-		sensVthN: {DVthN: SensStepVth},
-		sensMuP:  {DMuP: SensStepMu},
-		sensMuN:  {DMuN: SensStepMu},
-	}
-	stepSize := [numSensParams]float64{SensStepVth, SensStepVth, SensStepMu, SensStepMu}
 	var perturbed [numSensParams]*liberty.Library
-	for p, step := range steps {
+	for p, step := range sensSteps {
 		pcfg := cfg
 		pcfg.Perturb = cfg.Perturb.Add(step)
 		lib, err := pcfg.Characterize(ctx, s)
@@ -135,43 +142,37 @@ func (cfg Config) SensitivitiesAround(ctx context.Context, s aging.Scenario, bas
 		perturbed[p] = lib
 	}
 
-	sn := &Sensitivity{Base: base, arcs: make(map[string][]liberty.ArcDelta, len(base.Cells))}
+	sn := &Sensitivity{Base: base, arcs: make(map[string][]liberty.ArcShift, len(base.Cells))}
 	for name, ct := range base.Cells {
-		arcSens := make([]liberty.ArcDelta, len(ct.Arcs))
-		for p := 0; p < numSensParams; p++ {
-			pct, ok := perturbed[p].Cells[name]
+		var pcts [numSensParams]*liberty.CellTiming
+		for p, lib := range perturbed {
+			pct, ok := lib.Cells[name]
 			if !ok || len(pct.Arcs) != len(ct.Arcs) {
 				return nil, fmt.Errorf("char: sensitivity library %d misaligned for cell %s", p, name)
 			}
-			for ai := range ct.Arcs {
-				b, q := &ct.Arcs[ai], &pct.Arcs[ai]
+			pcts[p] = pct
+		}
+		shifts := make([]liberty.ArcShift, len(ct.Arcs))
+		for ai := range ct.Arcs {
+			b := &ct.Arcs[ai]
+			var delay, slew [2][numSensParams]*liberty.Table
+			for p, pct := range pcts {
+				q := &pct.Arcs[ai]
 				if b.Pin != q.Pin || b.Sense != q.Sense {
 					return nil, fmt.Errorf("char: sensitivity arc %d misaligned for cell %s", ai, name)
 				}
 				for e := 0; e < 2; e++ {
-					arcSens[ai].Delay[p][e] = diffTable(q.Delay[e], b.Delay[e], stepSize[p])
-					arcSens[ai].OutSlew[p][e] = diffTable(q.OutSlew[e], b.OutSlew[e], stepSize[p])
+					delay[e][p], slew[e][p] = q.Delay[e], q.OutSlew[e]
 				}
 			}
+			for e := 0; e < 2; e++ {
+				shifts[ai].Delay[e] = b.Delay[e].Interleave(delay[e], sensStepSize)
+				shifts[ai].OutSlew[e] = b.OutSlew[e].Interleave(slew[e], sensStepSize)
+			}
 		}
-		sn.arcs[name] = arcSens
+		sn.arcs[name] = shifts
 	}
 	return sn, nil
-}
-
-// diffTable returns (pert - base)/step per grid point, or nil when either
-// input is nil (mirroring absent edge tables).
-func diffTable(pert, base *liberty.Table, step float64) *liberty.Table {
-	if pert == nil || base == nil {
-		return nil
-	}
-	out := liberty.NewTable(base.Slews, base.Loads)
-	for i, row := range base.Values {
-		for j, v := range row {
-			out.Values[i][j] = (pert.Values[i][j] - v) / step
-		}
-	}
-	return out
 }
 
 // InstDraw is one placed instance together with its sampled perturbation:
@@ -191,7 +192,7 @@ func VariantCell(cell, inst string) string { return cell + "@" + inst }
 // Carlo sample: for every drawn instance it adds a cell named
 // VariantCell(draw.Cell, draw.Inst) whose delay and output-slew tables are
 // the nominal tables shifted by the instance's weighted sensitivities
-// (liberty.Table.Shift). Instances with a zero draw share the nominal
+// (liberty.ShiftTable.Shifted). Instances with a zero draw share the nominal
 // tables outright. Pin capacitances are geometry-only and therefore shared
 // unchanged, which keeps netlist loads — and hence the compiled STA
 // topology — identical across samples. The Monte Carlo loop does not call
@@ -215,14 +216,14 @@ func (sn *Sensitivity) SampleLibrary(name string, draws []InstDraw) (*liberty.Li
 		cp := *ct
 		cp.Name = vname
 		if !d.Pb.IsZero() {
-			sens := sn.arcs[d.Cell]
+			sh := sn.arcs[d.Cell]
 			w := Weights(d.Pb)
 			arcs := make([]liberty.Arc, len(ct.Arcs))
 			for ai := range ct.Arcs {
 				a := ct.Arcs[ai]
 				for e := liberty.Rise; e <= liberty.Fall; e++ {
-					a.Delay[e] = a.Delay[e].Shift(&sens[ai].Delay, e, &w)
-					a.OutSlew[e] = a.OutSlew[e].Shift(&sens[ai].OutSlew, e, &w)
+					a.Delay[e] = sh[ai].Delay[e].Shifted(&w)
+					a.OutSlew[e] = sh[ai].OutSlew[e].Shifted(&w)
 				}
 				arcs[ai] = a
 			}

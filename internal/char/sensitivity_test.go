@@ -3,6 +3,7 @@ package char
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"ageguard/internal/aging"
@@ -20,6 +21,15 @@ func sensConfig(t *testing.T) Config {
 	return cfg
 }
 
+// stepShifted returns st shifted by one finite-difference step along
+// parameter p: to first order the perturbed library's table, floored at
+// zero like every shifted table.
+func stepShifted(st *liberty.ShiftTable, p int) *liberty.Table {
+	var w liberty.DeltaWeights
+	w[p] = sensStepSize[p]
+	return st.Shifted(&w)
+}
+
 func TestSensitivitiesFiniteAndAligned(t *testing.T) {
 	cfg := sensConfig(t)
 	sn, err := cfg.Sensitivities(context.Background(), aging.WorstCase(10))
@@ -30,14 +40,20 @@ func TestSensitivitiesFiniteAndAligned(t *testing.T) {
 		t.Fatalf("base library = %+v", sn.Base)
 	}
 	for name, ct := range sn.Base.Cells {
-		sens, ok := sn.arcs[name]
-		if !ok || len(sens) != len(ct.Arcs) {
-			t.Fatalf("%s: %d sensitivity arcs for %d base arcs", name, len(sens), len(ct.Arcs))
+		sh, ok := sn.arcs[name]
+		if !ok || len(sh) != len(ct.Arcs) {
+			t.Fatalf("%s: %d shifted arcs for %d base arcs", name, len(sh), len(ct.Arcs))
 		}
+		// A raised Vth slows the cell, so the Vth sensitivities must be
+		// positive on average over the grid (either polarity drives at
+		// least half of each cell's arcs). An entry the zero floor
+		// reaches, in the base or shifted, says nothing about the slope.
+		var vthSum float64
 		for ai := range ct.Arcs {
-			for p := 0; p < numSensParams; p++ {
-				for e := 0; e < 2; e++ {
-					base, s := ct.Arcs[ai].Delay[e], sens[ai].Delay[p][e]
+			for e := 0; e < 2; e++ {
+				base := ct.Arcs[ai].Delay[e]
+				for p := 0; p < numSensParams; p++ {
+					s := stepShifted(&sh[ai].Delay[e], p)
 					if (base == nil) != (s == nil) {
 						t.Fatalf("%s arc %d param %d edge %d: nil mismatch", name, ai, p, e)
 					}
@@ -47,35 +63,18 @@ func TestSensitivitiesFiniteAndAligned(t *testing.T) {
 					for i, row := range s.Values {
 						for j, v := range row {
 							if math.IsNaN(v) || math.IsInf(v, 0) {
-								t.Fatalf("%s arc %d param %d: non-finite dD/dp at [%d][%d]", name, ai, p, i, j)
+								t.Fatalf("%s arc %d param %d: non-finite shifted delay at [%d][%d]", name, ai, p, i, j)
+							}
+							if b := base.Values[i][j]; (p == sensVthP || p == sensVthN) && b > 0 && v > 0 {
+								vthSum += (v - b) / sensStepSize[p]
 							}
 						}
 					}
 				}
 			}
 		}
-	}
-
-	// A raised Vth slows the cell, so the Vth sensitivities must be
-	// positive on average over the grid (either polarity drives at least
-	// half of each cell's arcs).
-	for name, sens := range sn.arcs {
-		var sum float64
-		for ai := range sens {
-			for _, p := range []int{sensVthP, sensVthN} {
-				for e := 0; e < 2; e++ {
-					if tb := sens[ai].Delay[p][e]; tb != nil {
-						for _, row := range tb.Values {
-							for _, v := range row {
-								sum += v
-							}
-						}
-					}
-				}
-			}
-		}
-		if sum <= 0 {
-			t.Errorf("%s: mean dDelay/dVth = %v, want positive", name, sum)
+		if vthSum <= 0 {
+			t.Errorf("%s: mean dDelay/dVth = %v, want positive", name, vthSum)
 		}
 	}
 }
@@ -183,20 +182,22 @@ func TestCharacterizeCellPerturbedMatchesSensitivityStep(t *testing.T) {
 	}
 	ct := lib.Cells["INV_X1"]
 	base := sn.Base.Cells["INV_X1"]
-	sens := sn.arcs["INV_X1"]
+	sh := sn.arcs["INV_X1"]
 	for ai := range base.Arcs {
 		for e := 0; e < 2; e++ {
-			bt, st := base.Arcs[ai].Delay[e], sens[ai].Delay[sensVthP][e]
-			if bt == nil {
+			rec := stepShifted(&sh[ai].Delay[e], sensVthP)
+			if rec == nil {
 				continue
 			}
 			got := ct.Arcs[ai].Delay[e]
-			for i, row := range bt.Values {
-				for j, v := range row {
-					want := v + SensStepVth*st.Values[i][j]
-					if math.Abs(got.Values[i][j]-want) > 1e-9*math.Abs(want)+1e-18 {
+			for i, row := range rec.Values {
+				for j, r := range row {
+					// The reconstruction is floored at zero, so the
+					// exact entry is floored for the comparison too.
+					want := max(got.Values[i][j], 0)
+					if math.Abs(r-want) > 1e-9*math.Abs(want)+1e-18 {
 						t.Fatalf("arc %d edge %d [%d][%d]: exact %v vs reconstructed %v",
-							ai, e, i, j, got.Values[i][j], want)
+							ai, e, i, j, got.Values[i][j], r)
 					}
 				}
 			}
@@ -204,7 +205,12 @@ func TestCharacterizeCellPerturbedMatchesSensitivityStep(t *testing.T) {
 	}
 }
 
-func TestDiffTableAndApplyDelta(t *testing.T) {
+// TestInterleavedSensitivityByHand: a table interleaved with a
+// perturbed one holds the quotient (q − b)/step, which Weights shift
+// along the parameter the perturbation moves: a weighted sum floored at
+// zero, unshifted by parameters without a perturbed table, and nil for a
+// nil base.
+func TestInterleavedSensitivityByHand(t *testing.T) {
 	base := liberty.NewTable([]float64{1, 2}, []float64{1, 2})
 	pert := liberty.NewTable([]float64{1, 2}, []float64{1, 2})
 	for i := range base.Values {
@@ -213,40 +219,37 @@ func TestDiffTableAndApplyDelta(t *testing.T) {
 			pert.Values[i][j] = 12
 		}
 	}
-	d := diffTable(pert, base, 0.5)
-	if d.Values[0][0] != 4 {
-		t.Errorf("diffTable = %v, want 4", d.Values[0][0])
-	}
-	if diffTable(nil, base, 1) != nil || diffTable(pert, nil, 1) != nil {
-		t.Error("nil input did not propagate")
-	}
-
-	// SampleLibrary's shift (liberty.Table.Shift) on the sensitivity
-	// tables: weighted sum, floored at zero, nil base stays nil.
-	var sens [numSensParams][2]*liberty.Table
-	sens[sensVthP][liberty.Rise] = d
-	w := Weights(device.Perturb{DVthP: -10})
-	out := base.Shift(&sens, liberty.Rise, &w)
-	if out.Values[0][0] != 0 {
-		t.Errorf("shift floor: %v, want 0", out.Values[0][0])
-	}
-	w = Weights(device.Perturb{DVthP: 0.5})
-	out = base.Shift(&sens, liberty.Rise, &w)
-	if out.Values[1][1] != 12 {
-		t.Errorf("shift = %v, want 12", out.Values[1][1])
-	}
-	if out = base.Shift(&sens, liberty.Fall, &w); out.Values[1][1] != 10 {
-		t.Errorf("shift with only nil deltas = %v, want 10", out.Values[1][1])
+	var q [numSensParams]*liberty.Table
+	q[sensVthP] = pert
+	step := [numSensParams]float64{0.5, 1, 1, 1}
+	st := base.Interleave(q, step) // dD/dVthP = (12 - 10)/0.5 = 4
+	for _, c := range []struct {
+		pb   device.Perturb
+		want float64
+	}{
+		{device.Perturb{DVthP: 0.5}, 12},
+		{device.Perturb{DVthP: -10}, 0}, // floored
+		{device.Perturb{DVthN: 3, DMuP: 3, DMuN: 3}, 10},
+	} {
+		w := Weights(c.pb)
+		if got := st.Shifted(&w).Values[1][1]; got != c.want {
+			t.Errorf("%+v: shifted = %v, want %v", c.pb, got, c.want)
+		}
+		if got := st.At(&w, 1.5, 1.5); got != c.want {
+			t.Errorf("%+v: At = %v, want %v", c.pb, got, c.want)
+		}
 	}
 	var none *liberty.Table
-	if none.Shift(&sens, liberty.Rise, &w) != nil {
+	st = none.Interleave(q, step)
+	if st.Shifted(&liberty.DeltaWeights{1}) != nil {
 		t.Error("nil base did not propagate")
 	}
 }
 
 // TestSensitivitiesAroundMatchesSensitivities: sensitivities built
 // around a separately loaded base library equal Sensitivities' in every
-// bit of every delta table, and share that base. A base that is not
+// interleaved table, also bit for bit in every table shifted one step
+// along each parameter, and share that base. A base that is not
 // this config's library for the scenario is rejected: one for another
 // scenario, and one on another grid, whose tables would not pair grid
 // point for grid point with the perturbed ones (a larger grid would
@@ -270,26 +273,20 @@ func TestSensitivitiesAroundMatchesSensitivities(t *testing.T) {
 	if got.Base != base {
 		t.Error("SensitivitiesAround did not keep the given base")
 	}
-	if len(got.arcs) != len(want.arcs) {
-		t.Fatalf("%d cells with deltas, want %d", len(got.arcs), len(want.arcs))
+	if !reflect.DeepEqual(got.arcs, want.arcs) {
+		t.Fatal("the interleaved tables differ")
 	}
 	tables := 0
 	for name, wa := range want.arcs {
 		ga := got.arcs[name]
-		if len(ga) != len(wa) {
-			t.Fatalf("%s: %d arcs, want %d", name, len(ga), len(wa))
-		}
 		for ai := range wa {
-			for p := 0; p < numSensParams; p++ {
-				for e := 0; e < 2; e++ {
-					for _, pair := range [][2]*liberty.Table{
-						{ga[ai].Delay[p][e], wa[ai].Delay[p][e]},
-						{ga[ai].OutSlew[p][e], wa[ai].OutSlew[p][e]},
-					} {
-						g, w := pair[0], pair[1]
-						if (g == nil) != (w == nil) {
-							t.Fatalf("%s arc %d param %d edge %d: nil mismatch", name, ai, p, e)
-						}
+			for e := 0; e < 2; e++ {
+				for _, pair := range [][2]*liberty.ShiftTable{
+					{&ga[ai].Delay[e], &wa[ai].Delay[e]},
+					{&ga[ai].OutSlew[e], &wa[ai].OutSlew[e]},
+				} {
+					for p := 0; p < numSensParams; p++ {
+						g, w := stepShifted(pair[0], p), stepShifted(pair[1], p)
 						if w == nil {
 							continue
 						}
@@ -308,7 +305,7 @@ func TestSensitivitiesAroundMatchesSensitivities(t *testing.T) {
 		}
 	}
 	if tables == 0 {
-		t.Fatal("no delta tables compared")
+		t.Fatal("no shifted tables compared")
 	}
 
 	fresh, err := cfg.Characterize(ctx, aging.Fresh())

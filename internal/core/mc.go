@@ -21,12 +21,13 @@ import (
 // per-instance device perturbations (package device's counter-based
 // streams), re-times fresh and aged critical paths per sample, and
 // reduces the per-sample guardbands to distribution statistics. A sample
-// is timed straight from the first-order sensitivity tables
-// (char.Sensitivity bound by sta.BatchTimer.BindDeltas, which interleaves
-// each cell's tables with their deltas once per query): each instance's
-// lookups shift only the grid points they read, so no per-sample library
-// is built, and a sample allocates nothing, reusing its binding's
-// propagation states and a weights buffer. Nothing outlives the query.
+// is timed straight from the first-order sensitivities: char.Sensitivity
+// holds each cell table interleaved with them (liberty.ShiftTable), and
+// sta.BatchTimer.BindDeltas shares those tables with every instance of
+// the cell. Each instance's lookups shift only the grid points they read,
+// so no per-sample library is built, and a sample allocates nothing,
+// reusing its binding's propagation states and a weights buffer. Nothing
+// outlives the query.
 // Identical draws are applied to the fresh and the aged timing of each
 // sample, so the per-sample guardband isolates aging from the process
 // spread itself.
@@ -190,11 +191,11 @@ func (f Flow) MCGuardbandTimer(ctx context.Context, circuit string, bt *sta.Batc
 	}
 	res.Guardbands = make([]float64, n)
 
-	fb, err := bt.BindDeltas(snFresh.Base, snFresh.Deltas())
+	fb, err := bt.BindDeltas(snFresh.Base, snFresh.Shifts())
 	if err != nil {
 		return nil, err
 	}
-	ab, err := bt.BindDeltas(snAged.Base, snAged.Deltas())
+	ab, err := bt.BindDeltas(snAged.Base, snAged.Shifts())
 	if err != nil {
 		return nil, err
 	}

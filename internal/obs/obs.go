@@ -27,10 +27,11 @@ import (
 	"time"
 )
 
-// Registry holds the metrics and root spans of one run. The zero value is
-// not usable; construct with NewRegistry. All methods are safe for
-// concurrent use; Counter/Gauge/Histogram return a stable handle that is
-// cheap to cache and atomic to update.
+// Registry holds the metrics and the most recent root spans of one run
+// (see maxRoots). The zero value is not usable; construct with
+// NewRegistry. All methods are safe for concurrent use;
+// Counter/Gauge/Histogram return a stable handle that is cheap to cache
+// and atomic to update.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

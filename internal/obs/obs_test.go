@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -117,6 +118,30 @@ func TestSpanTree(t *testing.T) {
 	}
 	if rt.InFlight {
 		t.Error("ended root still in flight")
+	}
+}
+
+// TestSpanRootsBounded: a registry keeps the newest maxRoots root spans
+// in start order, so a daemon that opens a root per cache fill does not
+// grow its trace without bound; child spans do not count.
+func TestSpanRootsBounded(t *testing.T) {
+	r := NewRegistry()
+	ctx := With(context.Background(), r)
+	const n = maxRoots + 10
+	for i := 0; i < n; i++ {
+		cctx, sp := StartSpan(ctx, fmt.Sprintf("root%d", i))
+		_, child := StartSpan(cctx, "child")
+		child.End()
+		sp.End()
+	}
+	s := r.Snapshot()
+	if len(s.Spans) != maxRoots {
+		t.Fatalf("roots = %d, want %d", len(s.Spans), maxRoots)
+	}
+	for k, sp := range s.Spans {
+		if want := fmt.Sprintf("root%d", n-maxRoots+k); sp.Name != want || len(sp.Children) != 1 {
+			t.Fatalf("root %d = %s with %d children, want %s with 1", k, sp.Name, len(sp.Children), want)
+		}
 	}
 }
 

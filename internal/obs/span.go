@@ -30,11 +30,18 @@ type Span struct {
 
 type spanAttr struct{ key, val string }
 
+// maxRoots bounds the root spans a registry keeps, so a long-running
+// process that opens a root per operation holds a bounded trace;
+// starting a root beyond it drops the oldest. A command opens a single
+// root per run.
+const maxRoots = 64
+
 type ctxSpanKey struct{}
 
 // StartSpan begins a span named name under the span carried by ctx (or as
-// a new root of ctx's registry) and returns the derived context plus the
-// span. Call End when the operation finishes:
+// a new root of ctx's registry, which then drops its oldest root if it
+// holds maxRoots) and returns the derived context plus the span. Call End
+// when the operation finishes:
 //
 //	ctx, sp := obs.StartSpan(ctx, "char.library")
 //	defer sp.End()
@@ -47,6 +54,9 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	} else {
 		r := From(ctx)
 		r.mu.Lock()
+		if len(r.roots) == maxRoots {
+			r.roots = append(r.roots[:0], r.roots[1:]...)
+		}
 		r.roots = append(r.roots, sp)
 		r.mu.Unlock()
 	}

@@ -69,7 +69,7 @@ func (s *Server) batch(ctx context.Context, req *batchRequest) (body []byte, cle
 	// CPUs. Errors stay per item, so every iteration reports nil to
 	// ParFor and only a canceled ctx stops it early.
 	_ = conc.ParFor(ctx, conc.Workers(0), n, func(i int) error {
-		key := "item|" + s.cfgHash + "|" + string(req.Items[i])
+		key := "item|" + string(req.Items[i])
 		if v, ok := s.cache.peek(key); ok {
 			frags[i] = v.(json.RawMessage)
 			memoHits.Add(1)

@@ -106,7 +106,7 @@ func checkPathsK(k int) (int, error) {
 // LRU; misses run the characterization (or the disk-cache load) once
 // per key.
 func (s *Server) library(ctx context.Context, sc aging.Scenario) (*liberty.Library, error) {
-	key := "lib|" + s.cfgHash + "|" + scenarioKey(sc)
+	key := "lib|" + scenarioKey(sc)
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
 		return s.cfg.Flow.Library(ctx, sc)
 	})
@@ -122,7 +122,7 @@ func (s *Server) library(ctx context.Context, sc aging.Scenario) (*liberty.Libra
 // sta.BatchTimer stays resident. Every scenario's guardband, paths and
 // Monte Carlo fill times on it.
 func (s *Server) timer(ctx context.Context, circuit string) (*sta.BatchTimer, error) {
-	key := "nl|" + s.cfgHash + "|" + circuit
+	key := "nl|" + circuit
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
 		lib, err := s.library(ctx, aging.Fresh())
 		if err != nil {
@@ -144,7 +144,7 @@ func (s *Server) timer(ctx context.Context, circuit string) (*sta.BatchTimer, er
 // through the LRU: the fill times the circuit's timer once; warm
 // queries read the stored float.
 func (s *Server) cp(ctx context.Context, circuit string, sc aging.Scenario) (float64, error) {
-	key := "cp|" + s.cfgHash + "|" + circuit + "|" + scenarioKey(sc)
+	key := "cp|" + circuit + "|" + scenarioKey(sc)
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
 		bt, err := s.timer(ctx, circuit)
 		if err != nil {
@@ -263,7 +263,7 @@ func (s *Server) grid(ctx context.Context, req *api.GridRequest) (any, error) {
 	if years < 0 {
 		return nil, badRequest("negative lifetime %g", years)
 	}
-	key := fmt.Sprintf("grid|%s|%s|%g", s.cfgHash, req.Circuit, years)
+	key := fmt.Sprintf("grid|%s|%g", req.Circuit, years)
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
 		fl := s.cfg.Flow
 		fl.Lifetime = years
@@ -305,7 +305,7 @@ func (s *Server) paths(ctx context.Context, req *api.PathsRequest) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("paths|%s|%s|%s|%d", s.cfgHash, req.Circuit, scenarioKey(sc), k)
+	key := fmt.Sprintf("paths|%s|%s|%d", req.Circuit, scenarioKey(sc), k)
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
 		bt, err := s.timer(ctx, req.Circuit)
 		if err != nil {

@@ -45,7 +45,7 @@ func TestCellTimingDelayOnlyArcDoesNotPanic(t *testing.T) {
 	// only arc.Delay[edge]; a delay-only arc panicked the handler.
 	s := New(quickConfig(sharedDir(t)), nil)
 	sc := aging.Fresh()
-	s.cache.put("lib|"+s.cfgHash+"|"+scenarioKey(sc), delayOnlyLibrary(sc))
+	s.cache.put("lib|"+scenarioKey(sc), delayOnlyLibrary(sc))
 
 	v, err := s.cellTiming(context.Background(), &api.CellTimingRequest{
 		Cell:     "BUF_D",

@@ -24,8 +24,8 @@ const (
 
 // mcGuardband answers POST /v1/mcguardband: the process-variation Monte
 // Carlo guardband distribution of a circuit under a scenario. The whole
-// response is one LRU value keyed by the characterization config hash,
-// the resolved scenario and every sampling parameter, so a warm repeat
+// response is one LRU value keyed by the circuit, the resolved scenario
+// and every sampling parameter, so a warm repeat
 // replays the identical distribution without re-timing anything — and
 // because the sample streams are counter-based, even a cold recomputation
 // is bit-identical. The stored value carries no scenario: each reply
@@ -76,8 +76,7 @@ func (s *Server) mcGuardband(ctx context.Context, req *api.MCGuardbandRequest) (
 		v = device.DefaultVariation()
 	}
 
-	key := "mc|" + s.cfgHash + "|" + req.Circuit + "|" + scenarioKey(sc) + "|" +
-		mcParamKey(samples, req.Seed, v, bins)
+	key := "mc|" + req.Circuit + "|" + scenarioKey(sc) + "|" + mcParamKey(samples, req.Seed, v, bins)
 	out, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
 		bt, err := s.timer(ctx, req.Circuit)
 		if err != nil {

@@ -40,8 +40,10 @@ func sharedDir(t *testing.T) string {
 
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if sharedDirPath != "" {
-		os.RemoveAll(sharedDirPath)
+	for _, dir := range []string{sharedDirPath, warmPath} {
+		if dir != "" {
+			os.RemoveAll(dir)
+		}
 	}
 	os.Exit(code)
 }

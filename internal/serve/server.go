@@ -5,8 +5,9 @@
 //
 // The daemon keeps a bounded in-memory LRU of parsed libraries, one
 // compiled netlist (sta.BatchTimer) per circuit, critical-path delays
-// and whole replies, keyed by the characterization config hash, with per-key singleflight so a herd of
-// identical cold queries characterizes once. Admission is a bounded
+// and whole replies, with per-key singleflight so a herd of identical
+// cold queries characterizes once. A Server has one immutable config
+// and its own LRU, so no key names the config. Admission is a bounded
 // queue: requests beyond the in-flight limit wait in the queue, and
 // requests beyond the queue are rejected immediately with 429 and a
 // Retry-After hint. Every request runs under a deadline that propagates
@@ -39,8 +40,7 @@ import (
 // Config parameterizes the daemon. The zero value of every field picks
 // a sensible default at New.
 type Config struct {
-	// Flow is the design-flow configuration queries are answered with;
-	// its characterization config hash keys every cache entry.
+	// Flow is the design-flow configuration queries are answered with.
 	Flow core.Flow
 
 	// CacheSize bounds the LRU entry count (default 128).
@@ -99,10 +99,9 @@ func (c *Config) fill() {
 // Server answers guardband queries. Construct with New; all methods are
 // safe for concurrent use.
 type Server struct {
-	cfg     Config
-	reg     *obs.Registry
-	cache   *cache
-	cfgHash string
+	cfg   Config
+	reg   *obs.Registry
+	cache *cache
 
 	slots chan struct{} // work slots, cap MaxInflight
 	queue chan struct{} // admission tickets, cap MaxInflight+QueueDepth
@@ -120,13 +119,12 @@ func New(cfg Config, reg *obs.Registry) *Server {
 		reg = obs.NewRegistry()
 	}
 	return &Server{
-		cfg:     cfg,
-		reg:     reg,
-		cache:   newCache(cfg.CacheSize, reg),
-		cfgHash: fmt.Sprintf("%016x", cfg.Flow.Char.Hash()),
-		slots:   make(chan struct{}, cfg.MaxInflight),
-		queue:   make(chan struct{}, cfg.MaxInflight+cfg.QueueDepth),
-		warmed:  make(chan struct{}),
+		cfg:    cfg,
+		reg:    reg,
+		cache:  newCache(cfg.CacheSize, reg),
+		slots:  make(chan struct{}, cfg.MaxInflight),
+		queue:  make(chan struct{}, cfg.MaxInflight+cfg.QueueDepth),
+		warmed: make(chan struct{}),
 	}
 }
 
@@ -412,7 +410,7 @@ func handleBatch(s *Server) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 			return
 		}
-		key := "body|" + s.cfgHash + "|" + string(raw)
+		key := "body|" + string(raw)
 		if v, ok := s.cache.peek(key); ok {
 			cb := v.(*cachedBody)
 			bodyHits.Inc()

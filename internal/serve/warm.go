@@ -86,7 +86,7 @@ func (s *Server) warm(ctx context.Context) {
 			quarantine(p, quarantined)
 			continue
 		}
-		s.cache.put("lib|"+s.cfgHash+"|"+scenarioKey(lib.Scenario), lib)
+		s.cache.put("lib|"+scenarioKey(lib.Scenario), lib)
 		loaded.Inc()
 	}
 	s.reg.Histogram("serve.warm.seconds").Since(t0)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,18 +15,46 @@ import (
 	"ageguard/pkg/ageguard/client"
 )
 
-// populateCache runs one guardband query against a throwaway server so
-// dir holds the library (and netlist) disk-cache files a restart would
-// find.
+// warmPath is a package-level disk cache holding exactly the files one
+// cold guardband query writes; populateCache fills it once per package
+// run and TestMain removes it.
+var (
+	warmOnce sync.Once
+	warmPath string
+	warmErr  error
+)
+
+// populateCache gives dir the library (and netlist) disk-cache files a
+// restart would find after one guardband query. The query runs once,
+// against a throwaway server over warmPath; every caller gets its own
+// copy of the files it wrote, so a test may damage them.
 func populateCache(t *testing.T, dir string) {
 	t.Helper()
-	cl, shutdown := startServer(t, quickConfig(dir))
-	defer shutdown()
-	_, err := cl.Guardband(context.Background(), api.GuardbandRequest{
-		Circuit: testCircuit, Scenario: api.Scenario{Kind: "worst", Years: 10},
+	warmOnce.Do(func() {
+		if warmPath, warmErr = os.MkdirTemp("", "serve-test-warm-*"); warmErr != nil {
+			return
+		}
+		cl, shutdown := startServer(t, quickConfig(warmPath))
+		defer shutdown()
+		_, warmErr = cl.Guardband(context.Background(), api.GuardbandRequest{
+			Circuit: testCircuit, Scenario: api.Scenario{Kind: "worst", Years: 10},
+		})
 	})
+	if warmErr != nil {
+		t.Fatal(warmErr)
+	}
+	ents, err := os.ReadDir(warmPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(warmPath, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -196,14 +196,8 @@ type binding struct {
 	ct     []*liberty.CellTiming
 	arcNet [][]int32 // per instance, per arc: input net id (slices of one array)
 
-	tables [][]arcShift           // per instance, per arc; one slice per cell, shared by its instances
+	tables [][]liberty.ArcShift   // per instance, per arc: its cell's tables, shared
 	w      []liberty.DeltaWeights // per n.Insts index; nil = unshifted
-}
-
-// arcShift is one arc's delay and output-slew tables interleaved with
-// their delta tables, per output edge.
-type arcShift struct {
-	delay, slew [2]liberty.ShiftTable
 }
 
 // shift returns instance i's weights when they shift its tables, nil
@@ -458,7 +452,7 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 // evalShifted is evalInst on the instance's tables shifted by weights w:
 // the same operations in the same order, each lookup reading the
 // interleaved table through liberty.ShiftTable.At, so the result equals
-// evalInst on a cell whose tables liberty.Table.Shift built.
+// evalInst on a cell whose tables liberty.ShiftTable.Shifted built.
 func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liberty.DeltaWeights) (arr, slw [2]float64, pr [2]cPred, err error) {
 	neg := math.Inf(-1)
 	arr = [2]float64{neg, neg}
@@ -476,10 +470,10 @@ func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liber
 				if arc.Delay[e] == nil {
 					continue
 				}
-				d := sh[ai].delay[e].At(w, cfg.ClockSlew, load)
+				d := sh[ai].Delay[e].At(w, cfg.ClockSlew, load)
 				if d > arr[e] {
 					arr[e] = d
-					slw[e] = sh[ai].slew[e].At(w, cfg.ClockSlew, load)
+					slw[e] = sh[ai].OutSlew[e].At(w, cfg.ClockSlew, load)
 					pr[e] = cPred{inst: int32(i), pin: ct.Clock, fromNet: t.clk, inEdge: liberty.Rise, delay: d}
 				}
 			}
@@ -501,10 +495,10 @@ func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liber
 				if math.IsInf(ia[ie], -1) {
 					continue
 				}
-				d := sh[ai].delay[e].At(w, is[ie], load)
+				d := sh[ai].Delay[e].At(w, is[ie], load)
 				if cand := ia[ie] + d; cand > arr[e] {
 					arr[e] = cand
-					slw[e] = sh[ai].slew[e].At(w, is[ie], load)
+					slw[e] = sh[ai].OutSlew[e].At(w, is[ie], load)
 					pr[e] = cPred{inst: int32(i), pin: arc.Pin, fromNet: inNet, inEdge: ie, delay: d}
 				}
 			}

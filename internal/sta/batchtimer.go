@@ -85,14 +85,14 @@ func (bt *BatchTimer) time(ctx context.Context, lib *liberty.Library) (*binding,
 }
 
 // DeltaBinding is one base library bound to a BatchTimer's compiled
-// netlist together with the per-arc delta tables of its cells: the Monte
-// Carlo sample loop, where each sample shifts every instance's tables by
-// that instance's weighted deltas (liberty.ArcDelta). It is built once
-// per base library and query and is safe for concurrent use. Binding
-// interleaves each cell's tables with their deltas once
-// (liberty.ShiftTable) and computes every net's load once, since neither
-// depends on the sample; a CP call allocates nothing, reusing the
-// propagation state of a finished call.
+// netlist together with its cells' tables interleaved with their
+// sensitivities (liberty.ArcShift): the Monte Carlo sample loop, where
+// each sample shifts every instance's tables by that instance's weights.
+// It is built once per base library and query and is safe for concurrent
+// use. The interleaved tables are shared, not copied: every instance of
+// a cell reads its cell's. Binding computes every net's load once, since
+// it does not depend on the sample; a CP call allocates nothing, reusing
+// the propagation state of a finished call.
 type DeltaBinding struct {
 	bt   *BatchTimer
 	b    *binding
@@ -102,36 +102,22 @@ type DeltaBinding struct {
 	free []*state // states of finished CP calls
 }
 
-// BindDeltas binds lib to the compiled netlist with deltas, the per-arc
-// delta tables of every cell the netlist instantiates, aligned with the
-// cell's arcs in lib. The interleaved tables of a cell are shared by its
-// instances.
-func (bt *BatchTimer) BindDeltas(lib *liberty.Library, deltas map[string][]liberty.ArcDelta) (*DeltaBinding, error) {
+// BindDeltas binds lib to the compiled netlist with shifts, the
+// interleaved tables of every cell the netlist instantiates
+// (char.Sensitivity.Shifts), aligned with the cell's arcs in lib and
+// interleaved from its tables. The binding reads the tables in place.
+func (bt *BatchTimer) BindDeltas(lib *liberty.Library, shifts map[string][]liberty.ArcShift) (*DeltaBinding, error) {
 	t := bt.topo
 	b, err := newBinding(t, lib)
 	if err != nil {
 		return nil, err
 	}
-	b.tables = make([][]arcShift, len(t.src))
-	byCell := make(map[string][]arcShift)
-	for i := range t.src {
-		ct := b.ct[i]
-		sh, ok := byCell[ct.Name]
-		if !ok {
-			d := deltas[ct.Name]
-			if len(d) != len(ct.Arcs) {
-				return nil, fmt.Errorf("sta: %d delta arcs for the %d arcs of cell %q (inst %s)",
-					len(d), len(ct.Arcs), ct.Name, t.name(i))
-			}
-			sh = make([]arcShift, len(ct.Arcs))
-			for ai := range ct.Arcs {
-				a := &ct.Arcs[ai]
-				for e := liberty.Rise; e <= liberty.Fall; e++ {
-					sh[ai].delay[e] = a.Delay[e].Interleave(&d[ai].Delay, e)
-					sh[ai].slew[e] = a.OutSlew[e].Interleave(&d[ai].OutSlew, e)
-				}
-			}
-			byCell[ct.Name] = sh
+	b.tables = make([][]liberty.ArcShift, len(t.src))
+	for i, ct := range b.ct {
+		sh := shifts[ct.Name]
+		if len(sh) != len(ct.Arcs) {
+			return nil, fmt.Errorf("sta: %d shifted arcs for the %d arcs of cell %q (inst %s)",
+				len(sh), len(ct.Arcs), ct.Name, t.name(i))
 		}
 		b.tables[i] = sh
 	}
@@ -148,10 +134,10 @@ func (bt *BatchTimer) BindDeltas(lib *liberty.Library, deltas map[string][]liber
 // n.Insts[k] (BatchTimer.Insts()[k]) times on its cell's tables shifted
 // by weights w[k], and an instance whose weights are all zero on the
 // unshifted tables. The result is bit-identical to BatchTimer.CP under
-// the instance-variant library whose cells carry liberty.Table.Shift of
-// each table (the library char.Sensitivity.SampleLibrary builds),
-// because every lookup shifts exactly the four grid points it reads
-// (liberty.ShiftTable.At).
+// the instance-variant library whose cells carry
+// liberty.ShiftTable.Shifted of each table (the library
+// char.Sensitivity.SampleLibrary builds), because every lookup shifts
+// exactly the four grid points it reads (liberty.ShiftTable.At).
 func (db *DeltaBinding) CP(ctx context.Context, w []liberty.DeltaWeights) (float64, error) {
 	t := db.bt.topo
 	if err := ctx.Err(); err != nil {

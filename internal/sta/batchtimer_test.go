@@ -314,11 +314,11 @@ func TestFootprintMismatchRecompiles(t *testing.T) {
 
 // deltaFixture is a library prepared for the delta-binding tests: a copy
 // of a characterized library with one arc edge removed and a few tiny or
-// negative table entries, and synthetic per-arc delta tables for every
-// cell, some of them nil.
+// negative table entries, and every cell's tables interleaved with
+// synthetic sensitivities, some parameters without one.
 type deltaFixture struct {
 	lib    *liberty.Library
-	deltas map[string][]liberty.ArcDelta
+	shifts map[string][]liberty.ArcShift
 }
 
 func newDeltaFixture(rng *rand.Rand, base *liberty.Library) deltaFixture {
@@ -370,36 +370,46 @@ func newDeltaFixture(rng *rand.Rand, base *liberty.Library) deltaFixture {
 		}
 		l.Cells[name] = &ct
 	}
-	deltas := make(map[string][]liberty.ArcDelta, len(l.Cells))
+	shifts := make(map[string][]liberty.ArcShift, len(l.Cells))
 	for _, name := range slices.Sorted(maps.Keys(l.Cells)) {
 		ct := l.Cells[name]
-		ds := make([]liberty.ArcDelta, len(ct.Arcs))
+		sh := make([]liberty.ArcShift, len(ct.Arcs))
 		for ai := range ct.Arcs {
-			for p := 0; p < liberty.NumDeltaParams; p++ {
-				for e := 0; e < 2; e++ {
-					ds[ai].Delay[p][e] = deltaTable(rng, ct.Arcs[ai].Delay[e], p == 1 && e == 0)
-					ds[ai].OutSlew[p][e] = deltaTable(rng, ct.Arcs[ai].OutSlew[e], p == 3)
+			a := &ct.Arcs[ai]
+			for e := 0; e < 2; e++ {
+				var delay, slew [liberty.NumDeltaParams]*liberty.Table
+				for p := range delay {
+					delay[p] = perturbedTable(rng, a.Delay[e], fixtureSteps[p], p == 1 && e == 0)
+					slew[p] = perturbedTable(rng, a.OutSlew[e], fixtureSteps[p], p == 3)
 				}
+				sh[ai].Delay[e] = a.Delay[e].Interleave(delay, fixtureSteps)
+				sh[ai].OutSlew[e] = a.OutSlew[e].Interleave(slew, fixtureSteps)
 			}
 		}
-		deltas[name] = ds
+		shifts[name] = sh
 	}
-	return deltaFixture{lib: &l, deltas: deltas}
+	return deltaFixture{lib: &l, shifts: shifts}
 }
 
-// deltaTable draws a derivative table of magnitude about a tenth of
-// base's entries; nil when base is nil or skip is set.
-func deltaTable(rng *rand.Rand, base *liberty.Table, skip bool) *liberty.Table {
+// fixtureSteps are the finite-difference steps of the fixture's
+// perturbed tables, the signs of char's: positive for Vth, negative for
+// mobility.
+var fixtureSteps = [liberty.NumDeltaParams]float64{0.01, 0.01, -0.05, -0.05}
+
+// perturbedTable draws base perturbed by step, so that its sensitivity
+// (q − base)/step is about a tenth of base's entries in magnitude; nil
+// when base is nil or skip is set.
+func perturbedTable(rng *rand.Rand, base *liberty.Table, step float64, skip bool) *liberty.Table {
 	if base == nil || skip {
 		return nil
 	}
-	d := liberty.NewTable(base.Slews, base.Loads)
+	q := liberty.NewTable(base.Slews, base.Loads)
 	for i, row := range base.Values {
 		for j, v := range row {
-			d.Values[i][j] = 0.1 * math.Abs(v) * rng.NormFloat64()
+			q.Values[i][j] = v + step*0.1*math.Abs(v)*rng.NormFloat64()
 		}
 	}
-	return d
+	return q
 }
 
 // sampleWeights draws per-instance weights: a quarter all zero, a tenth
@@ -427,8 +437,8 @@ func sampleWeights(rng *rand.Rand, n int) []liberty.DeltaWeights {
 // shiftedLibraryCP is the reference for DeltaBinding.CP: the
 // instance-variant netlist (instance k on cell "<cell>@<inst>") timed by
 // BatchTimer.CP under a library whose variant cells carry
-// liberty.Table.Shift of every table, or share the base cell for an
-// all-zero draw.
+// liberty.ShiftTable.Shifted of every table, or share the base cell for
+// an all-zero draw.
 func shiftedLibraryCP(t *testing.T, nl *netlist.Netlist, fx deltaFixture, w []liberty.DeltaWeights) float64 {
 	t.Helper()
 	vnl := nl.Clone()
@@ -437,13 +447,13 @@ func shiftedLibraryCP(t *testing.T, nl *netlist.Netlist, fx deltaFixture, w []li
 	for k, in := range vnl.Insts {
 		ct := *fx.lib.Cells[in.Cell]
 		if w[k] != (liberty.DeltaWeights{}) {
-			ds := fx.deltas[in.Cell]
+			sh := fx.shifts[in.Cell]
 			ct.Arcs = slices.Clone(ct.Arcs)
 			for ai := range ct.Arcs {
 				a := &ct.Arcs[ai]
 				for e := liberty.Rise; e <= liberty.Fall; e++ {
-					a.Delay[e] = a.Delay[e].Shift(&ds[ai].Delay, e, &w[k])
-					a.OutSlew[e] = a.OutSlew[e].Shift(&ds[ai].OutSlew, e, &w[k])
+					a.Delay[e] = sh[ai].Delay[e].Shifted(&w[k])
+					a.OutSlew[e] = sh[ai].OutSlew[e].Shifted(&w[k])
 				}
 			}
 		}
@@ -467,8 +477,9 @@ func shiftedLibraryCP(t *testing.T, nl *netlist.Netlist, fx deltaFixture, w []li
 // the Monte Carlo sample step: DeltaBinding.CP on per-instance weights
 // equals BatchTimer.CP under the library of shifted tables, bit for bit,
 // on random registered netlists (flops, multi-arc cells, an arc edge
-// without tables, nil delta tables, all-zero and floor-hitting draws),
-// with samples timed concurrently on shared bindings.
+// without tables, parameters without a sensitivity, all-zero and
+// floor-hitting draws), with samples timed concurrently on shared
+// bindings.
 func TestDeltaBindingMatchesShiftedLibrary(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var fxs []deltaFixture
@@ -493,7 +504,7 @@ func TestDeltaBindingMatchesShiftedLibrary(t *testing.T) {
 		}
 		var dbs []*DeltaBinding
 		for _, fx := range fxs {
-			db, err := bt.BindDeltas(fx.lib, fx.deltas)
+			db, err := bt.BindDeltas(fx.lib, fx.shifts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -523,7 +534,7 @@ func TestDeltaBindingMatchesShiftedLibrary(t *testing.T) {
 	}
 }
 
-// TestDeltaBindingRejectsMisalignedInputs: a cell without delta tables
+// TestDeltaBindingRejectsMisalignedInputs: a cell without shifted tables
 // for every arc cannot be bound, and a weight slice of the wrong length
 // cannot be timed.
 func TestDeltaBindingRejectsMisalignedInputs(t *testing.T) {
@@ -534,12 +545,12 @@ func TestDeltaBindingRejectsMisalignedInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short := maps.Clone(fx.deltas)
+	short := maps.Clone(fx.shifts)
 	short["INV_X1"] = short["INV_X1"][:len(short["INV_X1"])-1]
 	if _, err := bt.BindDeltas(fx.lib, short); err == nil {
-		t.Error("bound a cell with a missing delta arc")
+		t.Error("bound a cell with a missing shifted arc")
 	}
-	db, err := bt.BindDeltas(fx.lib, fx.deltas)
+	db, err := bt.BindDeltas(fx.lib, fx.shifts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +572,7 @@ func TestDeltaBindingAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := bt.BindDeltas(fx.lib, fx.deltas)
+		db, err := bt.BindDeltas(fx.lib, fx.shifts)
 		if err != nil {
 			t.Fatal(err)
 		}

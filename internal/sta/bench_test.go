@@ -153,7 +153,7 @@ func BenchmarkMCSample(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				db, err := bt.BindDeltas(fx.lib, fx.deltas)
+				db, err := bt.BindDeltas(fx.lib, fx.shifts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -105,12 +105,14 @@ func (g *Group) Wait() error {
 
 // ParFor runs fn(i) for every i in [0, n) on up to workers goroutines
 // (Workers-resolved) and returns the first error; remaining iterations are
-// skipped once an error occurs or ctx is done, and a ctx that stopped
-// dispatch early is reported as ctx.Err(). workers == 1 (or n <= 1)
-// executes inline with no goroutines, preserving exact serial behavior
-// (fn alone observes ctx there). fn must be safe for concurrent invocation
-// with distinct i; writing result i into slot i of a pre-sized slice keeps
-// assembly deterministic.
+// skipped once an error occurs or ctx is done. A ctx that stopped dispatch
+// early with no task failing is reported as WrapCanceled(ctx.Err()), so
+// a cancel matches ErrCanceled whether a running task or the dispatch
+// loop saw it first. workers == 1 (or n <= 1) executes inline with no
+// goroutines, preserving exact serial behavior (fn alone observes ctx
+// there). fn must be safe for concurrent invocation with distinct i;
+// writing result i into slot i of a pre-sized slice keeps assembly
+// deterministic.
 func ParFor(ctx context.Context, workers, n int, fn func(i int) error) error {
 	workers = Workers(workers)
 	if workers == 1 || n <= 1 {
@@ -133,7 +135,7 @@ func ParFor(ctx context.Context, workers, n int, fn func(i int) error) error {
 	}
 	err := g.Wait()
 	if err == nil && dispatched < n {
-		err = ctx.Err() // no task failed, so the caller's ctx stopped dispatch
+		err = WrapCanceled(ctx.Err()) // no task failed, so the caller's ctx stopped dispatch
 	}
 	return err
 }

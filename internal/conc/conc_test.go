@@ -79,7 +79,8 @@ func TestParForFirstErrorStopsDispatch(t *testing.T) {
 
 // TestParForReportsCallerCancel: iterations skipped because the caller's
 // ctx was canceled must not pass for done — whether ctx was canceled
-// before dispatch or by a task mid-dispatch.
+// before dispatch or by a task mid-dispatch — and the error matches
+// ErrCanceled, as a task's own cancel error does.
 func TestParForReportsCallerCancel(t *testing.T) {
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -88,8 +89,8 @@ func TestParForReportsCallerCancel(t *testing.T) {
 		calls.Add(1)
 		return nil
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled: err = %v, want context.Canceled", err)
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrCanceled) {
+		t.Fatalf("pre-canceled: err = %v, want context.Canceled and ErrCanceled", err)
 	}
 	if n := calls.Load(); n != 0 {
 		t.Errorf("pre-canceled: %d calls, want 0", n)
@@ -108,8 +109,8 @@ func TestParForReportsCallerCancel(t *testing.T) {
 		}
 		return nil
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-dispatch: err = %v, want context.Canceled", err)
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrCanceled) {
+		t.Fatalf("mid-dispatch: err = %v, want context.Canceled and ErrCanceled", err)
 	}
 	if c := calls.Load(); c >= n {
 		t.Errorf("mid-dispatch: %d calls, want fewer than %d", c, n)

@@ -150,7 +150,7 @@ func TestMCGuardbandSensitivityMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := exactGuardbands(t, f, mcNetlist(), s, mc)
+	exact, exactCPs := exactGuardbands(t, f, mcNetlist(), s, mc)
 
 	// First-order sensitivity truncation error, measured against the full
 	// per-sample SPICE re-characterization, must stay a small fraction of
@@ -164,6 +164,75 @@ func TestMCGuardbandSensitivityMatchesExact(t *testing.T) {
 				units.PsString(diff), units.PsString(nominal))
 		}
 	}
+
+	// The guardband check above cannot see the sensitivities' scale: the
+	// same draws shift the fresh and the aged timing, so the shifts
+	// cancel in each guardband. Each critical path's own shift from its
+	// nominal value must match the exact shift.
+	nominalCPs := [2]float64{sens.FreshCPS, sens.AgedCPS}
+	sensCPs := sensitivityCPs(t, f, mcNetlist(), s, mc)
+	for i := range exactCPs {
+		for j, name := range []string{"fresh", "aged"} {
+			want := exactCPs[i][j] - nominalCPs[j]
+			got := sensCPs[i][j] - nominalCPs[j]
+			t.Logf("sample %d %s: sensitivity shift %s, exact %s, relative error %.3g",
+				i, name, units.PsString(got), units.PsString(want), math.Abs(got-want)/math.Abs(want))
+			if math.Abs(got-want) > mcShiftTolerance*math.Abs(want) {
+				t.Errorf("sample %d %s: sensitivity shift %s vs exact %s (relative error %.3g, bound %g)",
+					i, name, units.PsString(got), units.PsString(want), math.Abs(got-want)/math.Abs(want), mcShiftTolerance)
+			}
+		}
+	}
+}
+
+// mcShiftTolerance bounds the relative error of a sample's first-order
+// critical-path shift against the exact (re-characterized) one. The six
+// shifts TestMCGuardbandSensitivityMatchesExact checks are a few tenths
+// of a picosecond, sums of per-instance shifts that partly cancel, so
+// the truncation error is a sizeable fraction of them: 0.08 to 0.39 on
+// amd64. Sensitivities twice too large read about 1, and so do ones a
+// thousand times too small.
+const mcShiftTolerance = 0.5
+
+// sensitivityCPs times each sample's draws on the sensitivities, fresh
+// and aged: the critical paths the sample loop of MCGuardbandTimer
+// subtracts (sta.BatchTimer.BindDeltas and DeltaBinding.CP).
+func sensitivityCPs(t *testing.T, f Flow, nl *netlist.Netlist, s aging.Scenario, mc MCConfig) [][2]float64 {
+	t.Helper()
+	ctx := context.Background()
+	var dbs []*sta.DeltaBinding
+	var bt *sta.BatchTimer
+	for _, sc := range []aging.Scenario{aging.Fresh(), s} {
+		sn, err := f.Char.Sensitivities(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bt == nil {
+			if bt, err = sta.NewBatchTimer(ctx, nl, sn.Base, f.STA); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db, err := bt.BindDeltas(sn.Base, sn.Shifts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs = append(dbs, db)
+	}
+	cps := make([][2]float64, mc.Samples)
+	w := make([]liberty.DeltaWeights, len(nl.Insts))
+	for i := range cps {
+		for k, inst := range bt.Insts() {
+			w[k] = char.Weights(mc.Variation.Sample(mc.Seed, uint64(i), inst))
+		}
+		for j, db := range dbs {
+			cp, err := db.CP(ctx, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cps[i][j] = cp
+		}
+	}
+	return cps
 }
 
 // exactGuardbands is the exact Monte Carlo reference: per sample it
@@ -171,8 +240,9 @@ func TestMCGuardbandSensitivityMatchesExact(t *testing.T) {
 // perturbation through the SPICE sweep (char.Config.Characterize with
 // Perturb and Cells set, no cache), fresh and aged, and times the
 // instance-variant netlist (every instance on its own cell, named
-// char.VariantCell) under the resulting libraries.
-func exactGuardbands(t *testing.T, f Flow, nl *netlist.Netlist, s aging.Scenario, mc MCConfig) []float64 {
+// char.VariantCell) under the resulting libraries. It returns each
+// sample's guardband and its fresh and aged critical paths.
+func exactGuardbands(t *testing.T, f Flow, nl *netlist.Netlist, s aging.Scenario, mc MCConfig) ([]float64, [][2]float64) {
 	t.Helper()
 	ctx := context.Background()
 	vnl := nl.Clone()
@@ -180,8 +250,9 @@ func exactGuardbands(t *testing.T, f Flow, nl *netlist.Netlist, s aging.Scenario
 		in.Cell = char.VariantCell(in.Cell, in.Name)
 	}
 	gbs := make([]float64, mc.Samples)
+	cps := make([][2]float64, mc.Samples)
 	for i := range gbs {
-		var cp [2]float64
+		cp := &cps[i]
 		for j, sc := range []aging.Scenario{aging.Fresh(), s} {
 			lib := &liberty.Library{Name: fmt.Sprintf("mc_exact_%d_%d", j, i), Cells: map[string]*liberty.CellTiming{}}
 			for _, in := range nl.Insts {
@@ -204,7 +275,7 @@ func exactGuardbands(t *testing.T, f Flow, nl *netlist.Netlist, s aging.Scenario
 		}
 		gbs[i] = cp[1] - cp[0]
 	}
-	return gbs
+	return gbs, cps
 }
 
 // sampleLibraryGuardbands is the reference for MCGuardbandNetlist's

@@ -42,7 +42,8 @@ func (e Edge) String() string {
 func (e Edge) Opposite() Edge { return 1 - e }
 
 // Table is a 2-D NLDM lookup table: Values[i][j] corresponds to input slew
-// Slews[i] and output load Loads[j]. Axes must be strictly ascending.
+// Slews[i] and output load Loads[j]. Axes must be strictly ascending and
+// at most 65535 points long (Locate).
 type Table struct {
 	Slews  []float64 // input transition times [s]
 	Loads  []float64 // output load capacitances [F]
@@ -64,22 +65,86 @@ func NewTable(slews, loads []float64) *Table {
 
 // At returns the bilinearly interpolated value at (slew, load). Queries
 // outside the characterized region are clamped to the boundary, matching
-// common STA tool behaviour.
+// common STA tool behaviour. It is AtPos at positions located on the
+// table's own axes; a caller that reads several tables at one point
+// locates the point once and calls AtPos.
 func (t *Table) At(slew, load float64) float64 {
-	i0, i1, fi := locate(t.Slews, slew)
-	j0, j1, fj := locate(t.Loads, load)
-	return bilerp(t.Values[i0][j0], t.Values[i0][j1], t.Values[i1][j0], t.Values[i1][j1], fi, fj)
+	return t.AtPos(Locate(t.Slews, slew), Locate(t.Loads, load))
+}
+
+// AtPos returns the table's value at a located slew and load, bit for bit
+// At(slew.X(), load.X()). A position located on another axis than the
+// table's is located again on the table's own.
+func (t *Table) AtPos(slew, load Pos) float64 {
+	if !slew.On(t.Slews) || !load.On(t.Loads) {
+		return t.at(Locate(t.Slews, slew.x), Locate(t.Loads, load.x))
+	}
+	return t.at(slew, load)
+}
+
+// at interpolates at positions located on the table's axes.
+func (t *Table) at(slew, load Pos) float64 {
+	r0, r1 := t.Values[slew.i.lo], t.Values[slew.i.hi]
+	return bilerp(r0[load.i.lo], r0[load.i.hi], r1[load.i.lo], r1[load.i.hi], slew.f, load.f)
 }
 
 // bilerp blends the four grid corners a lookup reads (vIJ at slew index
-// i, load index j) by the slew and load fractions; Table.At and
-// ShiftTable.At share it so they round alike.
+// i, load index j) by the slew and load fractions; Table.AtPos and
+// ShiftTable.AtPos share it so they round alike.
 func bilerp(v00, v01, v10, v11, fi, fj float64) float64 {
 	return v00*(1-fi)*(1-fj) + v01*(1-fi)*fj + v10*fi*(1-fj) + v11*fi*fj
 }
 
+// Pos is a value located on one table axis: the indices of the two axis
+// points that bracket it and its fraction of the way between them, the
+// operands of a lookup along that axis. A position is valid only on the
+// axis it was located on (the same slice, not an equal one): On tells,
+// and Table.AtPos and ShiftTable.AtPos locate the value again on any
+// other axis, so reusing a position never depends on tables sharing
+// axes. Binding a library's tables to a netlist fixes every net's load,
+// so its position can be located once and read by every lookup.
+//
+// A Pos is four words of at most four fields, so the compiler keeps it
+// in registers when it is passed or returned; a wider one goes through
+// memory at every call. That is why the axis indices are 16 bits.
+type Pos struct {
+	x    float64  // the located value
+	f    float64  // fraction of the way from axis point i.lo to i.hi
+	axis *float64 // first point of the axis located on; nil for an empty axis
+	i    span
+}
+
+// span holds a position's bracketing axis indices and its axis's length.
+type span struct{ lo, hi, n uint16 }
+
+// Locate locates x on an ascending axis (see Pos) of at most 65535
+// points; a longer axis panics. An empty axis gives a position that is
+// on no axis.
+func Locate(axis []float64, x float64) Pos {
+	n := len(axis)
+	if n == 0 {
+		return Pos{x: x}
+	}
+	if n > math.MaxUint16 {
+		panic(fmt.Sprintf("liberty: cannot locate on an axis of %d points (limit %d)", n, math.MaxUint16))
+	}
+	lo, hi, f := locate(axis, x)
+	return Pos{x: x, f: f, axis: &axis[0], i: span{uint16(lo), uint16(hi), uint16(n)}}
+}
+
+// On reports whether p was located on axis.
+func (p Pos) On(axis []float64) bool {
+	return len(axis) > 0 && len(axis) == int(p.i.n) && &axis[0] == p.axis
+}
+
+// X returns the located value.
+func (p Pos) X() float64 { return p.x }
+
 // locate finds the bracketing indices and interpolation fraction for x in
-// ascending axis, clamping outside the range.
+// a strictly ascending, non-empty axis, clamping outside the range: the
+// first index whose point is not below x, and the one before it. NLDM
+// axes are short (7 points here), so a scan from the low end finds it in
+// fewer steps than a binary search costs to set up.
 func locate(axis []float64, x float64) (lo, hi int, f float64) {
 	n := len(axis)
 	if n == 1 || x <= axis[0] {
@@ -88,7 +153,10 @@ func locate(axis []float64, x float64) (lo, hi int, f float64) {
 	if x >= axis[n-1] {
 		return n - 1, n - 1, 0
 	}
-	hi = sort.SearchFloat64s(axis, x)
+	hi = 1
+	for axis[hi] < x {
+		hi++
+	}
 	lo = hi - 1
 	return lo, hi, (x - axis[lo]) / (axis[hi] - axis[lo])
 }

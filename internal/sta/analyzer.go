@@ -302,25 +302,29 @@ func compile(n *netlist.Netlist, lib *liberty.Library) (*topology, *binding, err
 	return t, b, nil
 }
 
-// cPred is the winning arc into one edge of a net, by instance and net
-// index. inst < 0 means "no predecessor" (primary inputs, unreached
-// edges).
+// cPred is the winning arc into one edge of a net: the instance, the
+// index of the arc in its bound cell (whose Pin a traced step reads), the
+// arc's input net and edge, and the arc's delay. inst < 0 means "no
+// predecessor" (primary inputs, unreached edges). It holds no string, so
+// a state's predecessors are 24 bytes a net edge and hold no pointer.
 type cPred struct {
 	inst    int32
-	pin     string
+	arc     int32
 	fromNet int32
-	inEdge  liberty.Edge
+	inEdge  int32 // liberty.Edge
 	delay   float64
 }
 
 // state holds the per-query timing annotations over a (topology, binding)
 // pair. The forward arrays persist across incremental swaps; the backward
-// arrays are rebuilt lazily per materialized Result.
+// arrays are rebuilt lazily per materialized Result. A net's load is kept
+// located on the load axis of its driver's cell (locateLoad), so the
+// lookups that read it do not search that axis again.
 type state struct {
 	arr     [][2]float64
 	slw     [][2]float64
 	hasArr  []bool
-	load    []float64
+	load    []liberty.Pos
 	hasLoad []bool
 	preds   [][2]cPred
 
@@ -335,7 +339,7 @@ func newState(nn int) *state {
 		arr:     make([][2]float64, nn),
 		slw:     make([][2]float64, nn),
 		hasArr:  make([]bool, nn),
-		load:    make([]float64, nn),
+		load:    make([]liberty.Pos, nn),
 		hasLoad: make([]bool, nn),
 		preds:   make([][2]cPred, nn),
 	}
@@ -360,15 +364,33 @@ func (s *state) resetArrivals() {
 	}
 }
 
-// loadOf returns the load of a net, computing and caching it on first use.
-func (s *state) loadOf(t *topology, b *binding, cfg *Config, net int32) float64 {
-	if s.hasLoad[net] {
-		return s.load[net]
+// loadOf returns the located load of a net, computing and caching it on
+// first use.
+func (s *state) loadOf(t *topology, b *binding, cfg *Config, net int32) liberty.Pos {
+	if !s.hasLoad[net] {
+		s.load[net] = locateLoad(t, b, net, computeLoad(t, b, cfg, net))
+		s.hasLoad[net] = true
 	}
-	l := computeLoad(t, b, cfg, net)
-	s.load[net] = l
-	s.hasLoad[net] = true
-	return l
+	return s.load[net]
+}
+
+// locateLoad locates load l of a net on the load axis of its driver
+// cell's first delay table, since the driver's lookups read it; a table
+// of the cell on another axis locates the load again
+// (liberty.Table.AtPos). A net that no lookup reads, one without a
+// driver or whose driver has no delay table, gets a position on no axis.
+func locateLoad(t *topology, b *binding, net int32, l float64) liberty.Pos {
+	if d := t.driver[net]; d >= 0 {
+		arcs := b.ct[d].Arcs
+		for ai := range arcs {
+			for _, tb := range arcs[ai].Delay {
+				if tb != nil {
+					return liberty.Locate(tb.Loads, l)
+				}
+			}
+		}
+	}
+	return liberty.Locate(nil, l)
 }
 
 // computeLoad sums the load of a net in the reference order: wire cap,
@@ -392,7 +414,9 @@ func computeLoad(t *topology, b *binding, cfg *Config, net int32) float64 {
 
 // evalInst recomputes the arrival, slew and winning predecessors at one
 // instance's output, byte-for-byte the way the reference's main loop
-// does. It does not write the state.
+// does. It does not write the state. An arc edge locates its input slew
+// once, on its delay table's slew axis, for both its delay and its
+// output-slew lookup, and every lookup reads the output load's position.
 func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [2]float64, pr [2]cPred, err error) {
 	neg := math.Inf(-1)
 	arr = [2]float64{neg, neg}
@@ -409,11 +433,12 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 				if arc.Delay[e] == nil {
 					continue
 				}
-				d := arc.Delay[e].At(cfg.ClockSlew, load)
+				sp := liberty.Locate(arc.Delay[e].Slews, cfg.ClockSlew)
+				d := arc.Delay[e].AtPos(sp, load)
 				if d > arr[e] {
 					arr[e] = d
-					slw[e] = arc.OutSlew[e].At(cfg.ClockSlew, load)
-					pr[e] = cPred{inst: int32(i), pin: ct.Clock, fromNet: t.clk, inEdge: liberty.Rise, delay: d}
+					slw[e] = arc.OutSlew[e].AtPos(sp, load)
+					pr[e] = cPred{inst: int32(i), arc: int32(ai), fromNet: t.clk, inEdge: int32(liberty.Rise), delay: d}
 				}
 			}
 		}
@@ -434,11 +459,12 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 				if math.IsInf(ia[ie], -1) {
 					continue
 				}
-				d := arc.Delay[e].At(is[ie], load)
+				sp := liberty.Locate(arc.Delay[e].Slews, is[ie])
+				d := arc.Delay[e].AtPos(sp, load)
 				if cand := ia[ie] + d; cand > arr[e] {
 					arr[e] = cand
-					slw[e] = arc.OutSlew[e].At(is[ie], load)
-					pr[e] = cPred{inst: int32(i), pin: arc.Pin, fromNet: inNet, inEdge: ie, delay: d}
+					slw[e] = arc.OutSlew[e].AtPos(sp, load)
+					pr[e] = cPred{inst: int32(i), arc: int32(ai), fromNet: inNet, inEdge: int32(ie), delay: d}
 				}
 			}
 		}
@@ -451,8 +477,10 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 
 // evalShifted is evalInst on the instance's tables shifted by weights w:
 // the same operations in the same order, each lookup reading the
-// interleaved table through liberty.ShiftTable.At, so the result equals
-// evalInst on a cell whose tables liberty.ShiftTable.Shifted built.
+// interleaved table through liberty.ShiftTable.AtPos, so the result
+// equals evalInst on a cell whose tables liberty.ShiftTable.Shifted
+// built. The interleaved tables are on their base tables' axes, so the
+// input slew is located on the base delay table's.
 func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liberty.DeltaWeights) (arr, slw [2]float64, pr [2]cPred, err error) {
 	neg := math.Inf(-1)
 	arr = [2]float64{neg, neg}
@@ -470,11 +498,12 @@ func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liber
 				if arc.Delay[e] == nil {
 					continue
 				}
-				d := sh[ai].Delay[e].At(w, cfg.ClockSlew, load)
+				sp := liberty.Locate(arc.Delay[e].Slews, cfg.ClockSlew)
+				d := sh[ai].Delay[e].AtPos(w, sp, load)
 				if d > arr[e] {
 					arr[e] = d
-					slw[e] = sh[ai].OutSlew[e].At(w, cfg.ClockSlew, load)
-					pr[e] = cPred{inst: int32(i), pin: ct.Clock, fromNet: t.clk, inEdge: liberty.Rise, delay: d}
+					slw[e] = sh[ai].OutSlew[e].AtPos(w, sp, load)
+					pr[e] = cPred{inst: int32(i), arc: int32(ai), fromNet: t.clk, inEdge: int32(liberty.Rise), delay: d}
 				}
 			}
 		}
@@ -495,11 +524,12 @@ func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liber
 				if math.IsInf(ia[ie], -1) {
 					continue
 				}
-				d := sh[ai].Delay[e].At(w, is[ie], load)
+				sp := liberty.Locate(arc.Delay[e].Slews, is[ie])
+				d := sh[ai].Delay[e].AtPos(w, sp, load)
 				if cand := ia[ie] + d; cand > arr[e] {
 					arr[e] = cand
-					slw[e] = sh[ai].OutSlew[e].At(w, is[ie], load)
-					pr[e] = cPred{inst: int32(i), pin: arc.Pin, fromNet: inNet, inEdge: ie, delay: d}
+					slw[e] = sh[ai].OutSlew[e].AtPos(w, sp, load)
+					pr[e] = cPred{inst: int32(i), arc: int32(ai), fromNet: inNet, inEdge: int32(ie), delay: d}
 				}
 			}
 		}
@@ -637,14 +667,14 @@ func materialize(t *topology, b *binding, s *state, cfg *Config) *Result {
 					continue
 				}
 				ie := arc.Sense.InputEdge(e)
-				d := arc.Delay[e].At(is[ie], load)
+				d := arc.Delay[e].AtPos(liberty.Locate(arc.Delay[e].Slews, is[ie]), load)
 				setReq(inNet, ie, outReq[e]-d)
 			}
 		}
 	}
 	for id, name := range t.nets {
 		if s.hasLoad[id] {
-			res.Load[name] = s.load[id]
+			res.Load[name] = s.load[id].X()
 		}
 		if hasReq[id] {
 			res.Required[name] = req[id]
@@ -687,15 +717,15 @@ func traceCompiled(t *topology, b *binding, s *state, end int32, endEdge liberty
 		p.Steps = append(p.Steps, Step{
 			Inst:    t.name(int(pr.inst)),
 			Cell:    b.ct[pr.inst].Name,
-			Pin:     pr.pin,
+			Pin:     b.ct[pr.inst].Arcs[pr.arc].Pin,
 			FromNet: t.nets[pr.fromNet],
 			ToNet:   t.nets[net],
-			InEdge:  pr.inEdge,
+			InEdge:  liberty.Edge(pr.inEdge),
 			OutEdge: edge,
 			Delay:   pr.delay,
 			Arrival: s.arr[net][edge],
 		})
-		net, edge = pr.fromNet, pr.inEdge
+		net, edge = pr.fromNet, liberty.Edge(pr.inEdge)
 		if net == t.clk {
 			break
 		}
@@ -849,16 +879,17 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 		return undo, nil
 	}
 	// Recompute the loads of nets whose sink pin caps changed; a changed
-	// load dirties the driving instance (its delay and slew depend on it).
+	// load is located again and dirties the driving instance (its delay
+	// and slew depend on it).
 	for net := range loadDirty {
 		if !a.s.hasLoad[net] {
 			continue // never queried (e.g. a primary input net)
 		}
 		nl := computeLoad(a.t, a.b, &a.cfg, net)
-		if nl == a.s.load[net] {
+		if nl == a.s.load[net].X() {
 			continue
 		}
-		a.s.load[net] = nl
+		a.s.load[net] = locateLoad(a.t, a.b, net, nl)
 		if d := a.t.driver[net]; d >= 0 {
 			a.dirty[d] = true
 		}

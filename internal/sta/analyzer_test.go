@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/char"
 	"ageguard/internal/conc"
 	"ageguard/internal/liberty"
 	"ageguard/internal/netlist"
@@ -443,5 +447,111 @@ func TestBatchTimerCancellation(t *testing.T) {
 	}
 	if _, err := bt.CP(done, l); !errors.Is(err, conc.ErrCanceled) {
 		t.Errorf("pre-canceled CP err = %v, want conc.ErrCanceled", err)
+	}
+}
+
+// ownAxes returns a copy of l in which the named cells' tables sit on
+// axes of their own, shared with no other cell: each arc's delay tables
+// on a rescaled copy of the library axes, its output-slew tables on
+// shorter axes of another range, and every arc on different ones, so a
+// lookup that trusted a position located on another table's axis would
+// read the wrong grid points. The entries are the original tables'
+// values at the new axis points.
+func ownAxes(l *liberty.Library, cells ...string) *liberty.Library {
+	out := *l
+	out.Cells = maps.Clone(l.Cells)
+	regrid := func(tb *liberty.Table, slews, loads []float64) *liberty.Table {
+		if tb == nil {
+			return nil
+		}
+		g := liberty.NewTable(slews, loads)
+		for i, s := range slews {
+			for j, c := range loads {
+				g.Values[i][j] = tb.At(s, c)
+			}
+		}
+		return g
+	}
+	scaled := func(axis []float64, k float64) []float64 {
+		out := make([]float64, len(axis))
+		for i, v := range axis {
+			out[i] = v * k
+		}
+		return out
+	}
+	for _, name := range cells {
+		ct := *l.Cells[name]
+		ct.Arcs = slices.Clone(ct.Arcs)
+		for ai := range ct.Arcs {
+			a := &ct.Arcs[ai]
+			k := 1 + 0.15*float64(ai+1)
+			dSlews, dLoads := scaled(l.Slews, 1/k), scaled(l.Loads, k)
+			sSlews := char.LogAxis(2*units.Ps*k, 1200*units.Ps, 5)
+			sLoads := char.LogAxis(0.3*units.FF, 25*units.FF/k, 4)
+			for e := liberty.Rise; e <= liberty.Fall; e++ {
+				a.Delay[e] = regrid(a.Delay[e], dSlews, dLoads)
+				a.OutSlew[e] = regrid(a.OutSlew[e], sSlews, sLoads)
+			}
+		}
+		out.Cells[name] = &ct
+	}
+	return &out
+}
+
+// TestTablesOnOwnAxesMatchReference: a lookup reuses a net's load
+// position and an arc edge's slew position only on the axis they were
+// located on, and locates the value again on any other. On libraries
+// where several cells' tables sit on axes of their own (ownAxes), the
+// analyzer, TopPaths and Monte Carlo samples match the references bit
+// for bit.
+func TestTablesOnOwnAxesMatchReference(t *testing.T) {
+	cells := []string{"INV_X1", "NAND2_X1", "AOI21_X1", "MUX2_X1", "DFF_X1"}
+	libs := []*liberty.Library{ownAxes(lib(t, aging.Fresh()), cells...), ownAxes(lib(t, aging.WorstCase(10)), cells...)}
+	rng := rand.New(rand.NewSource(29))
+	ctx := context.Background()
+	for _, size := range []int{40, 200} {
+		nl := randNetlist(rng, size)
+		for _, l := range libs {
+			what := nl.Name + "/" + l.Name
+			a, err := NewAnalyzer(ctx, nl.Clone(), l, Config{})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			want, err := analyzeReference(nl, l, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualResults(t, what, a.Result(), want)
+			paths, err := TopPaths(ctx, nl, l, Config{}, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPaths, err := topPathsReference(nl, l, Config{}, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(paths, wantPaths) {
+				t.Fatalf("%s: TopPaths differs from the reference retrace", what)
+			}
+		}
+		fx := newDeltaFixture(rng, libs[1])
+		bt, err := NewBatchTimer(ctx, nl, fx.lib, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := bt.BindDeltas(fx.lib, fx.shifts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			w := sampleWeights(rng, len(nl.Insts))
+			got, err := db.CP(ctx, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := shiftedLibraryCP(t, nl, fx, w); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s sample %d: DeltaBinding.CP %v != shifted-library CP %v", nl.Name, i, got, want)
+			}
+		}
 	}
 }

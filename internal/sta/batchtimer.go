@@ -90,13 +90,13 @@ func (bt *BatchTimer) time(ctx context.Context, lib *liberty.Library) (*binding,
 // each sample shifts every instance's tables by that instance's weights.
 // It is built once per base library and query and is safe for concurrent
 // use. The interleaved tables are shared, not copied: every instance of
-// a cell reads its cell's. Binding computes every net's load once, since
-// it does not depend on the sample; a CP call allocates nothing, reusing
-// the propagation state of a finished call.
+// a cell reads its cell's. Binding computes and locates every net's load
+// once, since it does not depend on the sample; a CP call allocates
+// nothing, reusing the propagation state of a finished call.
 type DeltaBinding struct {
 	bt   *BatchTimer
 	b    *binding
-	load []float64 // per net
+	load []liberty.Pos // per net
 
 	mu   sync.Mutex
 	free []*state // states of finished CP calls
@@ -121,11 +121,11 @@ func (bt *BatchTimer) BindDeltas(lib *liberty.Library, shifts map[string][]liber
 		}
 		b.tables[i] = sh
 	}
-	// Pin capacitances are the base cells', so every sample's loads are
-	// these.
-	load := make([]float64, len(t.nets))
+	// Pin capacitances are the base cells', so every sample's loads, and
+	// their positions on the tables' load axes, are these.
+	load := make([]liberty.Pos, len(t.nets))
 	for v := range load {
-		load[v] = computeLoad(t, b, &bt.cfg, int32(v))
+		load[v] = locateLoad(t, b, int32(v), computeLoad(t, b, &bt.cfg, int32(v)))
 	}
 	return &DeltaBinding{bt: bt, b: b, load: load}, nil
 }

@@ -13,7 +13,8 @@
 //	libgen -strict                        # refuse interpolated grid points
 //
 // Characterization runs on a worker pool using every CPU by default; -j
-// bounds it (1 = serial). Scenario output order is always deterministic.
+// bounds it (1 = one simulation at a time, one cell after another).
+// Scenario output order is always deterministic.
 // Ctrl-C cancels the run cleanly: in-flight transient simulations stop
 // within one time step and no partial cache entries are left behind.
 //
@@ -53,7 +54,7 @@ func main() {
 		merged = flag.Bool("merged", false, "also write the merged complete library")
 		libFmt = flag.Bool("liberty", false, "additionally emit genuine Liberty (.lib) syntax")
 		cache  = flag.String("cache", char.RepoCacheDir(), "characterization cache directory ('' disables)")
-		par    = flag.Int("j", 0, "parallel simulation workers (0 = all CPUs, 1 = serial)")
+		par    = flag.Int("j", 0, "parallel simulation workers (0 = all CPUs, 1 = one simulation at a time)")
 		cells  = flag.String("cells", "", "comma-separated cell subset (default: all cells)")
 	)
 	c := cli.Register("libgen", flag.CommandLine)

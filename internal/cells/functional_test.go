@@ -2,6 +2,7 @@ package cells
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"ageguard/internal/device"
@@ -62,6 +63,12 @@ func TestTopologyImplementsFunction(t *testing.T) {
 	}
 }
 
+// wave is a stateless waveform given as a function of time.
+type wave func(t float64) float64
+
+// At evaluates the waveform.
+func (w wave) At(t float64) float64 { return w(t) }
+
 // TestDFFCapturesOnRisingEdge clocks the flip-flop topology through a
 // full transient sequence and checks edge-triggered capture behaviour.
 func TestDFFCapturesOnRisingEdge(t *testing.T) {
@@ -81,15 +88,22 @@ func TestDFFCapturesOnRisingEdge(t *testing.T) {
 	for _, spec := range c.Topo.Devices {
 		ckt.MOS(c.DeviceParams(tech, spec), get(spec.D), get(spec.G), get(spec.S))
 	}
-	// D rises well before the second clock edge and falls before the third.
+	// D rises well before the second clock edge and falls before the
+	// third. The clock rises at every period from the first on and falls
+	// half a period later.
 	period := 2 * units.Ns
-	ckt.Drive(get("D"), spice.PWL{
-		T: []float64{0, 0.5 * period, 0.5*period + 50*units.Ps, 2.4 * period, 2.4*period + 50*units.Ps},
-		V: []float64{0, 0, vdd, vdd, 0},
-	})
-	ckt.Drive(get("CK"), spice.Pulse{
-		V0: 0, V1: vdd, Delay: period, Width: period / 2, Period: period, Slew: 30 * units.Ps,
-	})
+	dUp := spice.Ramp{T0: 0.5 * period, Slew: 50 * units.Ps, V1: vdd}
+	dDown := spice.Ramp{T0: 2.4 * period, Slew: 50 * units.Ps, V1: vdd}
+	ckt.Drive(get("D"), wave(func(t float64) float64 { return dUp.At(t) - dDown.At(t) }))
+	ckUp := spice.Ramp{Slew: 30 * units.Ps, V1: vdd}
+	ckDown := spice.Ramp{T0: period / 2, Slew: 30 * units.Ps, V1: vdd}
+	ckt.Drive(get("CK"), wave(func(t float64) float64 {
+		if t < period {
+			return 0
+		}
+		tc := math.Mod(t, period)
+		return ckUp.At(tc) - ckDown.At(tc)
+	}))
 	out := get("Q")
 	ckt.C(out, ckt.Gnd(), 2*units.FF)
 	res, err := ckt.Run(context.Background(), 4*period, spice.Options{})

@@ -89,7 +89,7 @@ func TestCancelMidGrid(t *testing.T) {
 }
 
 // TestGoroutineFloodBounded: the parallel sweep must create at most
-// O(cells x limiter-cap) goroutines, not one per grid point. An
+// O(limiter-cap x limiter-cap) goroutines, not one per grid point. An
 // unbounded flood (tens of thousands of runnable goroutines) starves the
 // scheduler on small-GOMAXPROCS hosts — most visibly the signal-watcher
 // goroutine, which turns Ctrl-C latency from milliseconds into seconds.
@@ -109,8 +109,8 @@ func TestGoroutineFloodBounded(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(2 * time.Second)
-	// ~68 cells + 4 points each + runtime overhead; one-per-point would
-	// be several thousand.
+	// 4 cells in flight + 4 points each + runtime overhead; one-per-point
+	// would be several thousand.
 	if n := runtime.NumGoroutine(); n > 800 {
 		t.Errorf("%d goroutines during full-size characterization, want bounded fan-out", n)
 	}

@@ -87,9 +87,10 @@ type Config struct {
 	// Parallelism bounds the number of concurrently running transient
 	// simulations; CharacterizeAll and CompleteLibrary additionally use it
 	// to bound concurrently characterized scenarios. 0 selects GOMAXPROCS
-	// (all CPUs); 1 reproduces the fully serial behavior. Results are
-	// bit-identical at every setting: workers write into pre-indexed table
-	// slots, so assembly order never affects the library.
+	// (all CPUs); 1 runs one simulation at a time and finishes each cell
+	// before starting the next. Results are bit-identical at every
+	// setting: workers write into pre-indexed table slots, so assembly
+	// order never affects the library.
 	Parallelism int
 
 	// Progress, when non-nil, receives (done, total) cell counts as a
@@ -420,10 +421,13 @@ func (p *progress) tick() {
 }
 
 // characterize performs the actual simulation sweep. Cells are
-// characterized concurrently (one goroutine per cell, results written into
-// pre-indexed slots) while lim bounds the simulations actually running;
-// the first error cancels everything still pending. With one worker the
-// original serial loop runs instead.
+// characterized concurrently (results written into pre-indexed slots)
+// while lim bounds the simulations actually running; the first error
+// cancels everything still pending. At most lim.Cap() cells are in flight,
+// so cells finish, tick progress and write their checkpoint shards about
+// in set order (a one-token run finishes each cell before it starts the
+// next), and an interrupted run loses only the cells in flight, not a
+// share of every cell.
 func (cfg Config) characterize(ctx context.Context, s aging.Scenario, lim conc.Limiter) (*liberty.Library, error) {
 	lib := &liberty.Library{
 		Name:     cfg.libName(s),
@@ -439,31 +443,21 @@ func (cfg Config) characterize(ctx context.Context, s aging.Scenario, lim conc.L
 	}
 	prog := &progress{total: len(set), fn: cfg.Progress}
 	results := make([]*liberty.CellTiming, len(set))
-	if lim.Cap() == 1 {
-		for i, c := range set {
-			ct, err := cfg.cellWithCheckpoint(ctx, lim, c, s)
+	g, gctx := conc.NewGroup(ctx)
+	g.SetLimit(lim.Cap())
+	for i, c := range set {
+		g.Go(func() error {
+			ct, err := cfg.cellWithCheckpoint(gctx, lim, c, s)
 			if err != nil {
-				return nil, fmt.Errorf("char: cell %s under %s: %w", c.Name, s, err)
+				return fmt.Errorf("char: cell %s under %s: %w", c.Name, s, err)
 			}
 			results[i] = ct
 			prog.tick()
-		}
-	} else {
-		g, gctx := conc.NewGroup(ctx)
-		for i, c := range set {
-			g.Go(func() error {
-				ct, err := cfg.cellWithCheckpoint(gctx, lim, c, s)
-				if err != nil {
-					return fmt.Errorf("char: cell %s under %s: %w", c.Name, s, err)
-				}
-				results[i] = ct
-				prog.tick()
-				return nil
-			})
-		}
-		if err := g.Wait(); err != nil {
-			return nil, err
-		}
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		return nil, err
 	}
 	for i, c := range set {
 		lib.Cells[c.Name] = results[i]

@@ -11,6 +11,7 @@ import (
 
 	"ageguard/internal/aging"
 	"ageguard/internal/liberty"
+	"ageguard/internal/obs"
 	"ageguard/internal/units"
 )
 
@@ -201,6 +202,44 @@ func TestProgressSerialAndMonotonic(t *testing.T) {
 		if totals[i] != len(cfg.Cells) {
 			t.Fatalf("progress total = %d, want %d", totals[i], len(cfg.Cells))
 		}
+	}
+}
+
+// TestOneTokenFinishesCellsInOrder: with one limiter token a cell runs
+// every simulation it needs before the next cell starts, so the first
+// progress tick (and the first checkpoint shard) lands after exactly the
+// transients a lone run of the first cell takes, not near the end of the
+// whole sweep.
+func TestOneTokenFinishesCellsInOrder(t *testing.T) {
+	s := aging.WorstCase(10)
+	cfg := TestConfig()
+	cfg.CacheDir = ""
+	cfg.Parallelism = 1
+	cfg.Cells = []string{"INV_X1"}
+	lone := obs.NewRegistry()
+	if _, err := cfg.Characterize(obs.With(context.Background(), lone), s); err != nil {
+		t.Fatal(err)
+	}
+	first := lone.Counter("spice.transients").Value()
+
+	cfg.Cells = []string{"INV_X1", "NAND2_X1", "NOR2_X1"}
+	reg := obs.NewRegistry()
+	var atTick []int64
+	cfg.Progress = func(done, total int) {
+		atTick = append(atTick, reg.Counter("spice.transients").Value())
+	}
+	if _, err := cfg.Characterize(obs.With(context.Background(), reg), s); err != nil {
+		t.Fatal(err)
+	}
+	total := reg.Counter("spice.transients").Value()
+	if len(atTick) != len(cfg.Cells) {
+		t.Fatalf("progress called %d times, want %d", len(atTick), len(cfg.Cells))
+	}
+	if atTick[0] != first {
+		t.Errorf("first tick after %d of %d transients, want %d (INV_X1 alone)", atTick[0], total, first)
+	}
+	if atTick[len(atTick)-1] != total {
+		t.Errorf("last tick after %d transients, want all %d", atTick[len(atTick)-1], total)
 	}
 }
 

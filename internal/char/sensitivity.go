@@ -114,7 +114,9 @@ func (cfg Config) Sensitivities(ctx context.Context, s aging.Scenario) (*Sensiti
 // this configuration's nominal library for s: a caller that holds it,
 // such as ageguardd's library cache, saves loading it again. A base
 // with another name or other axes is rejected, since its tables would
-// not pair grid point for grid point with the perturbed ones. The
+// not pair grid point for grid point with the perturbed ones, and so is
+// a perturbed library whose arcs have other tables than the base's,
+// since every interleaved table has a sensitivity to each parameter. The
 // perturbed runs execute sequentially — each is internally parallel
 // under cfg.Parallelism, so stacking them would only oversubscribe the
 // simulation limiter.
@@ -162,6 +164,9 @@ func (cfg Config) SensitivitiesAround(ctx context.Context, s aging.Scenario, bas
 					return nil, fmt.Errorf("char: sensitivity arc %d misaligned for cell %s", ai, name)
 				}
 				for e := 0; e < 2; e++ {
+					if (q.Delay[e] == nil) != (b.Delay[e] == nil) || (q.OutSlew[e] == nil) != (b.OutSlew[e] == nil) {
+						return nil, fmt.Errorf("char: sensitivity library %d: arc %d of cell %s has other tables than the base's", p, ai, name)
+					}
 					delay[e][p], slew[e][p] = q.Delay[e], q.OutSlew[e]
 				}
 			}

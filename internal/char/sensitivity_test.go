@@ -2,8 +2,10 @@ package char
 
 import (
 	"context"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ageguard/internal/aging"
@@ -205,31 +207,34 @@ func TestCharacterizeCellPerturbedMatchesSensitivityStep(t *testing.T) {
 	}
 }
 
-// TestInterleavedSensitivityByHand: a table interleaved with a
-// perturbed one holds the quotient (q − b)/step, which Weights shift
-// along the parameter the perturbation moves: a weighted sum floored at
-// zero, unshifted by parameters without a perturbed table, and nil for a
-// nil base.
+// TestInterleavedSensitivityByHand: a table interleaved with four
+// perturbed ones holds the quotients (q − b)/step, which Weights shift
+// along the parameter each perturbation moves: a weighted sum floored at
+// zero, and nil for a nil base.
 func TestInterleavedSensitivityByHand(t *testing.T) {
-	base := liberty.NewTable([]float64{1, 2}, []float64{1, 2})
-	pert := liberty.NewTable([]float64{1, 2}, []float64{1, 2})
-	for i := range base.Values {
-		for j := range base.Values[i] {
-			base.Values[i][j] = 10
-			pert.Values[i][j] = 12
+	table := func(v float64) *liberty.Table {
+		tb := liberty.NewTable([]float64{1, 2}, []float64{1, 2})
+		for _, row := range tb.Values {
+			for j := range row {
+				row[j] = v
+			}
 		}
+		return tb
 	}
-	var q [numSensParams]*liberty.Table
-	q[sensVthP] = pert
-	step := [numSensParams]float64{0.5, 1, 1, 1}
-	st := base.Interleave(q, step) // dD/dVthP = (12 - 10)/0.5 = 4
+	base := table(10)
+	q := [numSensParams]*liberty.Table{table(12), table(11), table(10), table(9)}
+	step := [numSensParams]float64{0.5, 1, 1, -0.5}
+	st := base.Interleave(q, step) // sensitivities (12-10)/0.5, (11-10)/1, 0, (9-10)/-0.5 = 4, 1, 0, 2
 	for _, c := range []struct {
 		pb   device.Perturb
 		want float64
 	}{
 		{device.Perturb{DVthP: 0.5}, 12},
 		{device.Perturb{DVthP: -10}, 0}, // floored
-		{device.Perturb{DVthN: 3, DMuP: 3, DMuN: 3}, 10},
+		{device.Perturb{DVthN: 2}, 12},
+		{device.Perturb{DMuP: 3}, 10},
+		{device.Perturb{DMuN: -0.5}, 9},
+		{device.Perturb{DVthP: 0.25, DVthN: 1, DMuP: 7, DMuN: 0.5}, 13},
 	} {
 		w := Weights(c.pb)
 		if got := st.Shifted(&w).Values[1][1]; got != c.want {
@@ -243,6 +248,52 @@ func TestInterleavedSensitivityByHand(t *testing.T) {
 	st = none.Interleave(q, step)
 	if st.Shifted(&liberty.DeltaWeights{1}) != nil {
 		t.Error("nil base did not propagate")
+	}
+}
+
+// TestSensitivitiesAroundRejectsOtherTables: every interleaved table has
+// a sensitivity to each parameter, so the perturbed libraries must have
+// exactly the base's tables. SensitivitiesAround rejects a base that
+// lacks a table the perturbed libraries have, and a perturbed library
+// (here a cache entry with one table removed) that lacks a table the
+// base has.
+func TestSensitivitiesAroundRejectsOtherTables(t *testing.T) {
+	cfg := sensConfig(t)
+	ctx := context.Background()
+	s := aging.WorstCase(10)
+	base, err := cfg.Characterize(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cfg.SensitivitiesAround(ctx, s, base); err != nil {
+		t.Fatal(err)
+	}
+	without := func(l *liberty.Library) *liberty.Library {
+		out := *l
+		out.Cells = maps.Clone(l.Cells)
+		ct := *l.Cells["NAND2_X1"]
+		ct.Arcs = slices.Clone(ct.Arcs)
+		if ct.Arcs[1].OutSlew[liberty.Fall] == nil {
+			t.Fatal("NAND2_X1's second arc has no fall output-slew table to remove")
+		}
+		ct.Arcs[1].OutSlew[liberty.Fall] = nil
+		out.Cells[ct.Name] = &ct
+		return &out
+	}
+	if _, err := cfg.SensitivitiesAround(ctx, s, without(base)); err == nil {
+		t.Error("accepted a base without a table the perturbed libraries have")
+	}
+	pcfg := cfg
+	pcfg.Perturb = cfg.Perturb.Add(sensSteps[sensMuN])
+	pert, err := pcfg.Characterize(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pcfg.storeCache(s, without(pert)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cfg.SensitivitiesAround(ctx, s, base); err == nil {
+		t.Error("accepted a perturbed library without a table the base has")
 	}
 }
 

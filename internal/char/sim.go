@@ -55,9 +55,8 @@ type measurement struct {
 // arc out over goroutines gated by lim, the simulation limiter shared by
 // the whole characterization run. Every point writes its measurement into
 // the pre-allocated table slot (i, j) of its edge — distinct slots, no
-// appends — so results are bit-identical to the serial sweep regardless of
-// completion order. With a single-token limiter the plain nested loops run
-// inline instead, preserving the exact serial execution.
+// appends — so results are bit-identical at any limiter capacity,
+// whatever the completion order.
 //
 // A point whose transient still fails to converge after the retry ladder
 // does not abort the sweep (unless Config.Strict): its failure is
@@ -91,21 +90,6 @@ func (cfg Config) gridSweep(ctx context.Context, lim conc.Limiter, base Point, a
 		arc.Delay[e].Values[i][j] = m.delay
 		arc.OutSlew[e].Values[i][j] = m.slew
 		return nil
-	}
-	if lim.Cap() == 1 {
-		for _, e := range edges {
-			for i := range cfg.Slews {
-				for j := range cfg.Loads {
-					if err := ctx.Err(); err != nil {
-						return conc.WrapCanceled(err)
-					}
-					if err := point(ctx, e, i, j); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return cfg.salvageArc(ctx, base, arc, failed)
 	}
 	// Bound live point goroutines by the limiter capacity instead of
 	// spawning one per grid point: a sweep-wide flood (tens of thousands

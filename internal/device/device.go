@@ -124,126 +124,14 @@ func (p Params) Degrade(dVth, muFactor float64) Params {
 // device, where Esat = 2*vsat/mu.
 func (p Params) EsatL() float64 { return 2 * p.Vsat / p.Mu * p.L }
 
-// Ids returns the drain-to-source channel current for terminal voltages
-// vd, vg, vs (all referred to ground). The sign convention is physical:
-// for NMOS, positive current flows from the higher of (vd,vs) to the lower;
-// the returned value is the current flowing INTO the "d" terminal
-// (i.e. out of the node wired as drain), so it can be stamped directly into
-// nodal analysis: I(d) = +Ids, I(s) = -Ids.
-//
-// The model is symmetric in drain/source (required for transmission gates)
-// and C1-continuous across cutoff/linear/saturation boundaries, which keeps
-// Newton iteration in the transient simulator well-behaved.
-func (p Params) Ids(vd, vg, vs float64) float64 {
-	switch p.Type {
-	case NMOS:
-		if vd >= vs {
-			return p.channel(vg-vs, vd-vs)
-		}
-		return -p.channel(vg-vd, vs-vd)
-	default: // PMOS: mirror voltages
-		if vd <= vs {
-			return -p.channel(vs-vg, vs-vd)
-		}
-		return p.channel(vd-vg, vd-vs)
-	}
-}
-
-// IdsDeriv returns the channel current together with its partial
-// derivatives with respect to the three terminal voltages:
-//
-//	gds = dIds/dVd, gm = dIds/dVg, gms = dIds/dVs
-//
-// evaluated analytically from the same piecewise model as Ids (the
-// returned ids is bit-identical to Ids at the same bias). The transient
-// solver stamps these directly into the Newton Jacobian, replacing the
-// finite-difference evaluation that costs up to four Ids calls per device
-// per iteration. Because the model depends only on voltage differences,
-// gms == -(gds+gm) holds identically; it is returned anyway so callers
-// can stamp without re-deriving the identity.
-//
-// The derivatives are those of the exact piecewise expressions. The model
-// is continuous everywhere and C1 except exactly at the linear/saturation
-// boundary when CLM > 0 (a measure-zero set where finite differences are
-// equally arbitrary); Newton iteration only requires the residual to be
-// exact, which it is.
-func (p Params) IdsDeriv(vd, vg, vs float64) (ids, gds, gm, gms float64) {
-	switch p.Type {
-	case NMOS:
-		if vd >= vs {
-			i, dg, dd := p.channelDeriv(vg-vs, vd-vs)
-			return i, dd, dg, -(dg + dd)
-		}
-		i, dg, dd := p.channelDeriv(vg-vd, vs-vd)
-		return -i, dg + dd, -dg, -dd
-	default: // PMOS: mirror voltages
-		if vd <= vs {
-			i, dg, dd := p.channelDeriv(vs-vg, vs-vd)
-			return -i, dd, dg, -(dg + dd)
-		}
-		i, dg, dd := p.channelDeriv(vd-vg, vd-vs)
-		return i, dg + dd, -dg, -dd
-	}
-}
-
-// channel evaluates the velocity-saturated square-law current for
-// vgs, vds >= 0 in the NMOS frame, returning a non-negative current.
-func (p Params) channel(vgs, vds float64) float64 {
-	vov := vgs - p.Vth
-	if vov <= 0 {
-		return 0 // long-term aging study: subthreshold leakage irrelevant
-	}
-	el := p.EsatL()
-	// Velocity-saturated model (Toh-Ko-Meyer form):
-	//   Vdsat = vov*EL/(vov+EL)
-	//   Isat  = W*vsat*Cox*vov^2/(vov+EL)
-	//   Ilin  = mu*Cox*(W/L)*(vov - vds/2)*vds / (1 + vds/EL)
-	vdsat := vov * el / (vov + el)
-	if vds >= vdsat {
-		isat := p.W * p.Vsat * p.Cox * vov * vov / (vov + el)
-		return isat * (1 + p.CLM*(vds-vdsat))
-	}
-	return p.Mu * p.Cox * (p.W / p.L) * (vov - vds/2) * vds / (1 + vds/el)
-}
-
-// channelDeriv evaluates channel together with its partial derivatives
-// with respect to vgs and vds. The value path mirrors channel exactly so
-// that ids from IdsDeriv is bit-identical to Ids.
-func (p Params) channelDeriv(vgs, vds float64) (i, dg, dd float64) {
-	vov := vgs - p.Vth
-	if vov <= 0 {
-		return 0, 0, 0
-	}
-	el := p.EsatL()
-	vdsat := vov * el / (vov + el)
-	if vds >= vdsat {
-		den := vov + el
-		isat := p.W * p.Vsat * p.Cox * vov * vov / den
-		clm := 1 + p.CLM*(vds-vdsat)
-		i = isat * clm
-		// d(isat)/dvov and d(vdsat)/dvov chain through vov = vgs - Vth.
-		dIsat := p.W * p.Vsat * p.Cox * vov * (vov + 2*el) / (den * den)
-		dVdsat := el * el / (den * den)
-		dg = dIsat*clm - isat*p.CLM*dVdsat
-		dd = isat * p.CLM
-		return i, dg, dd
-	}
-	g := p.Mu * p.Cox * (p.W / p.L)
-	den := 1 + vds/el
-	i = g * (vov - vds/2) * vds / den
-	dg = g * vds / den
-	// Quotient rule on N/den with N = vov*vds - vds^2/2, den' = 1/el.
-	dd = g * ((vov-vds)*den - (vov*vds-vds*vds/2)/el) / (den * den)
-	return i, dg, dd
-}
-
-// Model is the precomputed hot-path form of a device's compact model: the
-// bias-independent parameter combinations (EsatL, the saturation and
-// linear-region current prefactors) folded into six scalars so the
-// transient solver's inner loop neither copies a full Params value per
-// evaluation nor recomputes them. Eval is bit-identical to IdsDeriv — the
-// prefactors are folded in the exact association order the Params methods
-// use, and a device test asserts exact equality over a bias grid.
+// Model is a device's compact model in the form the transient solver
+// evaluates: the bias-independent parameter combinations (EsatL, the
+// saturation and linear-region current prefactors) folded into six
+// scalars, so the solver's inner loop neither copies a full Params value
+// per evaluation nor recomputes them. The device tests keep the model
+// written over Params (IdsDeriv) as the reference Eval must match bit for
+// bit over a bias grid: the prefactors are folded in its association
+// order.
 type Model struct {
 	pmos bool
 	vth  float64
@@ -265,8 +153,26 @@ func (p Params) Model() Model {
 	}
 }
 
-// Eval is IdsDeriv evaluated through the precomputed constants; see
-// IdsDeriv for the sign conventions and derivative definitions.
+// Eval returns the drain-to-source channel current for terminal voltages
+// vd, vg, vs (all referred to ground) together with its partial
+// derivatives with respect to the three terminal voltages:
+//
+//	gds = dIds/dVd, gm = dIds/dVg, gms = dIds/dVs
+//
+// The sign convention is physical: for NMOS, positive current flows from
+// the higher of (vd, vs) to the lower; ids is the current flowing INTO
+// the "d" terminal (i.e. out of the node wired as drain), so it can be
+// stamped directly into nodal analysis: I(d) = +ids, I(s) = -ids. The
+// transient solver stamps the derivatives into its Newton Jacobian.
+//
+// The model is symmetric in drain/source (required for transmission
+// gates) and continuous everywhere; it is C1 except exactly at the
+// linear/saturation boundary when CLM > 0 (a measure-zero set where
+// finite differences are equally arbitrary), and Newton iteration only
+// requires the residual to be exact, which it is. Because the model
+// depends only on voltage differences, gms == -(gds+gm) holds
+// identically; it is returned anyway so callers can stamp without
+// re-deriving the identity.
 func (m *Model) Eval(vd, vg, vs float64) (ids, gds, gm, gms float64) {
 	if m.pmos {
 		if vd <= vs {
@@ -284,18 +190,26 @@ func (m *Model) Eval(vd, vg, vs float64) (ids, gds, gm, gms float64) {
 	return -i, dg + dd, -dg, -dd
 }
 
+// channelDeriv evaluates the velocity-saturated square-law current for
+// vgs, vds >= 0 in the NMOS frame, a non-negative current, together with
+// its partial derivatives with respect to vgs and vds.
 func (m *Model) channelDeriv(vgs, vds float64) (i, dg, dd float64) {
 	vov := vgs - m.vth
 	if vov <= 0 {
-		return 0, 0, 0
+		return 0, 0, 0 // long-term aging study: subthreshold leakage irrelevant
 	}
 	el := m.el
+	// Velocity-saturated model (Toh-Ko-Meyer form):
+	//   Vdsat = vov*EL/(vov+EL)
+	//   Isat  = W*vsat*Cox*vov^2/(vov+EL)
+	//   Ilin  = mu*Cox*(W/L)*(vov - vds/2)*vds / (1 + vds/EL)
 	vdsat := vov * el / (vov + el)
 	if vds >= vdsat {
 		den := vov + el
 		isat := m.kSat * vov * vov / den
 		clm := 1 + m.clm*(vds-vdsat)
 		i = isat * clm
+		// d(isat)/dvov and d(vdsat)/dvov chain through vov = vgs - Vth.
 		dIsat := m.kSat * vov * (vov + 2*el) / (den * den)
 		dVdsat := el * el / (den * den)
 		dg = dIsat*clm - isat*m.clm*dVdsat
@@ -305,6 +219,7 @@ func (m *Model) channelDeriv(vgs, vds float64) (i, dg, dd float64) {
 	den := 1 + vds/el
 	i = m.kLin * (vov - vds/2) * vds / den
 	dg = m.kLin * vds / den
+	// Quotient rule on N/den with N = vov*vds - vds^2/2, den' = 1/el.
 	dd = m.kLin * ((vov-vds)*den - (vov*vds-vds*vds/2)/el) / (den * den)
 	return i, dg, dd
 }

@@ -291,3 +291,95 @@ func (p Params) OnCurrent(vdd float64) float64 {
 	}
 	return -p.Ids(0, 0, vdd)
 }
+
+// Ids is the compact model's channel current written over Params, with
+// Model.Eval's terminal and sign conventions: the value half of the
+// reference IdsDeriv.
+func (p Params) Ids(vd, vg, vs float64) float64 {
+	switch p.Type {
+	case NMOS:
+		if vd >= vs {
+			return p.channel(vg-vs, vd-vs)
+		}
+		return -p.channel(vg-vd, vs-vd)
+	default: // PMOS: mirror voltages
+		if vd <= vs {
+			return -p.channel(vs-vg, vs-vd)
+		}
+		return p.channel(vd-vg, vd-vs)
+	}
+}
+
+// IdsDeriv is the compact model written over Params: the reference
+// Model.Eval must match bit for bit (TestModelMatchesIdsDeriv). Its
+// current equals Ids at every bias, and its partial derivatives are
+// checked against finite differences of Ids.
+func (p Params) IdsDeriv(vd, vg, vs float64) (ids, gds, gm, gms float64) {
+	switch p.Type {
+	case NMOS:
+		if vd >= vs {
+			i, dg, dd := p.channelDeriv(vg-vs, vd-vs)
+			return i, dd, dg, -(dg + dd)
+		}
+		i, dg, dd := p.channelDeriv(vg-vd, vs-vd)
+		return -i, dg + dd, -dg, -dd
+	default: // PMOS: mirror voltages
+		if vd <= vs {
+			i, dg, dd := p.channelDeriv(vs-vg, vs-vd)
+			return -i, dd, dg, -(dg + dd)
+		}
+		i, dg, dd := p.channelDeriv(vd-vg, vd-vs)
+		return i, dg + dd, -dg, -dd
+	}
+}
+
+// channel evaluates the velocity-saturated square-law current for
+// vgs, vds >= 0 in the NMOS frame, returning a non-negative current.
+func (p Params) channel(vgs, vds float64) float64 {
+	vov := vgs - p.Vth
+	if vov <= 0 {
+		return 0 // long-term aging study: subthreshold leakage irrelevant
+	}
+	el := p.EsatL()
+	// Velocity-saturated model (Toh-Ko-Meyer form):
+	//   Vdsat = vov*EL/(vov+EL)
+	//   Isat  = W*vsat*Cox*vov^2/(vov+EL)
+	//   Ilin  = mu*Cox*(W/L)*(vov - vds/2)*vds / (1 + vds/EL)
+	vdsat := vov * el / (vov + el)
+	if vds >= vdsat {
+		isat := p.W * p.Vsat * p.Cox * vov * vov / (vov + el)
+		return isat * (1 + p.CLM*(vds-vdsat))
+	}
+	return p.Mu * p.Cox * (p.W / p.L) * (vov - vds/2) * vds / (1 + vds/el)
+}
+
+// channelDeriv evaluates channel together with its partial derivatives
+// with respect to vgs and vds. The value path mirrors channel exactly so
+// that ids from IdsDeriv is bit-identical to Ids.
+func (p Params) channelDeriv(vgs, vds float64) (i, dg, dd float64) {
+	vov := vgs - p.Vth
+	if vov <= 0 {
+		return 0, 0, 0
+	}
+	el := p.EsatL()
+	vdsat := vov * el / (vov + el)
+	if vds >= vdsat {
+		den := vov + el
+		isat := p.W * p.Vsat * p.Cox * vov * vov / den
+		clm := 1 + p.CLM*(vds-vdsat)
+		i = isat * clm
+		// d(isat)/dvov and d(vdsat)/dvov chain through vov = vgs - Vth.
+		dIsat := p.W * p.Vsat * p.Cox * vov * (vov + 2*el) / (den * den)
+		dVdsat := el * el / (den * den)
+		dg = dIsat*clm - isat*p.CLM*dVdsat
+		dd = isat * p.CLM
+		return i, dg, dd
+	}
+	g := p.Mu * p.Cox * (p.W / p.L)
+	den := 1 + vds/el
+	i = g * (vov - vds/2) * vds / den
+	dg = g * vds / den
+	// Quotient rule on N/den with N = vov*vds - vds^2/2, den' = 1/el.
+	dd = g * ((vov-vds)*den - (vov*vds-vds*vds/2)/el) / (den * den)
+	return i, dg, dd
+}

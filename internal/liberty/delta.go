@@ -2,14 +2,14 @@ package liberty
 
 // This file holds the one sensitivity layout of the process-variation
 // Monte Carlo path. A ShiftTable interleaves a table with its first-order
-// sensitivities to the variation parameters, the finite differences
+// sensitivities to the four variation parameters, the finite differences
 // (q − b)/step of perturbed tables q against the base b
 // (Table.Interleave). A sample's table is the base plus the weighted
-// sensitivities, floored at zero, and one per-point function
-// (ShiftTable.shifted) evaluates it: At reads only the four grid corners
-// a lookup needs, so a sample can be timed without materializing its
-// tables, and Shifted builds the whole table. At is bilinear in the
-// table values, so st.At(w, ...) == st.Shifted(w).At(...) bit for bit.
+// sensitivities, floored at zero, and one per-point function (shift4)
+// evaluates it: At reads only the four grid corners a lookup needs, so
+// a sample can be timed without materializing its tables, and Shifted
+// builds the whole table. At is bilinear in the table values, so
+// st.At(w, ...) == st.Shifted(w).At(...) bit for bit.
 
 // NumDeltaParams is the number of variation parameters a ShiftTable
 // carries sensitivities to (package char orders them dVthP, dVthN, dMuP,
@@ -28,66 +28,48 @@ type ArcShift struct {
 }
 
 // ShiftTable is a table interleaved with its sensitivities: v holds, for
-// each grid point in row-major order, the base entry followed by the
-// sensitivities of the parameters that have one, in ascending parameter
-// order, so a lookup reads its four corners from two runs of adjacent
-// values. It is immutable and shared by every sample and instance that
-// reads it.
+// each grid point in row-major order, an entry of the base value
+// followed by its sensitivity to each parameter in parameter order, so a
+// lookup reads its four corners from two runs of adjacent values. It is
+// immutable and shared by every sample and instance that reads it.
 type ShiftTable struct {
 	slews, loads []float64
-	params       [NumDeltaParams]uint8 // parameters with a sensitivity, ascending: params[:np]
-	np           int
 	v            []float64
 }
 
+// entryLen is the length of a ShiftTable entry: the base value and its
+// four sensitivities.
+const entryLen = 1 + NumDeltaParams
+
+// entry is one ShiftTable entry, read in place.
+type entry = *[entryLen]float64
+
 // Interleave returns t interleaved with the sensitivities
-// (pert[p] − t)/step[p] of the perturbed tables, which must be on t's
-// axes. A nil pert[p] gives parameter p no sensitivity: it does not
-// shift the table. A nil t gives the zero ShiftTable, which must not be
+// (pert[p] − t)/step[p] of the four perturbed tables, which must all be
+// on t's axes. A nil t gives the zero ShiftTable, which must not be
 // read.
 func (t *Table) Interleave(pert [NumDeltaParams]*Table, step [NumDeltaParams]float64) ShiftTable {
 	if t == nil {
 		return ShiftTable{}
 	}
 	st := ShiftTable{slews: t.Slews, loads: t.Loads}
-	for p, q := range pert {
-		if q != nil {
-			st.params[st.np] = uint8(p)
-			st.np++
-		}
-	}
-	st.v = make([]float64, 0, len(t.Slews)*len(t.Loads)*(1+st.np))
+	st.v = make([]float64, 0, len(t.Slews)*len(t.Loads)*entryLen)
 	for i, row := range t.Values {
 		for j, b := range row {
 			st.v = append(st.v, b)
-			for _, p := range st.params[:st.np] {
-				st.v = append(st.v, (pert[p].Values[i][j]-b)/step[p])
+			for p, q := range pert {
+				st.v = append(st.v, (q.Values[i][j]-b)/step[p])
 			}
 		}
 	}
 	return st
 }
 
-// shifted returns the entry at v[k] (the base entry of one grid point)
-// of the table shifted by weights w: the base entry plus each weighted
-// sensitivity, in parameter order, floored at zero. The floor guards
-// against a large negative draw driving a tiny fast-corner entry below
-// the physical floor.
-func (st *ShiftTable) shifted(w *DeltaWeights, k int) float64 {
-	v := st.v[k]
-	for n, p := range st.params[:st.np] {
-		v += w[p] * st.v[k+1+n]
-	}
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
-
-// shift4 is shifted for a table with a sensitivity to every parameter,
-// as characterized ones have: its loop written out as four multiply-adds
-// in the same order, so the same bits, on the interleaved entry e.
-func shift4(w *DeltaWeights, e *[1 + NumDeltaParams]float64) float64 {
+// shift4 returns the interleaved entry e shifted by weights w: the base
+// value plus each weighted sensitivity, in parameter order, floored at
+// zero. The floor guards against a large negative draw driving a tiny
+// fast-corner entry below the physical floor.
+func shift4(w *DeltaWeights, e entry) float64 {
 	v := e[0] + w[0]*e[1] + w[1]*e[2] + w[2]*e[3] + w[3]*e[4]
 	if v < 0 {
 		v = 0
@@ -114,19 +96,12 @@ func (st *ShiftTable) AtPos(w *DeltaWeights, slew, load Pos) float64 {
 }
 
 // at interpolates the shifted table at positions located on its axes.
-// It shifts the four corners with shift4 when every parameter has a
-// sensitivity; through shifted's loop, such a lookup took about 1.7
-// times as long on amd64.
 func (st *ShiftTable) at(w *DeltaWeights, slew, load Pos) float64 {
-	m, nl := 1+st.np, len(st.loads)
+	nl := len(st.loads)
 	i0, i1, j0, j1 := int(slew.i.lo)*nl, int(slew.i.hi)*nl, int(load.i.lo), int(load.i.hi)
-	k00, k01, k10, k11 := (i0+j0)*m, (i0+j1)*m, (i1+j0)*m, (i1+j1)*m
-	if st.np == NumDeltaParams {
-		type entry = *[1 + NumDeltaParams]float64
-		return bilerp(shift4(w, entry(st.v[k00:])), shift4(w, entry(st.v[k01:])),
-			shift4(w, entry(st.v[k10:])), shift4(w, entry(st.v[k11:])), slew.f, load.f)
-	}
-	return bilerp(st.shifted(w, k00), st.shifted(w, k01), st.shifted(w, k10), st.shifted(w, k11), slew.f, load.f)
+	k00, k01, k10, k11 := (i0+j0)*entryLen, (i0+j1)*entryLen, (i1+j0)*entryLen, (i1+j1)*entryLen
+	return bilerp(shift4(w, entry(st.v[k00:])), shift4(w, entry(st.v[k01:])),
+		shift4(w, entry(st.v[k10:])), shift4(w, entry(st.v[k11:])), slew.f, load.f)
 }
 
 // Shifted returns the whole table shifted by weights w, on the base
@@ -138,7 +113,7 @@ func (st *ShiftTable) Shifted(w *DeltaWeights) *Table {
 	out := NewTable(st.slews, st.loads)
 	for i, row := range out.Values {
 		for j := range row {
-			row[j] = st.shifted(w, (i*len(st.loads)+j)*(1+st.np))
+			row[j] = shift4(w, entry(st.v[(i*len(st.loads)+j)*entryLen:]))
 		}
 	}
 	return out

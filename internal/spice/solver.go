@@ -20,8 +20,7 @@ import (
 //   - the Jacobian is one row-major []float64 with a cache-friendly LU
 //     kernel, not a [][]float64 of per-row allocations;
 //   - MOS conductances come from the analytic derivatives of the compact
-//     model (device.IdsDeriv, evaluated through the precomputed
-//     device.Model form) instead of finite differences, and a linear
+//     model (device.Model.Eval) instead of finite differences, and a linear
 //     predictor seeds each Newton solve from the previous step's slope.
 //     The tests check both against references: finite differences of
 //     the assembled residual, and Newton solves started without the
@@ -340,7 +339,7 @@ func (s *solver) step(t, h float64) (bool, float64) {
 // assemble builds the Newton system J*dx = -F at the current trial point
 // by executing the compiled stamp program. F_i is the sum of currents
 // leaving free node i. MOS conductances are the analytic derivatives of
-// the compact model (device.IdsDeriv).
+// the compact model (device.Model.Eval).
 func (s *solver) assemble(h float64) {
 	jac, rhs := s.jac, s.rhs
 	for i := range jac {

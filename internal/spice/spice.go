@@ -25,7 +25,7 @@
 // for concurrent use: Run mutates solver bookkeeping stored on the circuit
 // (node unknown indices), and element constructors append to its slices.
 // Waveform implementations passed to Drive must be stateless (the provided
-// DC and Ramp are), and device.Params.Ids must stay pure (it is).
+// DC and Ramp are), and device.Model.Eval must stay pure (it is).
 package spice
 
 import (

@@ -3,6 +3,8 @@ package spice
 import (
 	"math"
 	"testing"
+
+	"ageguard/internal/units"
 )
 
 func TestRampEdgeCases(t *testing.T) {
@@ -83,5 +85,61 @@ func TestPulseEdgeCases(t *testing.T) {
 	}
 	if got := pp.At(112); got != 1 {
 		t.Errorf("Pulse high, 3rd period = %v, want 1", got)
+	}
+}
+
+// PWL is a piecewise-linear waveform through the given (T[i], V[i]) points.
+// Before the first point it holds V[0]; after the last, V[len-1].
+type PWL struct {
+	T []float64
+	V []float64
+}
+
+// At evaluates the piecewise-linear waveform.
+func (p PWL) At(t float64) float64 {
+	if len(p.T) == 0 {
+		return 0
+	}
+	if t <= p.T[0] {
+		return p.V[0]
+	}
+	for i := 1; i < len(p.T); i++ {
+		if t <= p.T[i] {
+			f := (t - p.T[i-1]) / (p.T[i] - p.T[i-1])
+			return units.Lerp(p.V[i-1], p.V[i], f)
+		}
+	}
+	return p.V[len(p.V)-1]
+}
+
+// Pulse is a periodic two-level waveform with linear edges: the inputs
+// of the catalog transient tests.
+type Pulse struct {
+	V0, V1 float64 // low and high levels [V]
+	Delay  float64 // time of the first leading edge [s]
+	Width  float64 // high time, measured edge-start to edge-start [s]
+	Period float64 // repetition period [s]
+	Slew   float64 // edge transition time [s]
+}
+
+// At evaluates the pulse train.
+func (p Pulse) At(t float64) float64 {
+	if t < p.Delay {
+		return p.V0
+	}
+	tc := t - p.Delay
+	if p.Period > 0 {
+		n := int(tc / p.Period)
+		tc -= float64(n) * p.Period
+	}
+	switch {
+	case tc < p.Slew:
+		return units.Lerp(p.V0, p.V1, tc/p.Slew)
+	case tc < p.Width:
+		return p.V1
+	case tc < p.Width+p.Slew:
+		return units.Lerp(p.V1, p.V0, (tc-p.Width)/p.Slew)
+	default:
+		return p.V0
 	}
 }

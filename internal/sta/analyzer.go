@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"ageguard/internal/conc"
 	"ageguard/internal/liberty"
 	"ageguard/internal/netlist"
 	"ageguard/internal/obs"
@@ -15,15 +16,18 @@ import (
 
 // This file implements the package's one timing engine. It compiles the
 // netlist topology once into dense integer-indexed arrays (topology),
-// resolves one library against it (binding), and propagates arrivals
-// over that compiled form (state). An Analyzer holds all three for one
-// library and, after a footprint-preserving cell swap, re-propagates
-// arrivals only through the affected fanout cone, terminating early
-// where arrivals converge. A BatchTimer shares one topology across many
-// libraries. Results are bit-identical to the string-keyed reference
-// analysis in reference_test.go: every floating-point operation is
-// performed in the same order on the same operands (see analyzer_test.go
-// for the differential property tests).
+// resolves one library against it (binding: cells, arc nets and located
+// loads), and propagates arrivals over that compiled form (state), one
+// instance at a time through one evaluator (evalInst), which reads a
+// cell's own tables or, for a Monte Carlo sample, its shifted ones. An
+// Analyzer holds all three for one library and, after a cell swap, which
+// must keep the cell's pin footprint, re-propagates arrivals only
+// through the affected fanout cone, terminating early where arrivals
+// converge. A BatchTimer shares one topology across many libraries.
+// Results are bit-identical to the string-keyed reference analysis in
+// reference_test.go: every floating-point operation is performed in the
+// same order on the same operands (see analyzer_test.go for the
+// differential property tests).
 
 // CellSwap is one footprint-preserving cell substitution: the instance
 // keeps its pins and nets, only the library cell (typically a different
@@ -189,12 +193,16 @@ func newTopology(n *netlist.Netlist, lib *liberty.Library) (*topology, error) {
 }
 
 // binding resolves one library against a topology: per-instance timing
-// views and per-arc input net ids. A DeltaBinding adds per-instance
-// interleaved shift tables and, per CP call, the sample's weights.
+// views, per-arc input net ids, and the load of every driven net, located
+// on the load axis of its driver's cell (locateLoad) so the lookups that
+// read it do not search that axis again. A DeltaBinding adds
+// per-instance interleaved shift tables and, per CP call, the sample's
+// weights.
 type binding struct {
 	lib    *liberty.Library
 	ct     []*liberty.CellTiming
-	arcNet [][]int32 // per instance, per arc: input net id (slices of one array)
+	arcNet [][]int32     // per instance, per arc: input net id (slices of one array)
+	load   []liberty.Pos // per net: its located load; the zero Pos for a net without a driver
 
 	tables [][]liberty.ArcShift   // per instance, per arc: its cell's tables, shared
 	w      []liberty.DeltaWeights // per n.Insts index; nil = unshifted
@@ -213,8 +221,8 @@ func (b *binding) shift(t *topology, i int) *liberty.DeltaWeights {
 }
 
 // errFootprint signals a cell whose pin footprint deviates from the
-// topology's: Analyzer.Swap then recompiles its netlist, and every other
-// caller fails.
+// topology's. Every caller fails with it: a binding, and a swap before
+// it changes anything.
 var errFootprint = errors.New("cell pin footprint differs from the compiled topology")
 
 // footprintMatches reports whether ct has the pins of the footprint fp:
@@ -239,18 +247,26 @@ func checkPins(lib *liberty.Library, ct *liberty.CellTiming) error {
 	return nil
 }
 
-// bindInst (re)binds one instance slot against the binding's library.
-func (b *binding) bindInst(t *topology, i int, cell string) error {
-	ct, ok := b.lib.Cell(cell)
+// cell returns the binding library's cell of that name for instance i:
+// it must exist, have the instance's footprint and start its arcs and
+// data pin at inputs. A footprint mismatch is an error wrapping
+// errFootprint.
+func (b *binding) cell(t *topology, i int, name string) (*liberty.CellTiming, error) {
+	ct, ok := b.lib.Cell(name)
 	if !ok {
-		return fmt.Errorf("sta: library %q has no cell %q (inst %s)", b.lib.Name, cell, t.name(i))
+		return nil, fmt.Errorf("sta: library %q has no cell %q (inst %s)", b.lib.Name, name, t.name(i))
 	}
 	if !footprintMatches(t.fp[i], ct) {
-		return errFootprint
+		return nil, fmt.Errorf("sta: %s: library %q, cell %q (inst %s): %w", t.design, b.lib.Name, name, t.name(i), errFootprint)
 	}
 	if err := checkPins(b.lib, ct); err != nil {
-		return err
+		return nil, err
 	}
+	return ct, nil
+}
+
+// bindInst (re)binds one instance slot to ct, a cell that cell returned.
+func (b *binding) bindInst(t *topology, i int, ct *liberty.CellTiming) {
 	in := t.inputs(i)
 	nets := b.arcNet[i][:0]
 	for ai := range ct.Arcs {
@@ -258,18 +274,18 @@ func (b *binding) bindInst(t *topology, i int, cell string) error {
 	}
 	b.ct[i] = ct
 	b.arcNet[i] = nets
-	return nil
 }
 
 // newBinding binds every instance of the topology to its footprint cell's
-// namesake in lib. A cell whose footprint differs fails with an error
-// wrapping errFootprint.
-func newBinding(t *topology, lib *liberty.Library) (*binding, error) {
+// namesake in lib and locates the load of every driven net. A cell whose
+// footprint differs fails with an error wrapping errFootprint.
+func newBinding(t *topology, lib *liberty.Library, cfg *Config) (*binding, error) {
 	ni := len(t.src)
 	b := &binding{
 		lib:    lib,
 		ct:     make([]*liberty.CellTiming, ni),
 		arcNet: make([][]int32, ni),
+		load:   make([]liberty.Pos, len(t.nets)),
 	}
 	arcs := 0
 	for _, fp := range t.fp {
@@ -280,22 +296,28 @@ func newBinding(t *topology, lib *liberty.Library) (*binding, error) {
 	nets := make([]int32, arcs)
 	for i, fp := range t.fp {
 		b.arcNet[i], nets = nets[:0:len(fp.Arcs)], nets[len(fp.Arcs):]
-		if err := b.bindInst(t, i, fp.Name); err == errFootprint {
-			return nil, fmt.Errorf("sta: %s: library %q, cell %q (inst %s): %w", t.design, lib.Name, fp.Name, t.name(i), err)
-		} else if err != nil {
+		ct, err := b.cell(t, i, fp.Name)
+		if err != nil {
 			return nil, err
+		}
+		b.bindInst(t, i, ct)
+	}
+	// A load sums its sinks' pin caps, so loads follow the cells.
+	for net, d := range t.driver {
+		if d >= 0 {
+			b.load[net] = locateLoad(t, b, int32(net), computeLoad(t, b, cfg, int32(net)))
 		}
 	}
 	return b, nil
 }
 
 // compile builds the topology of n against lib and binds lib to it.
-func compile(n *netlist.Netlist, lib *liberty.Library) (*topology, *binding, error) {
+func compile(n *netlist.Netlist, lib *liberty.Library, cfg *Config) (*topology, *binding, error) {
 	t, err := newTopology(n, lib)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := newBinding(t, lib)
+	b, err := newBinding(t, lib, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -317,16 +339,12 @@ type cPred struct {
 
 // state holds the per-query timing annotations over a (topology, binding)
 // pair. The forward arrays persist across incremental swaps; the backward
-// arrays are rebuilt lazily per materialized Result. A net's load is kept
-// located on the load axis of its driver's cell (locateLoad), so the
-// lookups that read it do not search that axis again.
+// arrays are rebuilt lazily per materialized Result.
 type state struct {
-	arr     [][2]float64
-	slw     [][2]float64
-	hasArr  []bool
-	load    []liberty.Pos
-	hasLoad []bool
-	preds   [][2]cPred
+	arr    [][2]float64
+	slw    [][2]float64
+	hasArr []bool
+	preds  [][2]cPred
 
 	cp        float64
 	bestEnd   int32
@@ -334,27 +352,17 @@ type state struct {
 	bestSetup float64
 }
 
+// newState allocates a state over nn nets; propagate fills it.
 func newState(nn int) *state {
-	s := &state{
-		arr:     make([][2]float64, nn),
-		slw:     make([][2]float64, nn),
-		hasArr:  make([]bool, nn),
-		load:    make([]liberty.Pos, nn),
-		hasLoad: make([]bool, nn),
-		preds:   make([][2]cPred, nn),
+	return &state{
+		arr:    make([][2]float64, nn),
+		slw:    make([][2]float64, nn),
+		hasArr: make([]bool, nn),
+		preds:  make([][2]cPred, nn),
 	}
-	s.resetForward()
-	return s
 }
 
-func (s *state) resetForward() {
-	s.resetArrivals()
-	clear(s.load)
-	clear(s.hasLoad)
-}
-
-// resetArrivals clears the arrivals, slews and predecessors but keeps the
-// loads, which a DeltaBinding's states hold for every net from the start.
+// resetArrivals clears the arrivals, slews and predecessors.
 func (s *state) resetArrivals() {
 	for i := range s.preds {
 		s.arr[i] = [2]float64{}
@@ -362,16 +370,6 @@ func (s *state) resetArrivals() {
 		s.hasArr[i] = false
 		s.preds[i] = [2]cPred{{inst: -1}, {inst: -1}}
 	}
-}
-
-// loadOf returns the located load of a net, computing and caching it on
-// first use.
-func (s *state) loadOf(t *topology, b *binding, cfg *Config, net int32) liberty.Pos {
-	if !s.hasLoad[net] {
-		s.load[net] = locateLoad(t, b, net, computeLoad(t, b, cfg, net))
-		s.hasLoad[net] = true
-	}
-	return s.load[net]
 }
 
 // locateLoad locates load l of a net on the load axis of its driver
@@ -417,12 +415,21 @@ func computeLoad(t *topology, b *binding, cfg *Config, net int32) float64 {
 // does. It does not write the state. An arc edge locates its input slew
 // once, on its delay table's slew axis, for both its delay and its
 // output-slew lookup, and every lookup reads the output load's position.
-func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [2]float64, pr [2]cPred, err error) {
+// With weights w, each lookup reads the instance's interleaved tables
+// (b.tables) through liberty.ShiftTable.AtPos instead, so the result
+// equals evalInst on a cell whose tables liberty.ShiftTable.Shifted
+// built; the interleaved tables are on their base tables' axes, so the
+// input slew is located on the base delay table's.
+func evalInst(t *topology, b *binding, s *state, cfg *Config, i int, w *liberty.DeltaWeights) (arr, slw [2]float64, pr [2]cPred, err error) {
 	neg := math.Inf(-1)
 	arr = [2]float64{neg, neg}
 	pr = [2]cPred{{inst: -1}, {inst: -1}}
 	ct := b.ct[i]
-	load := s.loadOf(t, b, cfg, t.outNet[i])
+	var sh []liberty.ArcShift
+	if w != nil {
+		sh = b.tables[i]
+	}
+	load := b.load[t.outNet[i]]
 	if ct.Seq {
 		for ai := range ct.Arcs {
 			arc := &ct.Arcs[ai]
@@ -434,10 +441,19 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 					continue
 				}
 				sp := liberty.Locate(arc.Delay[e].Slews, cfg.ClockSlew)
-				d := arc.Delay[e].AtPos(sp, load)
+				var d float64
+				if w == nil {
+					d = arc.Delay[e].AtPos(sp, load)
+				} else {
+					d = sh[ai].Delay[e].AtPos(w, sp, load)
+				}
 				if d > arr[e] {
 					arr[e] = d
-					slw[e] = arc.OutSlew[e].AtPos(sp, load)
+					if w == nil {
+						slw[e] = arc.OutSlew[e].AtPos(sp, load)
+					} else {
+						slw[e] = sh[ai].OutSlew[e].AtPos(w, sp, load)
+					}
 					pr[e] = cPred{inst: int32(i), arc: int32(ai), fromNet: t.clk, inEdge: int32(liberty.Rise), delay: d}
 				}
 			}
@@ -460,10 +476,19 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 					continue
 				}
 				sp := liberty.Locate(arc.Delay[e].Slews, is[ie])
-				d := arc.Delay[e].AtPos(sp, load)
+				var d float64
+				if w == nil {
+					d = arc.Delay[e].AtPos(sp, load)
+				} else {
+					d = sh[ai].Delay[e].AtPos(w, sp, load)
+				}
 				if cand := ia[ie] + d; cand > arr[e] {
 					arr[e] = cand
-					slw[e] = arc.OutSlew[e].AtPos(sp, load)
+					if w == nil {
+						slw[e] = arc.OutSlew[e].AtPos(sp, load)
+					} else {
+						slw[e] = sh[ai].OutSlew[e].AtPos(w, sp, load)
+					}
 					pr[e] = cPred{inst: int32(i), arc: int32(ai), fromNet: inNet, inEdge: int32(ie), delay: d}
 				}
 			}
@@ -475,96 +500,18 @@ func evalInst(t *topology, b *binding, s *state, cfg *Config, i int) (arr, slw [
 	return arr, slw, pr, nil
 }
 
-// evalShifted is evalInst on the instance's tables shifted by weights w:
-// the same operations in the same order, each lookup reading the
-// interleaved table through liberty.ShiftTable.AtPos, so the result
-// equals evalInst on a cell whose tables liberty.ShiftTable.Shifted
-// built. The interleaved tables are on their base tables' axes, so the
-// input slew is located on the base delay table's.
-func evalShifted(t *topology, b *binding, s *state, cfg *Config, i int, w *liberty.DeltaWeights) (arr, slw [2]float64, pr [2]cPred, err error) {
-	neg := math.Inf(-1)
-	arr = [2]float64{neg, neg}
-	pr = [2]cPred{{inst: -1}, {inst: -1}}
-	ct := b.ct[i]
-	sh := b.tables[i]
-	load := s.loadOf(t, b, cfg, t.outNet[i])
-	if ct.Seq {
-		for ai := range ct.Arcs {
-			arc := &ct.Arcs[ai]
-			if arc.Pin != ct.Clock {
-				continue
-			}
-			for e := liberty.Rise; e <= liberty.Fall; e++ {
-				if arc.Delay[e] == nil {
-					continue
-				}
-				sp := liberty.Locate(arc.Delay[e].Slews, cfg.ClockSlew)
-				d := sh[ai].Delay[e].AtPos(w, sp, load)
-				if d > arr[e] {
-					arr[e] = d
-					slw[e] = sh[ai].OutSlew[e].AtPos(w, sp, load)
-					pr[e] = cPred{inst: int32(i), arc: int32(ai), fromNet: t.clk, inEdge: int32(liberty.Rise), delay: d}
-				}
-			}
-		}
-	} else {
-		for ai := range ct.Arcs {
-			arc := &ct.Arcs[ai]
-			inNet := b.arcNet[i][ai]
-			if !s.hasArr[inNet] {
-				continue
-			}
-			ia := s.arr[inNet]
-			is := s.slw[inNet]
-			for e := liberty.Rise; e <= liberty.Fall; e++ {
-				if arc.Delay[e] == nil {
-					continue
-				}
-				ie := arc.Sense.InputEdge(e)
-				if math.IsInf(ia[ie], -1) {
-					continue
-				}
-				sp := liberty.Locate(arc.Delay[e].Slews, is[ie])
-				d := sh[ai].Delay[e].AtPos(w, sp, load)
-				if cand := ia[ie] + d; cand > arr[e] {
-					arr[e] = cand
-					slw[e] = sh[ai].OutSlew[e].AtPos(w, sp, load)
-					pr[e] = cPred{inst: int32(i), arc: int32(ai), fromNet: inNet, inEdge: int32(ie), delay: d}
-				}
-			}
-		}
-	}
-	if math.IsInf(arr[0], -1) && math.IsInf(arr[1], -1) {
-		return arr, slw, pr, fmt.Errorf("sta: instance %s has no arrival (undriven inputs?)", t.name(i))
-	}
-	return arr, slw, pr, nil
-}
-
-// forwardFull runs the complete arrival propagation.
-func forwardFull(t *topology, b *binding, s *state, cfg *Config) error {
-	s.resetForward()
-	return propagate(t, b, s, cfg)
-}
-
-// propagate runs the arrival propagation and the endpoint scan on a state
-// whose arrivals are reset.
+// propagate runs the arrival propagation and the endpoint scan from
+// cleared arrivals. An instance with nonzero weights in b.w times on its
+// shifted tables.
 func propagate(t *topology, b *binding, s *state, cfg *Config) error {
+	s.resetArrivals()
 	for _, pi := range t.piNets {
 		s.arr[pi] = [2]float64{0, 0}
 		s.slw[pi] = [2]float64{cfg.InputSlew, cfg.InputSlew}
 		s.hasArr[pi] = true
 	}
 	for i := range t.src {
-		// An instance with nonzero weights in b.w times on its shifted
-		// tables; the choice is made once per instance, not per lookup.
-		var arr, slw [2]float64
-		var pr [2]cPred
-		var err error
-		if w := b.shift(t, i); w != nil {
-			arr, slw, pr, err = evalShifted(t, b, s, cfg, i, w)
-		} else {
-			arr, slw, pr, err = evalInst(t, b, s, cfg, i)
-		}
+		arr, slw, pr, err := evalInst(t, b, s, cfg, i, b.shift(t, i))
 		if err != nil {
 			return err
 		}
@@ -656,7 +603,7 @@ func materialize(t *topology, b *binding, s *state, cfg *Config) *Result {
 		if !hasReq[out] {
 			continue // dangling output: unconstrained
 		}
-		load := s.load[out]
+		load := b.load[out]
 		outReq := req[out]
 		for ai := range ct.Arcs {
 			arc := &ct.Arcs[ai]
@@ -673,8 +620,8 @@ func materialize(t *topology, b *binding, s *state, cfg *Config) *Result {
 		}
 	}
 	for id, name := range t.nets {
-		if s.hasLoad[id] {
-			res.Load[name] = s.load[id].X()
+		if t.driver[id] >= 0 {
+			res.Load[name] = b.load[id].X()
 		}
 		if hasReq[id] {
 			res.Required[name] = req[id]
@@ -743,15 +690,14 @@ func traceCompiled(t *topology, b *binding, s *state, end int32, endEdge liberty
 // Analyzer is a reusable STA engine bound to one netlist and one library.
 // Construction compiles the netlist topology (levelization, net numbering,
 // fanout sinks, endpoint lists) and runs a full analysis; afterwards
-// repeated timing queries reuse all of that work, and footprint-preserving
-// cell swaps (see Swap) re-propagate arrivals only through the affected
-// fanout cone.
+// repeated timing queries reuse all of that work, and cell swaps that
+// keep the pin footprint (see Swap) re-propagate arrivals only through
+// the affected fanout cone.
 //
 // The Analyzer takes ownership of the netlist: Swap updates Inst.Cell in
-// place so the netlist and the compiled state never diverge, and a
-// footprint-changing swap recompiles it. It is not safe for concurrent
-// use; run one Analyzer per goroutine (a BatchTimer is immutable and
-// shared).
+// place so the netlist and the compiled state never diverge. It is not
+// safe for concurrent use; run one Analyzer per goroutine (a BatchTimer
+// is immutable and shared).
 type Analyzer struct {
 	n      *netlist.Netlist
 	t      *topology
@@ -770,7 +716,7 @@ type Analyzer struct {
 // by ctx.
 func NewAnalyzer(ctx context.Context, n *netlist.Netlist, lib *liberty.Library, cfg Config) (*Analyzer, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sta: %s: %w", n.Name, err)
+		return nil, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", n.Name, err))
 	}
 	reg := obs.From(ctx)
 	t0 := time.Now()
@@ -779,12 +725,12 @@ func NewAnalyzer(ctx context.Context, n *netlist.Netlist, lib *liberty.Library, 
 		reg.Histogram("sta.analyze.seconds").Since(t0)
 	}()
 	cfg.fill()
-	t, b, err := compile(n, lib)
+	t, b, err := compile(n, lib, &cfg)
 	if err != nil {
 		return nil, err
 	}
 	a := &Analyzer{n: n, t: t, b: b, s: newState(len(t.nets)), cfg: cfg, dirty: make([]bool, len(t.src))}
-	if err := forwardFull(t, b, a.s, &a.cfg); err != nil {
+	if err := propagate(t, b, a.s, &a.cfg); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -805,23 +751,24 @@ func (a *Analyzer) Result() *Result {
 	return a.res
 }
 
-// Swap applies footprint-preserving cell substitutions and incrementally
-// re-times the netlist: only the loads of nets feeding swapped instances
-// are recomputed, and arrivals re-propagate through the affected fanout
-// cone with early termination where arrival, slew and winning arc all
+// Swap applies cell substitutions and incrementally re-times the
+// netlist: only the loads of nets feeding swapped instances are
+// recomputed, and arrivals re-propagate through the affected fanout cone
+// with early termination where arrival, slew and winning arc all
 // converge to their previous values. The returned swaps restore the
 // previous cells when passed back to Swap — the undo an optimization loop
 // applies after rejecting a trial move.
 //
-// A replacement cell whose pin footprint differs from the compiled one
-// (different pin names or order, or sequential/combinational mismatch)
-// cannot be retimed incrementally; Swap then falls back to a full
-// re-analysis of the whole netlist (counted as sta.incremental.fallbacks).
-// Unknown instances or cells leave the Analyzer unchanged and return an
-// error.
+// Every swap is checked before anything changes: an unknown instance or
+// cell, or a replacement whose pin footprint differs from the compiled
+// one (other pin names or order, or a sequential/combinational mismatch;
+// the error wraps errFootprint, as BatchTimer's does), leaves the
+// Analyzer and the netlist unchanged and returns an error. A replacement
+// that leaves an instance without an arrival fails the re-timing; the
+// Analyzer must not be used after that error.
 func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sta: %s: %w", a.n.Name, err)
+		return nil, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", a.n.Name, err))
 	}
 	if len(swaps) == 0 {
 		return nil, nil
@@ -831,37 +778,31 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 	if a.byName == nil {
 		a.byName = a.t.instIndex()
 	}
-	idx := make([]int32, len(swaps))
+	to := make([]struct {
+		i  int32
+		ct *liberty.CellTiming
+	}, len(swaps))
 	for k, sw := range swaps {
 		i, ok := a.byName[sw.Inst]
 		if !ok {
 			return nil, fmt.Errorf("sta: %s: no instance %q", a.n.Name, sw.Inst)
 		}
-		ct, ok := a.b.lib.Cell(sw.Cell)
-		if !ok {
-			return nil, fmt.Errorf("sta: library %q has no cell %q", a.b.lib.Name, sw.Cell)
-		}
-		if err := checkPins(a.b.lib, ct); err != nil {
+		ct, err := a.b.cell(a.t, int(i), sw.Cell)
+		if err != nil {
 			return nil, err
 		}
-		idx[k] = i
+		to[k].i, to[k].ct = i, ct
 	}
 	// The undo list runs back to front, so an instance swapped twice in
 	// one call ends on its original cell.
 	undo := make([]CellSwap, len(swaps))
-	fallback := false
 	loadDirty := make(map[int32]struct{})
 	for k, sw := range swaps {
-		i := idx[k]
+		i := to[k].i
 		in := a.n.Insts[a.t.src[i]]
 		undo[len(swaps)-1-k] = CellSwap{Inst: sw.Inst, Cell: in.Cell}
 		in.Cell = sw.Cell
-		if err := a.b.bindInst(a.t, int(i), sw.Cell); err == errFootprint {
-			fallback = true
-			continue
-		} else if err != nil {
-			return nil, err // unreachable: cell and pins checked above
-		}
+		a.b.bindInst(a.t, int(i), to[k].ct)
 		a.dirty[i] = true
 		for _, net := range a.t.inputs(int(i)) {
 			loadDirty[net] = struct{}{}
@@ -869,30 +810,20 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 	}
 	a.res = nil
 	reg.Counter("sta.incremental.queries").Inc()
-	if fallback {
-		// A footprint change invalidates the compiled traversal order;
-		// recompile against the mutated netlist and re-run in full.
-		reg.Counter("sta.incremental.fallbacks").Inc()
-		if err := a.rebuild(); err != nil {
-			return nil, err
-		}
-		return undo, nil
-	}
 	// Recompute the loads of nets whose sink pin caps changed; a changed
 	// load is located again and dirties the driving instance (its delay
 	// and slew depend on it).
 	for net := range loadDirty {
-		if !a.s.hasLoad[net] {
-			continue // never queried (e.g. a primary input net)
+		d := a.t.driver[net]
+		if d < 0 {
+			continue // no lookup reads it (e.g. a primary input net)
 		}
 		nl := computeLoad(a.t, a.b, &a.cfg, net)
-		if nl == a.s.load[net].X() {
+		if nl == a.b.load[net].X() {
 			continue
 		}
-		a.s.load[net] = locateLoad(a.t, a.b, net, nl)
-		if d := a.t.driver[net]; d >= 0 {
-			a.dirty[d] = true
-		}
+		a.b.load[net] = locateLoad(a.t, a.b, net, nl)
+		a.dirty[d] = true
 	}
 	// Propagate in topological order through the dirty cone.
 	cone := 0
@@ -902,14 +833,8 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 		}
 		a.dirty[i] = false
 		cone++
-		arr, slw, pr, err := evalInst(a.t, a.b, a.s, &a.cfg, i)
+		arr, slw, pr, err := evalInst(a.t, a.b, a.s, &a.cfg, i, nil)
 		if err != nil {
-			// The netlist no longer times (should be impossible for pure
-			// cell swaps); resync with a full rebuild before reporting.
-			reg.Counter("sta.incremental.fallbacks").Inc()
-			if rerr := a.rebuild(); rerr != nil {
-				return undo, rerr
-			}
 			return undo, err
 		}
 		out := a.t.outNet[i]
@@ -927,20 +852,4 @@ func (a *Analyzer) Swap(ctx context.Context, swaps ...CellSwap) ([]CellSwap, err
 	}
 	reg.Histogram("sta.incremental.cone_size").Observe(float64(cone))
 	return undo, scanEndpoints(a.t, a.b, a.s)
-}
-
-// rebuild recompiles topology and binding from the current netlist and
-// re-runs the full analysis — Swap's fallback when a footprint changes
-// or the incremental sweep fails.
-func (a *Analyzer) rebuild() error {
-	t, b, err := compile(a.n, a.b.lib)
-	if err != nil {
-		return err
-	}
-	a.t, a.b = t, b
-	a.s = newState(len(t.nets))
-	a.dirty = make([]bool, len(t.src))
-	a.byName = nil
-	a.res = nil
-	return forwardFull(t, b, a.s, &a.cfg)
 }

@@ -73,12 +73,12 @@ func (bt *BatchTimer) time(ctx context.Context, lib *liberty.Library) (*binding,
 		return nil, nil, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", t.design, err))
 	}
 	obs.From(ctx).Counter("sta.analyses").Inc()
-	b, err := newBinding(t, lib)
+	b, err := newBinding(t, lib, &bt.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	s := newState(len(t.nets))
-	if err := forwardFull(t, b, s, &bt.cfg); err != nil {
+	if err := propagate(t, b, s, &bt.cfg); err != nil {
 		return nil, nil, err
 	}
 	return b, s, nil
@@ -90,13 +90,12 @@ func (bt *BatchTimer) time(ctx context.Context, lib *liberty.Library) (*binding,
 // each sample shifts every instance's tables by that instance's weights.
 // It is built once per base library and query and is safe for concurrent
 // use. The interleaved tables are shared, not copied: every instance of
-// a cell reads its cell's. Binding computes and locates every net's load
-// once, since it does not depend on the sample; a CP call allocates
-// nothing, reusing the propagation state of a finished call.
+// a cell reads its cell's. Pin capacitances are the base cells', so the
+// binding's loads are every sample's; a CP call allocates nothing,
+// reusing the propagation state of a finished call.
 type DeltaBinding struct {
-	bt   *BatchTimer
-	b    *binding
-	load []liberty.Pos // per net
+	bt *BatchTimer
+	b  *binding
 
 	mu   sync.Mutex
 	free []*state // states of finished CP calls
@@ -108,7 +107,7 @@ type DeltaBinding struct {
 // interleaved from its tables. The binding reads the tables in place.
 func (bt *BatchTimer) BindDeltas(lib *liberty.Library, shifts map[string][]liberty.ArcShift) (*DeltaBinding, error) {
 	t := bt.topo
-	b, err := newBinding(t, lib)
+	b, err := newBinding(t, lib, &bt.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -121,13 +120,7 @@ func (bt *BatchTimer) BindDeltas(lib *liberty.Library, shifts map[string][]liber
 		}
 		b.tables[i] = sh
 	}
-	// Pin capacitances are the base cells', so every sample's loads, and
-	// their positions on the tables' load axes, are these.
-	load := make([]liberty.Pos, len(t.nets))
-	for v := range load {
-		load[v] = locateLoad(t, b, int32(v), computeLoad(t, b, &bt.cfg, int32(v)))
-	}
-	return &DeltaBinding{bt: bt, b: b, load: load}, nil
+	return &DeltaBinding{bt: bt, b: b}, nil
 }
 
 // CP times one sample and returns its critical-path delay: instance
@@ -151,15 +144,13 @@ func (db *DeltaBinding) CP(ctx context.Context, w []liberty.DeltaWeights) (float
 	b.w = w
 	s := db.state()
 	defer db.recycle(s)
-	s.resetArrivals()
 	if err := propagate(t, &b, s, &db.bt.cfg); err != nil {
 		return 0, err
 	}
 	return s.cp, nil
 }
 
-// state returns the state of a finished CP call, or a new one holding the
-// binding's loads.
+// state returns the state of a finished CP call, or a new one.
 func (db *DeltaBinding) state() *state {
 	db.mu.Lock()
 	if n := len(db.free); n > 0 {
@@ -169,12 +160,7 @@ func (db *DeltaBinding) state() *state {
 		return s
 	}
 	db.mu.Unlock()
-	s := newState(len(db.load))
-	copy(s.load, db.load)
-	for i := range s.hasLoad {
-		s.hasLoad[i] = true
-	}
-	return s
+	return newState(len(db.bt.topo.nets))
 }
 
 // recycle hands a finished call's state to the next CP call.

@@ -14,7 +14,6 @@ import (
 	"ageguard/internal/aging"
 	"ageguard/internal/liberty"
 	"ageguard/internal/netlist"
-	"ageguard/internal/obs"
 )
 
 func TestBatchTimerMatchesAnalyze(t *testing.T) {
@@ -219,17 +218,15 @@ func TestArcFromNonInputRejected(t *testing.T) {
 	}
 }
 
-// TestFootprintMismatchRecompiles: a library whose cell lists its inputs
+// TestFootprintMismatchRejected: a library whose cell lists its inputs
 // in another order than the compiled topology cannot be bound to it.
 // BatchTimer.CP and TopPaths under that library fail with the footprint
-// error and count no fallback, and the timer still times the template
-// library. Analyzer.Swap onto that cell must compile a topology of its
-// own, match the reference bit for bit, and count each fallback once in
-// sta.incremental.fallbacks.
-func TestFootprintMismatchRecompiles(t *testing.T) {
-	reg := obs.NewRegistry()
-	ctx := obs.With(context.Background(), reg)
-	fallbacks := func() int64 { return reg.Counter("sta.incremental.fallbacks").Value() }
+// error, and the timer still times the template library. Analyzer.Swap
+// onto that cell fails with the same error before it changes anything,
+// even when an earlier swap of the same call is valid: the netlist, CP
+// and Result stay the reference's, and the Analyzer keeps timing swaps.
+func TestFootprintMismatchRejected(t *testing.T) {
+	ctx := context.Background()
 	fresh := lib(t, aging.Fresh())
 	nl := randNetlist(rand.New(rand.NewSource(9)), 80)
 
@@ -279,43 +276,60 @@ func TestFootprintMismatchRecompiles(t *testing.T) {
 			t.Fatalf("CP under %s: %v != reference %v", l.Name, got, want.CP)
 		}
 	}
-	if n := fallbacks(); n != 0 {
-		t.Fatalf("after the BatchTimer calls: fallbacks = %d, want 0", n)
-	}
 
+	// A valid swap of another base, to precede the rejected one.
+	var valid CellSwap
+	for _, in := range nl.Insts {
+		ct := perm.MustCell(in.Cell)
+		if vars := variantCells(perm, in.Cell); !ct.Seq && ct.Base != perm.MustCell(cell).Base && len(vars) > 0 {
+			valid = CellSwap{Inst: in.Name, Cell: vars[0]}
+			break
+		}
+	}
+	if valid.Inst == "" {
+		t.Fatal("netlist has no instance of another base with another drive")
+	}
 	a, err := NewAnalyzer(ctx, nl, perm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	undo, err := a.Swap(ctx, CellSwap{Inst: inst, Cell: cell})
-	if err != nil {
-		t.Fatal(err)
+	cells := func() []string {
+		var out []string
+		for _, in := range nl.Insts {
+			out = append(out, in.Cell)
+		}
+		return out
 	}
-	if n := fallbacks(); n != 1 {
-		t.Fatalf("after swap onto %s: fallbacks = %d, want 1", cell, n)
+	before, cp := cells(), a.CP()
+	if _, err := a.Swap(ctx, valid, CellSwap{Inst: inst, Cell: cell}); !errors.Is(err, errFootprint) {
+		t.Fatalf("swap onto %s: err = %v, want the footprint error", cell, err)
+	}
+	if !slices.Equal(cells(), before) {
+		t.Error("rejected swap mutated the netlist")
+	}
+	if a.CP() != cp {
+		t.Errorf("rejected swap moved CP: %v != %v", a.CP(), cp)
 	}
 	want, err := analyzeReference(nl, perm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualResults(t, "after swap onto "+cell, a.Result(), want)
-	if _, err := a.Swap(ctx, undo...); err != nil {
+	mustEqualResults(t, "after the rejected swap", a.Result(), want)
+	if _, err := a.Swap(ctx, valid); err != nil {
 		t.Fatal(err)
-	}
-	if n := fallbacks(); n != 2 {
-		t.Fatalf("after undo: fallbacks = %d, want 2", n)
 	}
 	want, err = analyzeReference(nl, perm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualResults(t, "after undo", a.Result(), want)
+	mustEqualResults(t, "after a valid swap", a.Result(), want)
 }
 
 // deltaFixture is a library prepared for the delta-binding tests: a copy
 // of a characterized library with one arc edge removed and a few tiny or
 // negative table entries, and every cell's tables interleaved with
-// synthetic sensitivities, some parameters without one.
+// synthetic sensitivities to all four parameters, as characterized ones
+// have.
 type deltaFixture struct {
 	lib    *liberty.Library
 	shifts map[string][]liberty.ArcShift
@@ -379,8 +393,8 @@ func newDeltaFixture(rng *rand.Rand, base *liberty.Library) deltaFixture {
 			for e := 0; e < 2; e++ {
 				var delay, slew [liberty.NumDeltaParams]*liberty.Table
 				for p := range delay {
-					delay[p] = perturbedTable(rng, a.Delay[e], fixtureSteps[p], p == 1 && e == 0)
-					slew[p] = perturbedTable(rng, a.OutSlew[e], fixtureSteps[p], p == 3)
+					delay[p] = perturbedTable(rng, a.Delay[e], fixtureSteps[p])
+					slew[p] = perturbedTable(rng, a.OutSlew[e], fixtureSteps[p])
 				}
 				sh[ai].Delay[e] = a.Delay[e].Interleave(delay, fixtureSteps)
 				sh[ai].OutSlew[e] = a.OutSlew[e].Interleave(slew, fixtureSteps)
@@ -398,9 +412,9 @@ var fixtureSteps = [liberty.NumDeltaParams]float64{0.01, 0.01, -0.05, -0.05}
 
 // perturbedTable draws base perturbed by step, so that its sensitivity
 // (q − base)/step is about a tenth of base's entries in magnitude; nil
-// when base is nil or skip is set.
-func perturbedTable(rng *rand.Rand, base *liberty.Table, step float64, skip bool) *liberty.Table {
-	if base == nil || skip {
+// when base is nil.
+func perturbedTable(rng *rand.Rand, base *liberty.Table, step float64) *liberty.Table {
+	if base == nil {
 		return nil
 	}
 	q := liberty.NewTable(base.Slews, base.Loads)
@@ -477,7 +491,7 @@ func shiftedLibraryCP(t *testing.T, nl *netlist.Netlist, fx deltaFixture, w []li
 // the Monte Carlo sample step: DeltaBinding.CP on per-instance weights
 // equals BatchTimer.CP under the library of shifted tables, bit for bit,
 // on random registered netlists (flops, multi-arc cells, an arc edge
-// without tables, parameters without a sensitivity, all-zero and
+// without tables, draws with a parameter at zero, all-zero and
 // floor-hitting draws), with samples timed concurrently on shared
 // bindings.
 func TestDeltaBindingMatchesShiftedLibrary(t *testing.T) {

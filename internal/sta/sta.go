@@ -18,17 +18,18 @@
 // keep the template's pin footprints (CP, TopPaths, and Monte Carlo
 // samples through BindDeltas); a library that changes a footprint is an
 // error. An Analyzer times one netlist under one library and re-times it
-// incrementally after cell swaps, recompiling its own netlist when a swap
-// changes a footprint. Analyze, the free TopPaths and PathDelayUnder are
-// one-shot uses of the same compiled state. reference_test.go holds a
-// string-keyed reference analysis that only tests run: the specification
-// the engine must match bit for bit.
+// incrementally after cell swaps, under the same rule: a swap onto a cell
+// of another footprint is an error. Analyze, the free TopPaths and
+// PathDelayUnder are one-shot uses of the same compiled state.
+// reference_test.go holds a string-keyed reference analysis that only
+// tests run: the specification the engine must match bit for bit.
 package sta
 
 import (
 	"context"
 	"fmt"
 
+	"ageguard/internal/conc"
 	"ageguard/internal/liberty"
 	"ageguard/internal/netlist"
 	"ageguard/internal/units"
@@ -131,10 +132,10 @@ func Analyze(ctx context.Context, n *netlist.Netlist, lib *liberty.Library, cfg 
 // Config. The path's step slews are re-propagated with the new library.
 func PathDelayUnder(ctx context.Context, n *netlist.Netlist, p Path, lib *liberty.Library, cfg Config) (float64, error) {
 	if err := ctx.Err(); err != nil {
-		return 0, fmt.Errorf("sta: %s: %w", n.Name, err)
+		return 0, conc.WrapCanceled(fmt.Errorf("sta: %s: %w", n.Name, err))
 	}
 	cfg.fill()
-	t, b, err := compile(n, lib)
+	t, b, err := compile(n, lib, &cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -151,7 +152,7 @@ func PathDelayUnder(ctx context.Context, n *netlist.Netlist, p Path, lib *libert
 			return 0, fmt.Errorf("sta: path step %s drives net %s, not %s", st.Inst, t.nets[net], st.ToNet)
 		}
 		ct := b.ct[in]
-		load := computeLoad(t, b, &cfg, net)
+		load := b.load[net].X()
 		if ct.Seq && i == 0 {
 			arc := ct.ArcsFor(ct.Clock)
 			if len(arc) == 0 {

@@ -74,16 +74,16 @@ func Synthesize(ctx context.Context, a *logic.AIG, lib *liberty.Library, name st
 	}
 	// Post-selection polish: the winning netlist gets one more full
 	// sizing/buffering round before area recovery.
-	nl, err := sizeGates(ctx, nl, lib, cfg)
+	nl, err := SizeGates(ctx, nl, lib, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Buffering {
-		if nl, err = bufferCriticalNets(ctx, nl, lib, cfg); err != nil {
+		if nl, err = BufferCriticalNets(ctx, nl, lib, cfg); err != nil {
 			return nil, err
 		}
 	}
-	return recoverArea(ctx, nl, lib, cfg)
+	return RecoverArea(ctx, nl, lib, cfg)
 }
 
 // synthesizeOne is one mapping seed: map, register, fix design rules,
@@ -95,12 +95,12 @@ func synthesizeOne(ctx context.Context, a *logic.AIG, lib *liberty.Library, name
 	}
 	nl = WrapSequential(nl)
 	nl = FixDesignRules(nl, lib)
-	nl, err = sizeGates(ctx, nl, lib, cfg)
+	nl, err = SizeGates(ctx, nl, lib, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Buffering {
-		nl, err = bufferCriticalNets(ctx, nl, lib, cfg)
+		nl, err = BufferCriticalNets(ctx, nl, lib, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -163,10 +163,6 @@ func FixDesignRules(nl *netlist.Netlist, lib *liberty.Library) *netlist.Netlist 
 // observation that traditionally optimized circuits need large guardbands
 // while aging-aware synthesis contains them.
 func RecoverArea(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, cfg Config) (*netlist.Netlist, error) {
-	return recoverArea(ctx, nl, lib, cfg)
-}
-
-func recoverArea(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, cfg Config) (*netlist.Netlist, error) {
 	cfg.fill()
 	cur := nl.Clone()
 	a, err := sta.NewAnalyzer(ctx, cur, lib, cfg.STA)
@@ -216,10 +212,6 @@ func recoverArea(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library,
 // changed pin capacitance), and keeps a round only when full STA confirms
 // the critical path improved.
 func SizeGates(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, cfg Config) (*netlist.Netlist, error) {
-	return sizeGates(ctx, nl, lib, cfg)
-}
-
-func sizeGates(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, cfg Config) (*netlist.Netlist, error) {
 	cfg.fill()
 	cur := nl.Clone()
 	a, err := sta.NewAnalyzer(ctx, cur, lib, cfg.STA)
@@ -411,15 +403,11 @@ func slewOf(res *sta.Result, net string, e liberty.Edge) float64 {
 // BufferCriticalNets splits high-fanout nets on the critical path: the
 // critical sink keeps the direct connection while the remaining sinks move
 // behind a buffer, unloading the critical transition. Changes are kept
-// only when STA confirms an improvement.
+// only when STA confirms an improvement. It edits netlist structure (new
+// buffer instances and rewired pins), which invalidates a compiled
+// Analyzer topology, so each round is verified with a full analysis
+// rather than an incremental swap.
 func BufferCriticalNets(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, cfg Config) (*netlist.Netlist, error) {
-	return bufferCriticalNets(ctx, nl, lib, cfg)
-}
-
-// bufferCriticalNets edits netlist structure (new buffer instances and
-// rewired pins), which invalidates a compiled Analyzer topology, so each
-// round is verified with a full analysis rather than an incremental swap.
-func bufferCriticalNets(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, cfg Config) (*netlist.Netlist, error) {
 	cfg.fill()
 	cur := nl
 	res, err := sta.Analyze(ctx, cur, lib, cfg.STA)

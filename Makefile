@@ -111,8 +111,9 @@ chaos:
 	$(GO) test -race -count=1 ./internal/chaos/
 
 # faults runs the fault-injection and recovery suite — solver retry
-# ladder, grid-point salvage, checkpoint/resume, cache corruption and
+# ladder, grid-point salvage, checkpoint/resume (flipped checkpoint
+# bytes included), cache corruption, exact scenario cache keys and
 # partial-sweep paths — under the race detector.
 faults:
-	$(GO) test -race -run 'Fault|Retry|Salvage|Strict|Resume|Ckpt|Corrupt|Sweep|Truncat|Classify|Escalat|Timeout' \
+	$(GO) test -race -run 'Fault|Retry|Salvage|Strict|Resume|Ckpt|Corrupt|Sweep|Truncat|Classify|Escalat|Timeout|ScenarioKey' \
 		./internal/spice/ ./internal/char/ ./internal/liberty/ ./internal/obs/

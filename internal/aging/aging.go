@@ -31,6 +31,7 @@ package aging
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"ageguard/internal/units"
 )
@@ -107,8 +108,28 @@ func (s Scenario) String() string {
 
 // Key returns a compact identifier usable in cell/library names, using the
 // paper's index convention, e.g. "0.4_0.6" for lambdaP=0.4, lambdaN=0.6.
+// It names the duty cycles only, to one decimal: scenarios that differ
+// in lifetime, temperature, supply or a finer duty cycle share it. Cache
+// keys use ExactKey.
 func (s Scenario) Key() string {
 	return fmt.Sprintf("%.1f_%.1f", s.LambdaP, s.LambdaN)
+}
+
+// ExactKey identifies the scenario with full fidelity, for cache keys
+// and cache file names: every field as the hex of its IEEE-754 bits,
+// joined by '_'. Distinct scenarios never share it (Key would alias
+// worst case at 10 and at 10.04 years, or duty cycles 0.25/0.75 and
+// 0.2/0.8), it uses only file-name-safe characters, and it is an order
+// of magnitude cheaper than shortest-decimal formatting.
+func (s Scenario) ExactKey() string {
+	b := make([]byte, 0, 84)
+	for i, f := range [...]float64{s.Years, s.TempK, s.Vdd, s.LambdaP, s.LambdaN} {
+		if i > 0 {
+			b = append(b, '_')
+		}
+		b = strconv.AppendUint(b, math.Float64bits(f), 16)
+	}
+	return string(b)
 }
 
 // Model holds the BTI model constants. The zero value is not useful;

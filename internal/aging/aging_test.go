@@ -131,6 +131,40 @@ func TestKeyFormat(t *testing.T) {
 	}
 }
 
+// TestExactKey: scenarios that Key and String round together — duty
+// cycles one decimal apart, lifetimes within a twentieth of a year,
+// another temperature or supply — have distinct exact keys, and equal
+// scenarios have equal ones, in file-name-safe characters only.
+func TestExactKey(t *testing.T) {
+	worst := WorstCase(10)
+	hot := worst
+	hot.TempK += 10
+	low := worst
+	low.Vdd = 1.0
+	for _, pair := range [][2]Scenario{
+		{worst.WithLambda(0.25, 0.75), worst.WithLambda(0.2, 0.8)},
+		{worst, WorstCase(10.04)},
+		{worst, hot},
+		{worst, low},
+	} {
+		a, b := pair[0].ExactKey(), pair[1].ExactKey()
+		if pair[0].Key() != pair[1].Key() || pair[0].String() != pair[1].String() {
+			t.Fatalf("%v and %v: the pair should share Key and String", pair[0], pair[1])
+		}
+		if a == b {
+			t.Errorf("%v and %v share exact key %s", pair[0], pair[1], a)
+		}
+	}
+	if a, b := WorstCase(10).ExactKey(), worst.ExactKey(); a != b {
+		t.Errorf("equal scenarios: exact keys %s and %s", a, b)
+	}
+	for _, c := range Fresh().ExactKey() + worst.ExactKey() {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || c == '_') {
+			t.Fatalf("exact key carries %q", c)
+		}
+	}
+}
+
 func TestSnapLambda(t *testing.T) {
 	cases := map[float64]float64{0.44: 0.4, 0.45: 0.5, 0.0: 0, 1.0: 1, 1.7: 1, -0.2: 0, 0.06: 0.1}
 	for in, want := range cases {

@@ -63,13 +63,11 @@ func TestCancelMidGrid(t *testing.T) {
 			t.Errorf("canceled run left cache file %s", name)
 			continue
 		}
-		f, err := os.Open(filepath.Join(dir, name))
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, perr := liberty.Read(f)
-		f.Close()
-		if perr != nil {
+		if _, perr := liberty.Parse(data); perr != nil {
 			t.Errorf("checkpoint shard %s is not a complete library: %v", name, perr)
 		}
 	}

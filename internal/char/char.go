@@ -269,8 +269,9 @@ func (cfg Config) characterizeShared(ctx context.Context, s aging.Scenario, lim 
 }
 
 // flightKey identifies identical characterization work. The cache path
-// embeds the full configuration hash (grid values, device/aging models,
-// cell names), so it doubles as the deduplication key.
+// embeds the exact scenario and the full configuration hash (grid
+// values, device/aging models, cell names), so it doubles as the
+// deduplication key.
 func (cfg Config) flightKey(s aging.Scenario) string {
 	return cfg.cachePath(s)
 }
@@ -331,13 +332,19 @@ func (cfg Config) Hash() uint64 {
 	return h.Sum64()
 }
 
+// cachePath names the cache entry of scenario s: the library name for
+// readers, the scenario's exact key (the library name rounds the
+// lifetime and duty cycles to one decimal and omits temperature and
+// supply, so distinct scenarios share it), the grid shape, and the
+// configuration hash as the suffix CacheEntries filters on. It is also
+// the flight key and the stem of the checkpoint shards.
 func (cfg Config) cachePath(s aging.Scenario) string {
 	n := len(cfg.Cells)
 	if cfg.Cells == nil {
 		n = 0 // full set marker
 	}
-	fn := fmt.Sprintf("%s_g%dx%d_c%d_v%g_h%016x.alib",
-		cfg.libName(s), len(cfg.Slews), len(cfg.Loads), n, cfg.Tech.Vdd, cfg.Hash())
+	fn := fmt.Sprintf("%s_s%s_g%dx%d_c%d_v%g_h%016x.alib",
+		cfg.libName(s), s.ExactKey(), len(cfg.Slews), len(cfg.Loads), n, cfg.Tech.Vdd, cfg.Hash())
 	return filepath.Join(cfg.CacheDir, fn)
 }
 
@@ -358,6 +365,11 @@ func (cfg Config) loadCache(s aging.Scenario) (*liberty.Library, error) {
 	lib, err := VerifyCacheFile(path)
 	if err != nil {
 		return nil, err
+	}
+	// The name carries the exact scenario, so only a hand-copied file
+	// holds another one; answering with it would time the wrong stress.
+	if lib.Scenario != s {
+		return nil, fmt.Errorf("char: %s holds another scenario (%s): %w", path, lib.Scenario, fs.ErrNotExist)
 	}
 	// Strict runs never reuse a library with interpolated points: treat
 	// it as a miss so it is recharacterized without salvage (and the

@@ -25,7 +25,9 @@ import (
 // a shard characterized under one grid/model/cell-set can never be resumed
 // into a library built under another — and are written with the same
 // atomic temp+rename discipline, so a shard either exists completely or
-// not at all. Once the full .alib lands, the shards are deleted.
+// not at all. They carry the .alib entries' trailing checksum and load
+// through the same gate. Once the full .alib lands, the shards are
+// deleted.
 
 // ckptStem is the shared filename prefix of a scenario's shards.
 func (cfg Config) ckptStem(s aging.Scenario) string {
@@ -37,9 +39,12 @@ func (cfg Config) ckptPath(s aging.Scenario, cell string) string {
 	return cfg.ckptStem(s) + ".cell_" + cell + ".ckpt"
 }
 
-// loadCellCkpt loads a cell's checkpoint shard. A nil error means a usable
-// hit. Misses wrap fs.ErrNotExist; shards that exist but cannot be parsed
-// or lack the cell wrap ErrCacheCorrupt.
+// loadCellCkpt loads a cell's checkpoint shard through the cache's
+// integrity gate (VerifyCacheFile), so a shard whose bytes changed after
+// it was written is never resumed into a library that the final .alib's
+// checksum would then seal. A nil error means a usable hit. Misses wrap
+// fs.ErrNotExist; shards that exist but fail the checksum, cannot be
+// parsed or lack the cell wrap ErrCacheCorrupt.
 func (cfg Config) loadCellCkpt(s aging.Scenario, cell string) (*liberty.CellTiming, error) {
 	if cfg.CacheDir == "" {
 		return nil, fmt.Errorf("char: cache disabled: %w", fs.ErrNotExist)
@@ -50,14 +55,9 @@ func (cfg Config) loadCellCkpt(s aging.Scenario, cell string) (*liberty.CellTimi
 			return nil, err
 		}
 	}
-	f, err := os.Open(path)
+	lib, err := VerifyCacheFile(path)
 	if err != nil {
 		return nil, err
-	}
-	defer f.Close()
-	lib, err := liberty.Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCacheCorrupt, path, err)
 	}
 	ct, ok := lib.Cell(cell)
 	if !ok {
@@ -76,8 +76,9 @@ func (cfg Config) loadCellCkpt(s aging.Scenario, cell string) (*liberty.CellTimi
 	return ct, nil
 }
 
-// storeCellCkpt persists one completed cell as a single-cell library,
-// atomically (unique temp file + rename, removed on every error path).
+// storeCellCkpt persists one completed cell as a single-cell library with
+// the trailing checksum (liberty.WriteSummed), atomically (unique temp
+// file + rename, removed on every error path).
 func (cfg Config) storeCellCkpt(s aging.Scenario, ct *liberty.CellTiming) error {
 	if cfg.CacheDir == "" {
 		return nil
@@ -96,7 +97,7 @@ func (cfg Config) storeCellCkpt(s aging.Scenario, ct *liberty.CellTiming) error 
 		Loads:    append([]float64(nil), cfg.Loads...),
 		Cells:    map[string]*liberty.CellTiming{ct.Name: ct},
 	}
-	return atomicfile.Write(path, func(w io.Writer) error { return liberty.Write(w, lib) })
+	return atomicfile.Write(path, func(w io.Writer) error { return liberty.WriteSummed(w, lib) })
 }
 
 // clearCkpts removes a scenario's checkpoint shards (best effort): once

@@ -141,6 +141,77 @@ func TestResumeCorruptShard(t *testing.T) {
 	}
 }
 
+// TestCkptDigitFlipResimulated: a shard whose bytes changed after it was
+// written — one table digit flipped, which still parses — fails its
+// checksum, counts as corrupt and is simulated again, so the resumed
+// library is byte-identical to an uninterrupted run instead of carrying
+// the flipped value under the final entry's checksum.
+func TestCkptDigitFlipResimulated(t *testing.T) {
+	cells := []string{"INV_X1", "NAND2_X1"}
+	s := aging.WorstCase(10)
+	ref := TestConfig()
+	ref.Cells = cells
+	refLib, err := ref.Characterize(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Interrupted run: cancel as soon as the first cell, INV_X1, finishes
+	// and leaves its shard.
+	cfg := ref
+	cfg.Parallelism = 1
+	cfg.CacheDir = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Progress = func(done, total int) {
+		if done == 1 {
+			cancel()
+		}
+	}
+	if _, err := cfg.Characterize(ctx, s); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("interrupted run: got %v, want ErrCanceled", err)
+	}
+	cfg.Progress = nil
+
+	// Flip the leading digit of the shard's first delay value.
+	path := cfg.ckptPath(s, "INV_X1")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := []byte("TABLE delay rise\n")
+	i := bytes.Index(data, hdr) + len(hdr)
+	if i < len(hdr) || data[i] < '1' || data[i] > '9' {
+		t.Fatalf("no leading delay digit in shard %s", path)
+	}
+	if data[i] == '9' {
+		data[i] = '8'
+	} else {
+		data[i] = '9'
+	}
+	if _, err := liberty.Parse(data); err != nil {
+		t.Fatalf("flipped shard no longer parses: %v", err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	lib, err := cfg.Characterize(obs.With(context.Background(), reg), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("char.ckpt.corrupt").Value(); n != 1 {
+		t.Errorf("char.ckpt.corrupt = %d, want 1", n)
+	}
+	if n := reg.Counter("char.ckpt.hits").Value(); n != 0 {
+		t.Errorf("char.ckpt.hits = %d, want 0", n)
+	}
+	if !bytes.Equal(libBytes(t, lib), libBytes(t, refLib)) {
+		t.Error("resumed library differs from an uninterrupted characterization")
+	}
+}
+
 // TestCkptDisabledWithoutCache: with no cache directory the checkpoint
 // layer is inert — characterization works and writes nothing.
 func TestCkptDisabledWithoutCache(t *testing.T) {

@@ -113,7 +113,7 @@ func (cfg Config) Sensitivities(ctx context.Context, s aging.Scenario) (*Sensiti
 // base's tables with its finite-difference sensitivities. base must be
 // this configuration's nominal library for s: a caller that holds it,
 // such as ageguardd's library cache, saves loading it again. A base
-// with another name or other axes is rejected, since its tables would
+// of another scenario or on other axes is rejected, since its tables would
 // not pair grid point for grid point with the perturbed ones, and so is
 // a perturbed library whose arcs have other tables than the base's,
 // since every interleaved table has a sensitivity to each parameter. The
@@ -128,10 +128,9 @@ func (cfg Config) SensitivitiesAround(ctx context.Context, s aging.Scenario, bas
 	if base == nil {
 		return nil, fmt.Errorf("char: sensitivity base for %s is nil", s)
 	}
-	if want := cfg.libName(s); base.Name != want ||
-		!slices.Equal(base.Slews, cfg.Slews) || !slices.Equal(base.Loads, cfg.Loads) {
-		return nil, fmt.Errorf("char: sensitivity base %s on a %dx%d grid is not %s on this config's %dx%d grid",
-			base.Name, len(base.Slews), len(base.Loads), want, len(cfg.Slews), len(cfg.Loads))
+	if base.Scenario != s || !slices.Equal(base.Slews, cfg.Slews) || !slices.Equal(base.Loads, cfg.Loads) {
+		return nil, fmt.Errorf("char: sensitivity base %s (%s) on a %dx%d grid is not %s on this config's %dx%d grid",
+			base.Name, base.Scenario.ExactKey(), len(base.Slews), len(base.Loads), s.ExactKey(), len(cfg.Slews), len(cfg.Loads))
 	}
 	var perturbed [numSensParams]*liberty.Library
 	for p, step := range sensSteps {

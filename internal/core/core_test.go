@@ -29,6 +29,28 @@ func TestBenchmarkLookup(t *testing.T) {
 	}
 }
 
+// TestNetlistCachePathExactScenario: netlists synthesized with libraries
+// whose names round together — worst case at 10 and at 10.04 years, duty
+// cycles 0.25/0.75 and 0.2/0.8 — are cached under distinct paths, so
+// neither is read back as the other.
+func TestNetlistCachePathExactScenario(t *testing.T) {
+	f := Default()
+	worst := aging.WorstCase(10)
+	for _, pair := range [][2]aging.Scenario{
+		{worst, aging.WorstCase(10.04)},
+		{worst.WithLambda(0.25, 0.75), worst.WithLambda(0.2, 0.8)},
+	} {
+		var paths [2]string
+		for i, s := range pair {
+			lib := &liberty.Library{Name: "aged_y10.0_" + pair[0].Key(), Scenario: s}
+			paths[i] = f.netlistCachePath("RISC-5P", lib)
+		}
+		if paths[0] == paths[1] {
+			t.Errorf("%#v and %#v share netlist cache path %s", pair[0], pair[1], paths[0])
+		}
+	}
+}
+
 func TestDeltaPctGuard(t *testing.T) {
 	if got := deltaPct(10*units.Ps, 11*units.Ps); math.Abs(got-10) > 1e-9 {
 		t.Errorf("deltaPct = %v, want 10", got)

@@ -159,18 +159,20 @@ const synthVersion = 1
 
 // netlistCachePath keys cached netlists by circuit, library name and a
 // fingerprint of everything that shapes the synthesized result: the
-// synthesis version, the full characterization config (the library name
-// alone does not encode grid axes, model constants or the numerics
-// version) and the effective synthesis config — which includes the
+// synthesis version, the library's exact scenario and the full
+// characterization config (the library name rounds the scenario to one
+// decimal and does not encode grid axes, model constants or the numerics
+// version), and the effective synthesis config — which includes the
 // threaded STA parameters, so changing Flow.STA can never silently reuse
-// a netlist optimized under different timing conditions. A changed knob
-// or algorithm therefore never reuses a stale netlist.
+// a netlist optimized under different timing conditions. A changed knob,
+// scenario or algorithm therefore never reuses a stale netlist.
 func (f Flow) netlistCachePath(circuit string, lib *liberty.Library) string {
 	if f.Char.CacheDir == "" {
 		return ""
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "synthesis=%d|char=%016x|synth=%v", synthVersion, f.Char.Hash(), f.synthConfig())
+	fmt.Fprintf(h, "synthesis=%d|scenario=%s|char=%016x|synth=%v",
+		synthVersion, lib.Scenario.ExactKey(), f.Char.Hash(), f.synthConfig())
 	return filepath.Join(f.Char.CacheDir,
 		fmt.Sprintf("netl_%s_%s_h%016x.netl", circuit, lib.Name, h.Sum64()))
 }

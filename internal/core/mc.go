@@ -168,14 +168,25 @@ func (f Flow) MCGuardbandTimer(ctx context.Context, circuit string, bt *sta.Batc
 
 	// The one compiled netlist serves the nominal point and every
 	// sample: pin capacitances are geometry-only, so loads — and the
-	// compiled topology — are shared by both scenarios. The nominal point
-	// equals StaticGuardband's (BatchTimer.CP is bit-identical to
-	// Analyze).
-	fcp, err := bt.CP(ctx, snFresh.Base)
+	// compiled topology — are shared by both scenarios. Each base library
+	// is bound once. The nominal point is its binding timed with all-zero
+	// weights, which reads the unshifted tables, so it equals
+	// BatchTimer.CP and StaticGuardband's (bit-identical to Analyze).
+	fb, err := bt.BindDeltas(snFresh.Base, snFresh.Shifts())
 	if err != nil {
 		return nil, err
 	}
-	acp, err := bt.CP(ctx, snAged.Base)
+	ab, err := bt.BindDeltas(snAged.Base, snAged.Shifts())
+	if err != nil {
+		return nil, err
+	}
+	insts := bt.Insts()
+	nominal := make([]liberty.DeltaWeights, len(insts))
+	fcp, err := fb.CP(ctx, nominal)
+	if err != nil {
+		return nil, err
+	}
+	acp, err := ab.CP(ctx, nominal)
 	if err != nil {
 		return nil, err
 	}
@@ -191,17 +202,8 @@ func (f Flow) MCGuardbandTimer(ctx context.Context, circuit string, bt *sta.Batc
 	}
 	res.Guardbands = make([]float64, n)
 
-	fb, err := bt.BindDeltas(snFresh.Base, snFresh.Shifts())
-	if err != nil {
-		return nil, err
-	}
-	ab, err := bt.BindDeltas(snAged.Base, snAged.Shifts())
-	if err != nil {
-		return nil, err
-	}
 	// Samples reuse weights buffers. A buffer is made only when none is
 	// free, so there are at most as many as samples timed at once.
-	insts := bt.Insts()
 	bufs := make(chan []liberty.DeltaWeights, mc.workers())
 	err = conc.ParFor(ctx, mc.workers(), n, func(i int) error {
 		var w []liberty.DeltaWeights

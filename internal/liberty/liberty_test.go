@@ -2,6 +2,8 @@ package liberty
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -9,6 +11,18 @@ import (
 
 	"ageguard/internal/aging"
 )
+
+// Read parses a library previously produced by Write: it reads r to
+// the end and parses the bytes with Parse. The tests read buffers and
+// strings through it; production loads whole files
+// (char.VerifyCacheFile).
+func Read(r io.Reader) (*Library, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("liberty: %w", err)
+	}
+	return Parse(data)
+}
 
 func sampleTable() *Table {
 	t := NewTable([]float64{1, 2, 4}, []float64{10, 20})

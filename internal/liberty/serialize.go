@@ -70,16 +70,6 @@ func writeTable(w io.Writer, t *Table) {
 	}
 }
 
-// Read parses a library previously produced by Write: it reads r to
-// the end and parses the bytes with Parse.
-func Read(r io.Reader) (*Library, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("liberty: %w", err)
-	}
-	return Parse(data)
-}
-
 // Parse parses the bytes of a library previously produced by Write. The
 // ENDLIB terminator is mandatory: a file that ends before it — e.g. a
 // cache entry truncated by a crashed or killed writer — is rejected

@@ -48,7 +48,7 @@ type batchRequest struct {
 
 // batch answers POST /v1/batch with the rendered reply body. clean
 // reports that no item carries an error, which gates the whole-reply
-// memo in handleBatch.
+// memo in batchReply.
 func (s *Server) batch(ctx context.Context, req *batchRequest) (body []byte, clean bool, err error) {
 	if err := checkVersion(req.Version); err != nil {
 		return nil, false, err
@@ -154,7 +154,7 @@ func itemError(err error) json.RawMessage {
 // api.BatchResponse — the version is a separator-free constant and every
 // fragment is already compact, escaped JSON — without re-scanning the
 // fragments the way Marshal's RawMessage compaction does. A trailing
-// newline matches writeJSON.
+// newline matches every other reply (single).
 func batchBody(frags []json.RawMessage) []byte {
 	n := len(`{"version":"","items":[]}`) + len(api.APIVersion) + len(frags) + 1
 	for _, f := range frags {

@@ -3,9 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
-	"strconv"
 
 	"ageguard/internal/aging"
 	"ageguard/internal/core"
@@ -49,35 +47,6 @@ func (s *Server) resolveScenario(a api.Scenario) (aging.Scenario, error) {
 	return sc, nil
 }
 
-// scenarioKey identifies a scenario in LRU keys with full fidelity.
-// aging.Scenario.Key() encodes only the duty cycles — the paper's
-// convention for naming cells and libraries — so keying the cache on it
-// alone would alias scenarios that differ in lifetime, temperature or
-// supply (e.g. worst-case at 5 vs. 10 years) and serve one scenario's
-// libraries for the other. Every field is encoded as the hex of its
-// IEEE-754 bits: exact (distinct scenarios can never collide) and an
-// order of magnitude cheaper than shortest-decimal formatting. These
-// keys never leave the process, so readability costs nothing here.
-func scenarioKey(sc aging.Scenario) string {
-	b := make([]byte, 0, 84)
-	b = appendHexFloat(b, sc.Years)
-	b = append(b, '_')
-	b = appendHexFloat(b, sc.TempK)
-	b = append(b, '_')
-	b = appendHexFloat(b, sc.Vdd)
-	b = append(b, '_')
-	b = appendHexFloat(b, sc.LambdaP)
-	b = append(b, '_')
-	b = appendHexFloat(b, sc.LambdaN)
-	return string(b)
-}
-
-// appendHexFloat appends the exact bit pattern of f in hex — the cheap
-// full-fidelity float encoding the in-process cache keys use.
-func appendHexFloat(b []byte, f float64) []byte {
-	return strconv.AppendUint(b, math.Float64bits(f), 16)
-}
-
 // checkCircuit validates a benchmark name without building it.
 func checkCircuit(name string) error {
 	if !slices.Contains(core.BenchmarkCircuits(), name) {
@@ -106,7 +75,7 @@ func checkPathsK(k int) (int, error) {
 // LRU; misses run the characterization (or the disk-cache load) once
 // per key.
 func (s *Server) library(ctx context.Context, sc aging.Scenario) (*liberty.Library, error) {
-	key := "lib|" + scenarioKey(sc)
+	key := "lib|" + sc.ExactKey()
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
 		return s.cfg.Flow.Library(ctx, sc)
 	})
@@ -144,7 +113,7 @@ func (s *Server) timer(ctx context.Context, circuit string) (*sta.BatchTimer, er
 // through the LRU: the fill times the circuit's timer once; warm
 // queries read the stored float.
 func (s *Server) cp(ctx context.Context, circuit string, sc aging.Scenario) (float64, error) {
-	key := "cp|" + circuit + "|" + scenarioKey(sc)
+	key := "cp|" + circuit + "|" + sc.ExactKey()
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
 		bt, err := s.timer(ctx, circuit)
 		if err != nil {
@@ -305,7 +274,7 @@ func (s *Server) paths(ctx context.Context, req *api.PathsRequest) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("paths|%s|%s|%d", req.Circuit, scenarioKey(sc), k)
+	key := fmt.Sprintf("paths|%s|%s|%d", req.Circuit, sc.ExactKey(), k)
 	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
 		bt, err := s.timer(ctx, req.Circuit)
 		if err != nil {

@@ -25,7 +25,7 @@ func TestHandler4xxTaxonomy(t *testing.T) {
 		body string
 		want int
 	}{
-		// Body decode failures (handleJSON's shared prologue).
+		// Body decode failures (the shared decode in single).
 		{"guardband malformed json", "/v1/guardband", `{"circuit":`, 400},
 		{"celltiming malformed json", "/v1/celltiming", `not json at all`, 400},
 		{"paths malformed json", "/v1/paths", `[]`, 400},

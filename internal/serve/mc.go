@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"strconv"
 
 	"ageguard/internal/aging"
@@ -76,7 +77,7 @@ func (s *Server) mcGuardband(ctx context.Context, req *api.MCGuardbandRequest) (
 		v = device.DefaultVariation()
 	}
 
-	key := "mc|" + req.Circuit + "|" + scenarioKey(sc) + "|" + mcParamKey(samples, req.Seed, v, bins)
+	key := "mc|" + req.Circuit + "|" + sc.ExactKey() + "|" + mcParamKey(samples, req.Seed, v, bins)
 	out, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
 		bt, err := s.timer(ctx, req.Circuit)
 		if err != nil {
@@ -132,7 +133,7 @@ func (s *Server) mcGuardband(ctx context.Context, req *api.MCGuardbandRequest) (
 }
 
 // mcParamKey encodes the sampling parameters for the LRU key with full
-// fidelity (sigmas as exact IEEE-754 bits, like scenarioKey).
+// fidelity (sigmas as exact IEEE-754 bits, like aging.Scenario.ExactKey).
 func mcParamKey(samples int, seed uint64, v device.Variation, bins int) string {
 	b := make([]byte, 0, 64)
 	b = appendHexInt(b, int64(samples))
@@ -149,3 +150,6 @@ func mcParamKey(samples int, seed uint64, v device.Variation, bins int) string {
 
 func appendHexUint(b []byte, u uint64) []byte { return strconv.AppendUint(b, u, 16) }
 func appendHexInt(b []byte, i int64) []byte   { return strconv.AppendInt(b, i, 16) }
+func appendHexFloat(b []byte, f float64) []byte {
+	return strconv.AppendUint(b, math.Float64bits(f), 16)
+}

@@ -131,17 +131,17 @@ func New(cfg Config, reg *obs.Registry) *Server {
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Handler returns the daemon's routing table: the six /v1 query
-// endpoints plus /healthz, /metrics (text), /metrics.json and
-// /debug/pprof.
+// Handler returns the daemon's routing table: the six POST /v1 query
+// endpoints, each served through route, plus /healthz, /readyz,
+// /metrics (text), /metrics.json and /debug/pprof.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/guardband", handleJSON(s, "guardband", s.guardband))
-	mux.Handle("POST /v1/celltiming", handleJSON(s, "celltiming", s.cellTiming))
-	mux.Handle("POST /v1/grid", handleJSON(s, "grid", s.grid))
-	mux.Handle("POST /v1/paths", handleJSON(s, "paths", s.paths))
-	mux.Handle("POST /v1/mcguardband", handleJSON(s, "mc", s.mcGuardband))
-	mux.Handle("POST /v1/batch", handleBatch(s))
+	mux.Handle("POST /v1/guardband", s.route("guardband", single(s.guardband)))
+	mux.Handle("POST /v1/celltiming", s.route("celltiming", single(s.cellTiming)))
+	mux.Handle("POST /v1/grid", s.route("grid", single(s.grid)))
+	mux.Handle("POST /v1/paths", s.route("paths", single(s.paths)))
+	mux.Handle("POST /v1/mcguardband", s.route("mc", single(s.mcGuardband)))
+	mux.Handle("POST /v1/batch", s.route("batch", s.batchReply))
 
 	// Liveness: the process is up and serving HTTP. Stays 200 through
 	// warm-up and drain — restarts are for dead processes, not busy ones.
@@ -250,25 +250,36 @@ func status(err error) int {
 	}
 }
 
-// writeJSON marshals v up front so the reply can carry an end-to-end
-// body checksum (api.BodySumHeader): clients verify it and retry on
-// mismatch, turning in-transit corruption from a silently wrong answer
-// into a transient error.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	b = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(api.BodySumHeader, api.BodySum(b))
-	w.WriteHeader(code)
-	w.Write(b)
+// reply is one rendered /v1 reply: its body and, when already known,
+// the body's checksum (api.BodySum). The whole-batch memo stores replies
+// with their checksum, so a memo hit replays both without rehashing.
+type reply struct {
+	body []byte
+	sum  string
 }
 
+// write sends one /v1 reply: every reply, success or error, leaves
+// through it. It sets the Content-Length, so no reply is sent chunked,
+// and the end-to-end body checksum (api.BodySumHeader): clients verify
+// it and retry on mismatch, turning in-transit corruption from a
+// silently wrong answer into a transient error.
+func write(w http.ResponseWriter, code int, rep reply) {
+	if rep.sum == "" {
+		rep.sum = api.BodySum(rep.body)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set(api.BodySumHeader, rep.sum)
+	h.Set("Content-Length", strconv.Itoa(len(rep.body)))
+	w.WriteHeader(code)
+	w.Write(rep.body)
+}
+
+// writeError sends err as an api.ErrorResponse with status code.
 func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, api.ErrorResponse{Version: api.APIVersion, Error: err.Error()})
+	// A version and a message always marshal.
+	b, _ := json.Marshal(api.ErrorResponse{Version: api.APIVersion, Error: err.Error()})
+	write(w, code, reply{body: append(b, '\n')})
 }
 
 // checkVersion rejects requests from a different protocol generation.
@@ -319,10 +330,12 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, errc, rejected, t
 	}, true
 }
 
-// handleJSON wraps one endpoint with the shared request plumbing:
-// admission (queue ticket or 429), the per-request deadline, body
-// decode, the endpoint duration histogram and the error taxonomy.
-func handleJSON[Req any](s *Server, name string, fn func(ctx context.Context, req *Req) (any, error)) http.Handler {
+// route serves one POST /v1 endpoint: admission (queue ticket or 429),
+// the per-request deadline, the body read, the endpoint's answer, the
+// status taxonomy and the endpoint's counters and duration histogram,
+// which times the whole answer: decode, handler and render, or a memo
+// replay.
+func (s *Server) route(name string, answer func(ctx context.Context, raw []byte) (reply, error)) http.Handler {
 	hist := s.reg.Histogram("serve." + name + ".seconds")
 	okc := s.reg.Counter("serve." + name + ".ok")
 	errc := s.reg.Counter("serve." + name + ".err")
@@ -342,18 +355,8 @@ func handleJSON[Req any](s *Server, name string, fn func(ctx context.Context, re
 			writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 			return
 		}
-		// Unlike a json.Decoder, Unmarshal refuses anything but whitespace
-		// after the value, so a body carrying a second value or trailing
-		// garbage is refused instead of answered in part.
-		var req Req
-		if err := json.Unmarshal(raw, &req); err != nil {
-			errc.Inc()
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return
-		}
-
 		t0 := time.Now()
-		resp, err := fn(ctx, &req)
+		rep, err := answer(ctx, raw)
 		hist.Since(t0)
 		if err != nil {
 			code := status(err)
@@ -365,15 +368,31 @@ func handleJSON[Req any](s *Server, name string, fn func(ctx context.Context, re
 			return
 		}
 		okc.Inc()
-		writeJSON(w, http.StatusOK, resp)
+		write(w, http.StatusOK, rep)
 	})
 }
 
-// cachedBody is one memoized whole-batch reply: the rendered body and
-// its checksum.
-type cachedBody struct {
-	body []byte
-	sum  string
+// single adapts a typed handler to route: it decodes the body into Req,
+// runs fn and renders its response. Unlike a json.Decoder, Unmarshal
+// refuses anything but whitespace after the value, so a body carrying a
+// second value or trailing garbage is refused instead of answered in
+// part. A response that does not render (a NaN, say) is a 500.
+func single[Req any](fn func(ctx context.Context, req *Req) (any, error)) func(context.Context, []byte) (reply, error) {
+	return func(ctx context.Context, raw []byte) (reply, error) {
+		var req Req
+		if err := json.Unmarshal(raw, &req); err != nil {
+			return reply{}, badRequest("decode request: %v", err)
+		}
+		v, err := fn(ctx, &req)
+		if err != nil {
+			return reply{}, err
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			return reply{}, fmt.Errorf("render reply: %w", err)
+		}
+		return reply{body: append(b, '\n')}, nil
+	}
 }
 
 // maxMemoBody bounds the size of a whole-batch reply kept in the memo;
@@ -381,75 +400,31 @@ type cachedBody struct {
 // entry-counted, not byte-counted.
 const maxMemoBody = 1 << 20
 
-// handleBatch is handleJSON for /v1/batch, plus the outer of the two
-// batch memo levels: a byte-identical repeat of a fully successful
-// batch request, keyed by its raw bytes, replays the stored reply
-// without decoding or rendering anything. The per-item memo (batch.go)
-// covers batches that merely overlap; this covers the periodic
-// monitor-sweep pattern where the same batch recurs verbatim. Replies
-// carrying any per-item error are never memoized, so transient
-// failures cannot stick.
-func handleBatch(s *Server) http.Handler {
-	hist := s.reg.Histogram("serve.batch.seconds")
-	okc := s.reg.Counter("serve.batch.ok")
-	errc := s.reg.Counter("serve.batch.err")
-	rejected := s.reg.Counter("serve.rejected")
-	timeouts := s.reg.Counter("serve.timeouts")
-	bodyHits := s.reg.Counter("serve.batch.body_hits")
-
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, release, ok := s.admit(w, r, errc, rejected, timeouts)
-		if !ok {
-			return
-		}
-		defer release()
-
-		raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			errc.Inc()
-			writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
-			return
-		}
-		key := "body|" + string(raw)
-		if v, ok := s.cache.peek(key); ok {
-			cb := v.(*cachedBody)
-			bodyHits.Inc()
-			okc.Inc()
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set(api.BodySumHeader, cb.sum)
-			w.Header().Set("Content-Length", strconv.Itoa(len(cb.body)))
-			w.Write(cb.body)
-			return
-		}
-
-		var req batchRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			errc.Inc()
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return
-		}
-
-		t0 := time.Now()
-		b, clean, err := s.batch(ctx, &req)
-		hist.Since(t0)
-		if err != nil {
-			code := status(err)
-			if code == http.StatusGatewayTimeout {
-				timeouts.Inc()
-			}
-			errc.Inc()
-			writeError(w, code, err)
-			return
-		}
-		okc.Inc()
-
-		sum := api.BodySum(b)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set(api.BodySumHeader, sum)
-		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-		w.Write(b)
-		if clean && len(b) <= maxMemoBody {
-			s.cache.put(key, &cachedBody{body: b, sum: sum})
-		}
-	})
+// batchReply answers POST /v1/batch through the outer of the two batch
+// memo levels: a byte-identical repeat of a fully successful batch
+// request, keyed by its raw bytes, replays the stored reply without
+// decoding or rendering anything. The per-item memo (batch.go) covers
+// batches that merely overlap; this covers the periodic monitor-sweep
+// pattern where the same batch recurs verbatim. Replies carrying any
+// per-item error are never memoized, so transient failures cannot
+// stick.
+func (s *Server) batchReply(ctx context.Context, raw []byte) (reply, error) {
+	key := "body|" + string(raw)
+	if v, ok := s.cache.peek(key); ok {
+		s.reg.Counter("serve.batch.body_hits").Inc()
+		return v.(reply), nil
+	}
+	var req batchRequest
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return reply{}, badRequest("decode request: %v", err)
+	}
+	b, clean, err := s.batch(ctx, &req)
+	if err != nil {
+		return reply{}, err
+	}
+	rep := reply{body: b, sum: api.BodySum(b)}
+	if clean && len(b) <= maxMemoBody {
+		s.cache.put(key, rep)
+	}
+	return rep, nil
 }

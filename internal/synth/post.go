@@ -219,7 +219,7 @@ func SizeGates(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, c
 		return nil, err
 	}
 	res := a.Result()
-	for round := 0; round < cfg.SizingRounds; round++ {
+	for round := 0; round < sizingRounds; round++ {
 		// Decisions are computed on a scratch clone so that later choices
 		// in the same round see earlier ones (the pin-cap deltas interact),
 		// then applied to the engine as one incremental swap batch.
@@ -495,7 +495,7 @@ func SizeGatesDual(ctx context.Context, nl *netlist.Netlist, costLib, critLib *l
 		return nil, err
 	}
 	crit := aCrit.Result()
-	for round := 0; round < cfg.SizingRounds; round++ {
+	for round := 0; round < sizingRounds; round++ {
 		cost := aCost.Result()
 		next := cur.Clone()
 		byName := instIndex(next)

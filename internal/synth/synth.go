@@ -27,12 +27,24 @@ import (
 	"ageguard/internal/units"
 )
 
+// The mapper's fixed estimates and the sizing budget.
+const (
+	inputSlew  = 20 * units.Ps  // assumed PI slew for DP estimates
+	estWireCap = 2 * units.FF   // estimated wire cap per mapped net
+	estSinkCap = 0.9 * units.FF // estimated cap per fanout for DP loads
+
+	// maxTransition caps the slew the DP propagates, mirroring the
+	// max_transition design rule commercial flows enforce: the later
+	// sizing/buffering passes repair bad slews, so unbounded estimates
+	// would only distort the covering choices.
+	maxTransition = 50 * units.Ps
+
+	sizingRounds = 10 // timing-driven sizing iterations
+)
+
 // Config tunes the mapper. The zero value selects defaults.
 type Config struct {
-	InputSlew  float64 // assumed PI slew for DP estimates; default 20ps
-	EstWireCap float64 // estimated wire cap per mapped net; default 0.25fF
-	EstSinkCap float64 // estimated cap per fanout for DP loads; default 0.9fF
-	DPDrive    int     // drive strength assumed during DP; default 2
+	DPDrive int // drive strength assumed during DP; default 2
 
 	// UnitDelay makes the mapper library-agnostic (depth-optimal cover
 	// with unit cell delays). Used as one of the multi-start seeds so the
@@ -46,14 +58,7 @@ type Config struct {
 	// multi-start seeds.
 	UnitMode int
 
-	// MaxTransition caps the slew the DP propagates, mirroring the
-	// max_transition design rule commercial flows enforce: the later
-	// sizing/buffering passes repair bad slews, so unbounded estimates
-	// would only distort the covering choices. Default 200ps.
-	MaxTransition float64
-
-	SizingRounds int  // timing-driven sizing iterations; default 4
-	Buffering    bool // enable buffer insertion on critical high-fanout nets
+	Buffering bool // enable buffer insertion on critical high-fanout nets
 
 	// STA parameterizes the timing analyses that drive seed selection,
 	// gate sizing, buffer insertion and area recovery. The zero value
@@ -65,23 +70,8 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.InputSlew == 0 {
-		c.InputSlew = 20 * units.Ps
-	}
-	if c.EstWireCap == 0 {
-		c.EstWireCap = 2 * units.FF
-	}
-	if c.EstSinkCap == 0 {
-		c.EstSinkCap = 0.9 * units.FF
-	}
 	if c.DPDrive == 0 {
 		c.DPDrive = 2
-	}
-	if c.SizingRounds == 0 {
-		c.SizingRounds = 10
-	}
-	if c.MaxTransition == 0 {
-		c.MaxTransition = 50 * units.Ps
 	}
 }
 
@@ -208,7 +198,7 @@ func (m *mapper) measureLoads(nl *netlist.Netlist) []float64 {
 		if netName == "" {
 			continue
 		}
-		l := loads[netName] + m.cfg.EstWireCap
+		l := loads[netName] + estWireCap
 		if n := sinkCount[netName]; n > 1 {
 			l += float64(n-1) * 0.12e-15
 		}
@@ -235,7 +225,7 @@ func (m *mapper) estLoad(node uint32) float64 {
 	if f < 1 {
 		f = 1
 	}
-	l := m.cfg.EstWireCap + float64(f)*m.cfg.EstSinkCap
+	l := estWireCap + float64(f)*estSinkCap
 	// Loads beyond this will be repaired by sizing/buffering; letting
 	// them grow unboundedly would put DP estimates in the slow-slew table
 	// region that the optimized design never operates in.
@@ -257,7 +247,7 @@ func (m *mapper) invApply(arr, slew [2]float64, load float64) (oarr, oslew [2]fl
 	for e := liberty.Rise; e <= liberty.Fall; e++ {
 		ie := e.Opposite()
 		oarr[e] = arr[ie] + a.Delay[e].At(slew[ie], load)
-		oslew[e] = math.Min(a.OutSlew[e].At(slew[ie], load), m.cfg.MaxTransition)
+		oslew[e] = math.Min(a.OutSlew[e].At(slew[ie], load), maxTransition)
 	}
 	return oarr, oslew
 }
@@ -318,7 +308,7 @@ func (m *mapper) dp() error {
 		l := logic.Lit(node << 1)
 		load := m.estLoad(node)
 		if a.IsInput(l) {
-			in := cand{ok: true, slew: [2]float64{m.cfg.InputSlew, m.cfg.InputSlew}}
+			in := cand{ok: true, slew: [2]float64{inputSlew, inputSlew}}
 			m.best[0][node] = in
 			narr, nslew := m.invApply(in.arr, in.slew, load)
 			m.best[1][node] = cand{ok: true, arr: narr, slew: nslew, viaInv: true}
@@ -387,7 +377,7 @@ func (m *mapper) dp() error {
 						// the DP's accuracy depend on the library's slew
 						// steepness (hurting exactly the aged libraries the
 						// flow is meant to exploit).
-						nomSlew := [2]float64{m.cfg.InputSlew, m.cfg.InputSlew}
+						nomSlew := [2]float64{inputSlew, inputSlew}
 						for e := liberty.Rise; e <= liberty.Fall; e++ {
 							a, s, found := pinEdgeTiming(ct, pin, e, lb.arr, nomSlew, load)
 							if !found {
@@ -396,7 +386,7 @@ func (m *mapper) dp() error {
 							if a > arr[e] {
 								arr[e] = a
 							}
-							if s = math.Min(s, m.cfg.MaxTransition); s > slew[e] {
+							if s = math.Min(s, maxTransition); s > slew[e] {
 								slew[e] = s
 							}
 						}
@@ -410,7 +400,7 @@ func (m *mapper) dp() error {
 						// slew into the arrival approximates propagated-slew
 						// timing without its estimate-noise sensitivity.
 						for e := 0; e < 2; e++ {
-							if over := slew[e] - m.cfg.InputSlew; over > 0 {
+							if over := slew[e] - inputSlew; over > 0 {
 								arr[e] += 0.3 * over
 							}
 						}

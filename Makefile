@@ -55,6 +55,8 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/liberty/ -run XXX -fuzz 'FuzzLibertyRead$$' \
 		-fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/liberty/ -run XXX -fuzz 'FuzzSensitivityFile$$' \
+		-fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./pkg/ageguard/api/ -run XXX -fuzz 'FuzzBatchRequestDecode$$' \
 		-fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/netlist/ -run XXX -fuzz 'FuzzNetlistRead$$' \
@@ -65,11 +67,12 @@ fuzz-smoke:
 # and on a compiled BatchTimer), internal/char's SPICE kernel
 # (ArcTransientINVX1, ArcTransientXOR2X1, CharacterizeINVX1), cache
 # load of a daemon-size library (VerifyCacheFile) and a daemon-size
-# scenario's sensitivities (SensitivitiesAround), and internal/liberty's
-# parser (Read/reference and Read/bytes on a daemon-size library), about
-# 4 s on a warm build cache, so a benchmark that stops running fails
-# verify instead of the next measurement. One iteration measures
-# nothing; time with -benchtime 2s or more.
+# scenario's sensitivities (SensitivitiesAround/perturbed, built from
+# four perturbed libraries, and /file, read from its sensitivity file),
+# and internal/liberty's parser (Read/reference and Read/bytes on a
+# daemon-size library), about 4 s on a warm build cache, so a benchmark
+# that stops running fails verify instead of the next measurement. One
+# iteration measures nothing; time with -benchtime 2s or more.
 bench-smoke:
 	$(GO) test ./internal/sta/ -run XXX -bench . -benchtime 1x
 	$(GO) test ./internal/char/ -run XXX -bench . -benchtime 1x
@@ -112,8 +115,8 @@ chaos:
 
 # faults runs the fault-injection and recovery suite — solver retry
 # ladder, grid-point salvage, checkpoint/resume (flipped checkpoint
-# bytes included), cache corruption, exact scenario cache keys and
-# partial-sweep paths — under the race detector.
+# bytes included), library and sensitivity-file corruption, exact
+# scenario cache keys and partial-sweep paths — under the race detector.
 faults:
 	$(GO) test -race -run 'Fault|Retry|Salvage|Strict|Resume|Ckpt|Corrupt|Sweep|Truncat|Classify|Escalat|Timeout|ScenarioKey' \
 		./internal/spice/ ./internal/char/ ./internal/liberty/ ./internal/obs/

@@ -102,12 +102,12 @@ func auditCacheDir(t *testing.T, dir string) {
 			t.Errorf("partial cache file left behind: %s", e.Name())
 		}
 	}
-	libs, err := char.CacheLibraries(dir)
+	files, err := char.CacheFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range libs {
-		if _, err := char.VerifyCacheFile(p); err != nil {
+	for _, p := range files {
+		if err := char.VerifyFile(p); err != nil {
 			t.Errorf("unquarantined corrupt cache file %s: %v", filepath.Base(p), err)
 		}
 	}

@@ -3,11 +3,13 @@ package char
 import (
 	"context"
 	"math/rand"
+	"os"
 	"testing"
 
 	"ageguard/internal/aging"
 	"ageguard/internal/cells"
 	"ageguard/internal/liberty"
+	"ageguard/internal/obs"
 	"ageguard/internal/units"
 )
 
@@ -23,8 +25,9 @@ import (
 //  3. one cache load of a daemon-size library (VerifyCacheFile), which
 //     warm starts and Monte Carlo fills repeat;
 //  4. the sensitivities of one daemon-size scenario around a held base
-//     (SensitivitiesAround): four cache loads and the interleaving of
-//     every table, the per-scenario cost of a Monte Carlo miss.
+//     (SensitivitiesAround), the per-scenario cost of a Monte Carlo
+//     miss: built from four cache loads, and read from the scenario's
+//     sensitivity file.
 //
 // Run them with go test ./internal/char/ -run XXX -bench .
 // The daemon-level benchmark is perfbench/ (see its README).
@@ -152,13 +155,18 @@ func BenchmarkVerifyCacheFile(b *testing.B) {
 	}
 }
 
-// BenchmarkSensitivitiesAround builds a daemon-size scenario's
+// BenchmarkSensitivitiesAround takes a daemon-size scenario's
 // sensitivities around a base library the caller holds, as an ageguardd
-// Monte Carlo fill does: it loads the four perturbed libraries from the
-// cache and interleaves every base table with its sensitivities. Each
-// perturbed entry is daemonLibrary, written to a temporary directory at
-// the path of its perturbed config, cfg.Perturb.Add(step), so every load
-// hits.
+// Monte Carlo fill does. Each perturbed entry is daemonLibrary, written
+// to a temporary directory at the path of its perturbed config,
+// cfg.Perturb.Add(step), so every load hits.
+//
+//   - perturbed: no sensitivity file, what the first fill of a scenario
+//     costs: the four perturbed loads, the interleaving of every base
+//     table and the file's write. The file is removed, untimed, after
+//     each iteration.
+//   - file: a sensitivity file hit, what every later fill costs: one
+//     read, its checks and the decoding of every table.
 func BenchmarkSensitivitiesAround(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.CacheDir = b.TempDir()
@@ -171,11 +179,43 @@ func BenchmarkSensitivitiesAround(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	for b.Loop() {
+	fill := func(b *testing.B, ctx context.Context) {
 		if _, err := cfg.SensitivitiesAround(ctx, s, base); err != nil {
 			b.Fatal(err)
 		}
 	}
+	// want fails b unless the registry counted n of the named event.
+	want := func(b *testing.B, reg *obs.Registry, name string, n int) {
+		if got := reg.Counter(name).Value(); got != int64(n) {
+			b.Fatalf("%s = %d after %d fills", name, got, n)
+		}
+	}
+	// A b.N loop: b.Loop times from the last StartTimer, so with the
+	// timer stopped in every iteration it would never reach -benchtime.
+	b.Run("perturbed", func(b *testing.B) {
+		reg := obs.NewRegistry()
+		ctx := obs.With(context.Background(), reg)
+		b.ReportAllocs()
+		for range b.N {
+			fill(b, ctx)
+			b.StopTimer()
+			if err := os.Remove(cfg.sensPath(s)); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		want(b, reg, "char.sens.misses", b.N)
+	})
+	b.Run("file", func(b *testing.B) {
+		fill(b, context.Background())
+		reg := obs.NewRegistry()
+		ctx := obs.With(context.Background(), reg)
+		b.ReportAllocs()
+		n := 0
+		for b.Loop() {
+			fill(b, ctx)
+			n++
+		}
+		want(b, reg, "char.sens.hits", n)
+	})
 }

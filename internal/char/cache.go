@@ -61,15 +61,19 @@ func VerifyCacheFile(path string) (*liberty.Library, error) {
 }
 
 // CacheEntries lists the .alib files of cfg.CacheDir that were written
-// under this configuration's hash — one per characterized aging
-// scenario, any lifetime — sorted by name. Files written under other
-// configurations (and non-library files: netlists, checkpoints,
-// quarantined entries) are excluded. An empty CacheDir lists nothing.
+// under this configuration — one per characterized aging scenario, any
+// lifetime — sorted by name. The name decides, before any file is read:
+// it must end in this configuration's cacheTail, after the "_s<exact
+// key>" segment of a current cache stem. Files written under other
+// configurations, entries named before the exact key (which no load
+// reads by name any more) and non-library files (netlists, checkpoints,
+// sensitivity files, quarantined entries) are excluded. An empty
+// CacheDir lists nothing.
 func (cfg Config) CacheEntries() ([]string, error) {
 	if cfg.CacheDir == "" {
 		return nil, nil
 	}
-	suffix := fmt.Sprintf("_h%016x.alib", cfg.Hash())
+	tail := cfg.cacheTail() + ".alib"
 	ents, err := os.ReadDir(cfg.CacheDir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -79,7 +83,8 @@ func (cfg Config) CacheEntries() ([]string, error) {
 	}
 	var out []string
 	for _, e := range ents {
-		if !e.Type().IsRegular() || !strings.HasSuffix(e.Name(), suffix) {
+		stem, ok := strings.CutSuffix(e.Name(), tail)
+		if !e.Type().IsRegular() || !ok || !endsInExactKey(stem) {
 			continue
 		}
 		out = append(out, filepath.Join(cfg.CacheDir, e.Name()))
@@ -87,10 +92,31 @@ func (cfg Config) CacheEntries() ([]string, error) {
 	return out, nil
 }
 
-// CacheLibraries lists every .alib file of dir regardless of the
-// configuration that wrote it — the scrubber's view, which re-verifies
-// whatever is on disk, not only entries the current config would load.
-func CacheLibraries(dir string) ([]string, error) {
+// endsInExactKey reports whether a cache file name, cut before its
+// cacheTail, ends in "_s" and an aging.Scenario.ExactKey: one lowercase
+// hex field of at most 16 digits per scenario field, joined by '_'.
+func endsInExactKey(stem string) bool {
+	i := strings.LastIndex(stem, "_s")
+	if i < 0 {
+		return false
+	}
+	fields := strings.Split(stem[i+2:], "_")
+	if len(fields) != 5 {
+		return false
+	}
+	for _, f := range fields {
+		if f == "" || len(f) > 16 || strings.Trim(f, "0123456789abcdef") != "" {
+			return false
+		}
+	}
+	return true
+}
+
+// CacheFiles lists every library entry (.alib) and sensitivity file of
+// dir regardless of the configuration that wrote it, sorted by name —
+// the scrubber's view, which re-verifies whatever is on disk
+// (VerifyFile), not only files the current config would load.
+func CacheFiles(dir string) ([]string, error) {
 	if dir == "" {
 		return nil, nil
 	}
@@ -103,10 +129,23 @@ func CacheLibraries(dir string) ([]string, error) {
 	}
 	var out []string
 	for _, e := range ents {
-		if !e.Type().IsRegular() || !strings.HasSuffix(e.Name(), ".alib") {
+		n := e.Name()
+		if !e.Type().IsRegular() || !strings.HasSuffix(n, ".alib") && !strings.HasSuffix(n, sensExt) {
 			continue
 		}
-		out = append(out, filepath.Join(dir, e.Name()))
+		out = append(out, filepath.Join(dir, n))
 	}
 	return out, nil
+}
+
+// VerifyFile checks one file CacheFiles lists through the integrity gate
+// of its kind: VerifySensitivityFile for a sensitivity file,
+// VerifyCacheFile for a library entry. Every integrity failure wraps
+// ErrCacheCorrupt.
+func VerifyFile(path string) error {
+	if strings.HasSuffix(path, sensExt) {
+		return VerifySensitivityFile(path)
+	}
+	_, err := VerifyCacheFile(path)
+	return err
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"ageguard/internal/aging"
@@ -88,4 +90,39 @@ func libBytes(t *testing.T, lib *liberty.Library) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// TestScenarioKeyOldNamesNotListed: CacheEntries decides from the name
+// alone. A directory holding a scenario's entry, a copy of it under the
+// name entries had before the exact scenario key (no "_s<exact key>"
+// segment) and the scenario's sensitivity file lists the entry once.
+func TestScenarioKeyOldNamesNotListed(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Cells = []string{"INV_X1"}
+	cfg.CacheDir = t.TempDir()
+	s := aging.WorstCase(10)
+	if _, err := cfg.Characterize(context.Background(), s); err != nil {
+		t.Fatal(err)
+	}
+	path := cfg.cachePath(s)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(path, "_s"+s.ExactKey(), "", 1)
+	if old == path {
+		t.Fatalf("%s has no exact-key segment", path)
+	}
+	for _, p := range []string{old, cfg.sensPath(s)} {
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := cfg.CacheEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(entries, []string{path}) {
+		t.Errorf("CacheEntries = %v, want only %s", entries, path)
+	}
 }

@@ -46,10 +46,11 @@ var (
 	// ErrNoCell reports a Config.Cells entry naming no known cell.
 	ErrNoCell = errors.New("char: no such cell")
 
-	// ErrCacheCorrupt reports an on-disk .alib cache entry that exists
-	// but cannot be parsed. Characterization treats it as a miss and
-	// rebuilds (atomically replacing the bad file), counting the event
-	// under the char.cache.corrupt metric.
+	// ErrCacheCorrupt reports an on-disk .alib cache entry or
+	// sensitivity file that exists but fails its checks. Characterization
+	// and SensitivitiesAround treat it as a miss and rebuild (atomically
+	// replacing the bad file), counting the event under the
+	// char.cache.corrupt or char.sens.corrupt metric.
 	ErrCacheCorrupt = errors.New("char: cache entry corrupt")
 
 	// ErrCanceled aliases conc.ErrCanceled: every error caused by context
@@ -122,9 +123,10 @@ type Config struct {
 	FaultInject func(p Point, attempt int) error
 
 	// CacheFault, when non-nil, is consulted before library-cache and
-	// checkpoint I/O with the operation ("load", "store", "ckpt.load",
-	// "ckpt.store") and the file path; a non-nil return is treated as
-	// that operation's I/O failure. Test seam; production leaves it nil.
+	// checkpoint I/O and sensitivity-file writes with the operation
+	// ("load", "store", "ckpt.load", "ckpt.store", "sens.store") and the
+	// file path; a non-nil return is treated as that operation's I/O
+	// failure. Test seam; production leaves it nil.
 	CacheFault func(op, path string) error
 }
 
@@ -332,20 +334,31 @@ func (cfg Config) Hash() uint64 {
 	return h.Sum64()
 }
 
-// cachePath names the cache entry of scenario s: the library name for
-// readers, the scenario's exact key (the library name rounds the
-// lifetime and duty cycles to one decimal and omits temperature and
-// supply, so distinct scenarios share it), the grid shape, and the
-// configuration hash as the suffix CacheEntries filters on. It is also
-// the flight key and the stem of the checkpoint shards.
+// cachePath names the cache entry of scenario s: its cacheStem and the
+// .alib extension. It is also the flight key.
 func (cfg Config) cachePath(s aging.Scenario) string {
+	return cfg.cacheStem(s) + ".alib"
+}
+
+// cacheStem is the path, without extension, that every cache file of
+// scenario s is named by (its library entry, checkpoint shards and
+// sensitivity file): the library name for readers, "_s" and the
+// scenario's exact key (the library name rounds the lifetime and duty
+// cycles to one decimal and omits temperature and supply, so distinct
+// scenarios share it), then cacheTail.
+func (cfg Config) cacheStem(s aging.Scenario) string {
+	return filepath.Join(cfg.CacheDir, cfg.libName(s)+"_s"+s.ExactKey()+cfg.cacheTail())
+}
+
+// cacheTail ends every cache stem of this configuration: the grid
+// shape, the cell count, the supply and the configuration hash, which
+// CacheEntries filters on.
+func (cfg Config) cacheTail() string {
 	n := len(cfg.Cells)
 	if cfg.Cells == nil {
 		n = 0 // full set marker
 	}
-	fn := fmt.Sprintf("%s_s%s_g%dx%d_c%d_v%g_h%016x.alib",
-		cfg.libName(s), s.ExactKey(), len(cfg.Slews), len(cfg.Loads), n, cfg.Tech.Vdd, cfg.Hash())
-	return filepath.Join(cfg.CacheDir, fn)
+	return fmt.Sprintf("_g%dx%d_c%d_v%g_h%016x", len(cfg.Slews), len(cfg.Loads), n, cfg.Tech.Vdd, cfg.Hash())
 }
 
 // loadCache loads the cached library for s. A nil error means a usable

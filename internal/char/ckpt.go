@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"ageguard/internal/aging"
 	"ageguard/internal/atomicfile"
@@ -29,14 +28,9 @@ import (
 // through the same gate. Once the full .alib lands, the shards are
 // deleted.
 
-// ckptStem is the shared filename prefix of a scenario's shards.
-func (cfg Config) ckptStem(s aging.Scenario) string {
-	return strings.TrimSuffix(cfg.cachePath(s), ".alib")
-}
-
 // ckptPath names the checkpoint shard for one cell of a scenario.
 func (cfg Config) ckptPath(s aging.Scenario, cell string) string {
-	return cfg.ckptStem(s) + ".cell_" + cell + ".ckpt"
+	return cfg.cacheStem(s) + ".cell_" + cell + ".ckpt"
 }
 
 // loadCellCkpt loads a cell's checkpoint shard through the cache's
@@ -106,7 +100,7 @@ func (cfg Config) clearCkpts(s aging.Scenario) {
 	if cfg.CacheDir == "" {
 		return
 	}
-	matches, err := filepath.Glob(cfg.ckptStem(s) + ".cell_*.ckpt")
+	matches, err := filepath.Glob(cfg.cacheStem(s) + ".cell_*.ckpt")
 	if err != nil {
 		return
 	}

@@ -2,6 +2,7 @@ package char
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -27,12 +28,15 @@ import (
 //
 // The sensitivities have one layout, built here once per scenario: each
 // nominal table interleaved with its S_p (liberty.ShiftTable, one
-// liberty.ArcShift per arc). Because NLDM interpolation is linear in the
-// table values, a lookup on a sample's table reads only four shifted
-// grid points, so the Monte Carlo loop (core.MCGuardbandNetlist) never
-// builds it: sta.BatchTimer.BindDeltas shares these tables with every
-// instance of a cell, and sta.DeltaBinding times each sample by shifting
-// just the grid points a lookup reads (liberty.ShiftTable.At).
+// liberty.ArcShift per arc). The built tables go to disk as they are, in
+// the scenario's sensitivity file (sensfile.go), which later fills read
+// instead of the four perturbed libraries. Because NLDM interpolation is
+// linear in the table values, a lookup on a sample's table reads only
+// four shifted grid points, so the Monte Carlo loop
+// (core.MCGuardbandNetlist) never builds it: sta.BatchTimer.BindDeltas
+// shares these tables with every instance of a cell, and
+// sta.DeltaBinding times each sample by shifting just the grid points a
+// lookup reads (liberty.ShiftTable.At).
 // SampleLibrary materializes the same tables (liberty.ShiftTable.Shifted)
 // as a per-sample instance-variant library, the reference the tests and
 // the benchmark's replay compare that loop against. The exact reference
@@ -107,19 +111,21 @@ func (cfg Config) Sensitivities(ctx context.Context, s aging.Scenario) (*Sensiti
 	return cfg.SensitivitiesAround(ctx, s, base)
 }
 
-// SensitivitiesAround characterizes one single-axis perturbed library
-// per variation parameter (four characterizations, all cache-eligible
-// since Config.Perturb enters the cache hash) and interleaves each of
-// base's tables with its finite-difference sensitivities. base must be
-// this configuration's nominal library for s: a caller that holds it,
-// such as ageguardd's library cache, saves loading it again. A base
-// of another scenario or on other axes is rejected, since its tables would
-// not pair grid point for grid point with the perturbed ones, and so is
-// a perturbed library whose arcs have other tables than the base's,
-// since every interleaved table has a sensitivity to each parameter. The
-// perturbed runs execute sequentially — each is internally parallel
-// under cfg.Parallelism, so stacking them would only oversubscribe the
-// simulation limiter.
+// SensitivitiesAround builds the sensitivities of s around base: base's
+// tables interleaved with their finite-difference sensitivities to the
+// four variation parameters. base must be this configuration's nominal
+// library for s: a caller that holds it, such as ageguardd's library
+// cache, saves loading it again. A base of another scenario or on other
+// axes is rejected, since its tables would not pair grid point for grid
+// point with the perturbed ones.
+//
+// The tables come from the scenario's sensitivity file when it holds
+// base's tables (char.sens.hits). Otherwise (char.sens.misses; a file
+// that exists but is rejected also counts char.sens.corrupt) they are
+// built from the four single-axis perturbed libraries (perturbed), and
+// the file is written, unless a perturbed library has salvaged points,
+// so that Strict runs can trust every file. A failed write costs only
+// the next fill's time and is counted under char.sens.store.errors.
 func (cfg Config) SensitivitiesAround(ctx context.Context, s aging.Scenario, base *liberty.Library) (*Sensitivity, error) {
 	ctx, sp := obs.StartSpan(ctx, "char.sensitivities")
 	defer sp.End()
@@ -132,24 +138,62 @@ func (cfg Config) SensitivitiesAround(ctx context.Context, s aging.Scenario, bas
 		return nil, fmt.Errorf("char: sensitivity base %s (%s) on a %dx%d grid is not %s on this config's %dx%d grid",
 			base.Name, base.Scenario.ExactKey(), len(base.Slews), len(base.Loads), s.ExactKey(), len(cfg.Slews), len(cfg.Loads))
 	}
-	var perturbed [numSensParams]*liberty.Library
+	reg := obs.From(ctx)
+	arcs, err := cfg.loadSens(s, base)
+	switch {
+	case err == nil:
+		reg.Counter("char.sens.hits").Inc()
+		sp.SetAttr("sens", "hit")
+		return &Sensitivity{Base: base, arcs: arcs}, nil
+	case errors.Is(err, ErrCacheCorrupt):
+		reg.Counter("char.sens.corrupt").Inc()
+		sp.SetAttr("sens", "corrupt")
+	default:
+		sp.SetAttr("sens", "miss")
+	}
+	reg.Counter("char.sens.misses").Inc()
+	sn, salvaged, err := cfg.perturbed(ctx, s, base)
+	if err != nil {
+		return nil, err
+	}
+	if !salvaged {
+		if err := cfg.storeSens(s, sn); err != nil {
+			reg.Counter("char.sens.store.errors").Inc()
+		}
+	}
+	return sn, nil
+}
+
+// perturbed characterizes one single-axis perturbed library per
+// variation parameter (four characterizations, all cache-eligible since
+// Config.Perturb enters the cache hash) and interleaves each of base's
+// tables with its finite-difference sensitivities; salvaged reports
+// whether a perturbed library has salvaged points. Every interleaved
+// table has a sensitivity to each parameter, so a perturbed library
+// whose arcs have other tables than the base's is rejected. The
+// perturbed runs execute sequentially — each is internally parallel
+// under cfg.Parallelism, so stacking them would only oversubscribe the
+// simulation limiter.
+func (cfg Config) perturbed(ctx context.Context, s aging.Scenario, base *liberty.Library) (sn *Sensitivity, salvaged bool, err error) {
+	var libs [numSensParams]*liberty.Library
 	for p, step := range sensSteps {
 		pcfg := cfg
 		pcfg.Perturb = cfg.Perturb.Add(step)
 		lib, err := pcfg.Characterize(ctx, s)
 		if err != nil {
-			return nil, fmt.Errorf("char: sensitivity step %v: %w", step, err)
+			return nil, false, fmt.Errorf("char: sensitivity step %v: %w", step, err)
 		}
-		perturbed[p] = lib
+		libs[p] = lib
+		salvaged = salvaged || lib.SalvagedPoints() > 0
 	}
 
-	sn := &Sensitivity{Base: base, arcs: make(map[string][]liberty.ArcShift, len(base.Cells))}
+	sn = &Sensitivity{Base: base, arcs: make(map[string][]liberty.ArcShift, len(base.Cells))}
 	for name, ct := range base.Cells {
 		var pcts [numSensParams]*liberty.CellTiming
-		for p, lib := range perturbed {
+		for p, lib := range libs {
 			pct, ok := lib.Cells[name]
 			if !ok || len(pct.Arcs) != len(ct.Arcs) {
-				return nil, fmt.Errorf("char: sensitivity library %d misaligned for cell %s", p, name)
+				return nil, false, fmt.Errorf("char: sensitivity library %d misaligned for cell %s", p, name)
 			}
 			pcts[p] = pct
 		}
@@ -160,11 +204,11 @@ func (cfg Config) SensitivitiesAround(ctx context.Context, s aging.Scenario, bas
 			for p, pct := range pcts {
 				q := &pct.Arcs[ai]
 				if b.Pin != q.Pin || b.Sense != q.Sense {
-					return nil, fmt.Errorf("char: sensitivity arc %d misaligned for cell %s", ai, name)
+					return nil, false, fmt.Errorf("char: sensitivity arc %d misaligned for cell %s", ai, name)
 				}
 				for e := 0; e < 2; e++ {
 					if (q.Delay[e] == nil) != (b.Delay[e] == nil) || (q.OutSlew[e] == nil) != (b.OutSlew[e] == nil) {
-						return nil, fmt.Errorf("char: sensitivity library %d: arc %d of cell %s has other tables than the base's", p, ai, name)
+						return nil, false, fmt.Errorf("char: sensitivity library %d: arc %d of cell %s has other tables than the base's", p, ai, name)
 					}
 					delay[e][p], slew[e][p] = q.Delay[e], q.OutSlew[e]
 				}
@@ -176,7 +220,7 @@ func (cfg Config) SensitivitiesAround(ctx context.Context, s aging.Scenario, bas
 		}
 		sn.arcs[name] = shifts
 	}
-	return sn, nil
+	return sn, salvaged, nil
 }
 
 // InstDraw is one placed instance together with its sampled perturbation:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"maps"
 	"math"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -256,7 +257,9 @@ func TestInterleavedSensitivityByHand(t *testing.T) {
 // exactly the base's tables. SensitivitiesAround rejects a base that
 // lacks a table the perturbed libraries have, and a perturbed library
 // (here a cache entry with one table removed) that lacks a table the
-// base has.
+// base has. The first call wrote the scenario's sensitivity file, which
+// holds no table a base lacks; it is removed before the last call, so
+// that the perturbed libraries are read.
 func TestSensitivitiesAroundRejectsOtherTables(t *testing.T) {
 	cfg := sensConfig(t)
 	ctx := context.Background()
@@ -290,6 +293,9 @@ func TestSensitivitiesAroundRejectsOtherTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := pcfg.storeCache(s, without(pert)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(cfg.sensPath(s)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cfg.SensitivitiesAround(ctx, s, base); err == nil {

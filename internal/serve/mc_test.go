@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -94,11 +96,12 @@ func TestMCGuardbandDeterministicAndMemoized(t *testing.T) {
 
 // TestMCMissReusesResidentBases: once the guardband of a circuit and
 // scenario is warm, its fresh and aged libraries are resident, and a
-// Monte Carlo miss takes its sensitivities around them: it loads only
-// the eight perturbed libraries from the disk cache, so char.cache.hits
-// moves by exactly 8 (ten loads, before the bases were passed in). The
-// reply equals core.Flow.MCGuardbandNetlist's for the same circuit,
-// scenario and seed in all 64 bits of every number.
+// Monte Carlo miss takes its sensitivities around them from the two
+// scenarios' sensitivity files: it loads no library from the disk cache
+// (char.cache.hits stays; eight loads before the files, ten before the
+// bases were passed in) and reads two files (char.sens.hits moves by
+// 2). The reply equals core.Flow.MCGuardbandNetlist's for the same
+// circuit, scenario and seed in all 64 bits of every number.
 func TestMCMissReusesResidentBases(t *testing.T) {
 	cfg := quickConfig(sharedDir(t))
 	s := New(cfg, nil)
@@ -114,14 +117,17 @@ func TestMCMissReusesResidentBases(t *testing.T) {
 	if gb.StatusCode != http.StatusOK {
 		t.Fatalf("guardband status %d", gb.StatusCode)
 	}
-	// A first query puts every perturbed library on disk, so the
-	// measured one finds them all there.
+	// A first query puts both sensitivity files on disk, so the
+	// measured one finds them there.
 	postMC(t, ts.URL, `{"circuit":"RISC-5P","scenario":{"kind":"worst"},"samples":4,"seed":1,"bins":8}`)
-	hits := func() int64 { return s.Registry().Snapshot().Counters["char.cache.hits"] }
-	before := hits()
+	counter := func(name string) int64 { return s.Registry().Snapshot().Counters[name] }
+	libs, files := counter("char.cache.hits"), counter("char.sens.hits")
 	raw := postMC(t, ts.URL, `{"circuit":"RISC-5P","scenario":{"kind":"worst"},"samples":6,"seed":2,"bins":8}`)
-	if d := hits() - before; d != 8 {
-		t.Errorf("a Monte Carlo miss loaded %d libraries from the disk cache, want the 8 perturbed ones", d)
+	if d := counter("char.cache.hits") - libs; d != 0 {
+		t.Errorf("a Monte Carlo miss loaded %d libraries from the disk cache, want none", d)
+	}
+	if d := counter("char.sens.hits") - files; d != 2 {
+		t.Errorf("a Monte Carlo miss read %d sensitivity files, want the fresh and the aged one", d)
 	}
 
 	var got api.MCGuardbandResponse
@@ -165,5 +171,89 @@ func TestMCMissReusesResidentBases(t *testing.T) {
 	}
 	if !slices.Equal(got.Hist.Counts, want.Hist.Counts) {
 		t.Errorf("histogram %v, MCGuardbandNetlist gives %v", got.Hist.Counts, want.Hist.Counts)
+	}
+}
+
+// copyCache copies the regular files of the disk cache src into dst, so
+// a test can damage its own copy.
+func copyCache(t *testing.T, src, dst string) {
+	t.Helper()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.Type().IsRegular() || strings.Contains(e.Name(), ".tmp") {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestScrubQuarantinesCorruptSensitivityFile: one scrub pass quarantines
+// a sensitivity file with a flipped byte. The next Monte Carlo miss
+// builds the scenario's sensitivities from the perturbed libraries again,
+// writes the file back byte for byte, and answers with the reply of a
+// server whose files are intact.
+func TestScrubQuarantinesCorruptSensitivityFile(t *testing.T) {
+	const (
+		first  = `{"circuit":"RISC-5P","scenario":{"kind":"worst"},"samples":4,"seed":11,"bins":8}`
+		second = `{"circuit":"RISC-5P","scenario":{"kind":"worst"},"samples":4,"seed":12,"bins":8}`
+	)
+	ref := New(quickConfig(sharedDir(t)), nil)
+	rts := httptest.NewServer(ref.Handler())
+	defer rts.Close()
+	postMC(t, rts.URL, first)
+	want := postMC(t, rts.URL, second)
+
+	dir := t.TempDir()
+	copyCache(t, sharedDir(t), dir)
+	s := New(quickConfig(dir), nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	postMC(t, ts.URL, first)
+	counter := func(name string) int64 { return s.Registry().Snapshot().Counters[name] }
+	if n := counter("char.sens.hits"); n != 2 {
+		t.Fatalf("char.sens.hits = %d after the first query, want 2", n)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.asens"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("%d sensitivity files, want the fresh and the worst-case one", len(files))
+	}
+	good, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := slices.Clone(good)
+	bad[len(bad)/2] ^= 0x08
+	if err := os.WriteFile(files[0], bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s.scrubPass(context.Background())
+	if n := counter("serve.scrub.quarantined"); n != 1 {
+		t.Errorf("serve.scrub.quarantined = %d, want 1", n)
+	}
+	if _, err := os.Stat(files[0] + quarantineSuffix); err != nil {
+		t.Errorf("the corrupt sensitivity file was not quarantined: %v", err)
+	}
+
+	if got := postMC(t, ts.URL, second); string(got) != string(want) {
+		t.Errorf("reply after the rebuild differs from an intact server's:\ngot  %s\nwant %s", got, want)
+	}
+	if n := counter("char.sens.misses"); n != 1 {
+		t.Errorf("char.sens.misses = %d, want 1 (the quarantined file)", n)
+	}
+	if rebuilt, err := os.ReadFile(files[0]); err != nil || !slices.Equal(rebuilt, good) {
+		t.Errorf("the sensitivity file was not rebuilt byte for byte (%v)", err)
 	}
 }

@@ -14,18 +14,21 @@ import (
 // A daemon killed mid-run loses its in-memory LRU but not the disk
 // caches its characterizations left behind. On boot the warm-start scan
 // walks the library cache directory, verifies every entry written for
-// this config hash (char.VerifyCacheFile: the trailing #SUM checksum,
-// which every entry must carry, then the parser's structural checks)
-// and pre-populates the LRU, so the first repeat query after a restart
+// this config (char.CacheEntries lists them by name, current-form names
+// only; char.VerifyCacheFile checks the trailing #SUM checksum, which
+// every entry must carry, then the parser's structural checks) and
+// pre-populates the LRU, so the first repeat query after a restart
 // is served from the warm path instead of re-characterizing. Files that
 // fail verification, including files whose checksum line is missing or
 // whose marker is damaged, are quarantined — renamed aside with a
 // .corrupt suffix — so the next miss re-characterizes cleanly instead
 // of tripping over the same bad bytes forever. The scrubber repeats the
 // verification sweep periodically to catch corruption that lands while
-// the daemon runs. It sweeps every .alib file of the directory, so it
-// also quarantines files of old config hashes written before the
-// checksum existed, which no current config loads.
+// the daemon runs. It sweeps every .alib file and every Monte Carlo
+// sensitivity file of the directory (char.VerifySensitivityFile: magic,
+// version, value count and checksum), so it also quarantines files of
+// old config hashes written before the checksum existed, which no
+// current config loads.
 //
 // Readiness is split from liveness: /healthz answers as soon as the
 // listener is up (the process is alive), /readyz answers 200 only after
@@ -34,7 +37,8 @@ import (
 
 // quarantineSuffix is appended to cache files that fail verification.
 // The rename takes them out of every cache lookup (nothing matches
-// *.alib any more) while preserving the bytes for post-mortems.
+// *.alib or a sensitivity file's name any more) while preserving the
+// bytes for post-mortems.
 const quarantineSuffix = ".corrupt"
 
 // quarantine moves a corrupt cache file aside and counts it.
@@ -107,14 +111,15 @@ func (s *Server) scrub(ctx context.Context) {
 	}
 }
 
-// scrubPass verifies every .alib file in the cache directory once. It
-// sweeps the whole directory, not just this config's entries: a corrupt
-// file is a corrupt file no matter which config wrote it.
+// scrubPass verifies every library entry and sensitivity file in the
+// cache directory once (char.CacheFiles, char.VerifyFile). It sweeps the
+// whole directory, not just this config's files: a corrupt file is a
+// corrupt file no matter which config wrote it.
 func (s *Server) scrubPass(ctx context.Context) {
 	checked := s.reg.Counter("serve.scrub.checked")
 	quarantined := s.reg.Counter("serve.scrub.quarantined")
 
-	paths, err := char.CacheLibraries(s.cfg.Flow.Char.CacheDir)
+	paths, err := char.CacheFiles(s.cfg.Flow.Char.CacheDir)
 	if err != nil {
 		return
 	}
@@ -123,7 +128,7 @@ func (s *Server) scrubPass(ctx context.Context) {
 			return
 		}
 		checked.Inc()
-		if _, err := char.VerifyCacheFile(p); err != nil {
+		if err := char.VerifyFile(p); err != nil {
 			quarantine(p, quarantined)
 		}
 	}

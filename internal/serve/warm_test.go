@@ -201,6 +201,53 @@ func TestWarmStartQuarantinesCorruptEntry(t *testing.T) {
 	}
 }
 
+// TestWarmStartSkipsOldNamedEntries: a cache directory carried across
+// the exact scenario key holds each library twice, under its current
+// name and under the name it had before (no "_s<exact key>" segment).
+// The warm start scans and loads only the current one.
+func TestWarmStartSkipsOldNamedEntries(t *testing.T) {
+	src := t.TempDir()
+	populateCache(t, src)
+	files := alibFiles(t, src)
+	if len(files) == 0 {
+		t.Fatal("no cached libraries")
+	}
+	name := filepath.Base(files[0])
+	i, j := strings.Index(name, "_s"), strings.Index(name, "_g")
+	if i < 0 || j < i {
+		t.Fatalf("%s has no exact-key segment", name)
+	}
+	old := name[:i] + name[j:]
+	b, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, n := range []string{name, old} {
+		if err := os.WriteFile(filepath.Join(dir, n), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cfg := quickConfig(dir)
+	cfg.WarmStart = true
+	s := New(cfg, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(sctx, ln) }()
+	defer func() { cancel(); <-done }()
+	waitReady(t, client.New("http://"+ln.Addr().String()))
+
+	snap := s.Registry().Snapshot()
+	if scanned, loaded := snap.Counters["serve.warm.scanned"], snap.Counters["serve.warm.loaded"]; scanned != 1 || loaded != 1 {
+		t.Errorf("warm.scanned = %d, warm.loaded = %d, want 1 and 1", scanned, loaded)
+	}
+}
+
 func TestScrubberQuarantinesRottenFile(t *testing.T) {
 	dir := t.TempDir()
 	populateCache(t, dir)

@@ -69,14 +69,19 @@ fuzz-smoke:
 # load of a daemon-size library (VerifyCacheFile) and a daemon-size
 # scenario's sensitivities (SensitivitiesAround/perturbed, built from
 # four perturbed libraries, and /file, read from its sensitivity file),
-# and internal/liberty's parser (Read/reference and Read/bytes on a
-# daemon-size library), about 4 s on a warm build cache, so a benchmark
-# that stops running fails verify instead of the next measurement. One
-# iteration measures nothing; time with -benchtime 2s or more.
+# internal/liberty's parser (Read/reference and Read/bytes on a
+# daemon-size library) and internal/serve's paths query
+# (PathsQuery/within, answered from a resident path list, and /extend,
+# which re-times the circuit), about 6 s on a warm build cache (serve's
+# characterizes its quick-grid libraries into an empty directory), so a
+# benchmark that stops running fails verify instead of the next
+# measurement. One iteration measures nothing; time with -benchtime 2s
+# or more.
 bench-smoke:
 	$(GO) test ./internal/sta/ -run XXX -bench . -benchtime 1x
 	$(GO) test ./internal/char/ -run XXX -bench . -benchtime 1x
 	$(GO) test ./internal/liberty/ -run XXX -bench . -benchtime 1x
+	$(GO) test ./internal/serve/ -run XXX -bench . -benchtime 1x
 
 # cover-gate re-runs the full test suite with a coverage profile and
 # fails if total statement coverage drops below the committed baseline
@@ -96,8 +101,10 @@ cover-gate:
 
 # serve-smoke boots a real ageguardd (quick characterization grid,
 # repo disk cache so repeated local runs stay warm), issues one query
-# per endpoint over HTTP, and fails unless every query succeeds and the
-# drain is clean. Runs as part of verify and in CI.
+# per endpoint over HTTP, and fails unless every query succeeds, a
+# batched k = 2 paths item is the first two paths of the k = 3
+# /v1/paths reply, and the drain is clean. Runs as part of verify and
+# in CI.
 serve-smoke:
 	$(GO) run ./cmd/ageguardd -quick -smoke
 

@@ -17,7 +17,7 @@ import (
 // batch answer is bit-identical to its single-request counterpart by
 // construction and validation exists once. Items run in parallel over
 // internal/conc under the batch's one admission ticket; their
-// libraries, compiled netlists and critical paths come from the same
+// libraries, compiled netlists and path lists come from the same
 // LRU + singleflight as single requests, so items (and concurrent
 // single queries) that share a scenario characterize it once.
 //

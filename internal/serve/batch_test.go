@@ -55,7 +55,8 @@ func worstSc() api.Scenario { return api.Scenario{Kind: "worst", Years: 10} }
 // testBatchItems is the canonical 12-item heterogeneous batch the batch
 // tests share: heavy duplication on purpose, so the count of unique
 // fills (3 libraries: fresh/worst/balance, 1 compiled netlist, 3
-// critical paths, 1 paths response) is far below the item count.
+// timings; the paths items read the worst-case timing) is far below
+// the item count.
 func testBatchItems() []api.BatchItem {
 	gb := func(sc api.Scenario) api.BatchItem {
 		return api.GuardbandItem(api.GuardbandRequest{Circuit: testCircuit, Scenario: sc})
@@ -92,8 +93,8 @@ func TestBatchPlannerDedupes(t *testing.T) {
 	}
 	run()
 	snap := s.reg.Snapshot()
-	if got := snap.Counters["serve.cache.misses"]; got != 8 {
-		t.Errorf("cold batch misses = %d, want 8 (3 libs + 1 compiled netlist + 3 CPs + 1 paths response)", got)
+	if got := snap.Counters["serve.cache.misses"]; got != 7 {
+		t.Errorf("cold batch misses = %d, want 7 (3 libs + 1 compiled netlist + 3 timings)", got)
 	}
 	if got := snap.Counters["serve.batch.items"]; got != 12 {
 		t.Errorf("batch.items = %d, want 12", got)
@@ -101,8 +102,8 @@ func TestBatchPlannerDedupes(t *testing.T) {
 
 	run() // warm repeat: every subproblem must hit
 	snap = s.reg.Snapshot()
-	if got := snap.Counters["serve.cache.misses"]; got != 8 {
-		t.Errorf("warm repeat added misses: %d total, want still 8", got)
+	if got := snap.Counters["serve.cache.misses"]; got != 7 {
+		t.Errorf("warm repeat added misses: %d total, want still 7", got)
 	}
 	if got := snap.Counters["serve.batch.item_errors"]; got != 0 {
 		t.Errorf("batch.item_errors = %d, want 0", got)

@@ -10,11 +10,12 @@ import (
 )
 
 // cache is the daemon's bounded in-memory LRU, keyed by namespaced
-// strings ("lib|...", "nl|...", "cp|...", reply keys), with per-key
+// strings ("lib|...", "nl|...", "timing|...", reply keys), with per-key
 // singleflight: concurrent misses for one key run the fill function
 // once and share its result. Every value is immutable once inserted
-// (libraries, compiled netlists, critical-path delays, replies), so
-// readers share it without a lock.
+// (libraries, compiled netlists, ranked path lists, replies), so
+// readers share it without a lock; a longer path list replaces a
+// resident one whole (see put).
 type cache struct {
 	mu  sync.Mutex
 	max int
@@ -50,36 +51,46 @@ func newCache(max int, reg *obs.Registry) *cache {
 
 // get returns the cached value for key, filling it on miss. Only the
 // singleflight leader runs fill (and counts the miss); callers that
-// joined an in-flight fill count under serve.cache.shared. When the
-// leader dies of its *own* deadline or cancellation while this caller's
-// ctx is still live, conc.Flight hands the fill to this caller instead
-// of failing it with the foreign error — a client with a short deadline
-// must not poison the fill for everyone queued behind it. A leader whose
-// ctx carries a set of failed fills (withFailedFills) in which key
-// already failed returns that error instead of filling again.
+// joined an in-flight fill count under serve.cache.shared (see share).
 func (c *cache) get(ctx context.Context, key string, fill func(context.Context) (any, error)) (any, error) {
 	if v, ok := c.peek(key); ok {
 		return v, nil
 	}
-	led := false
-	v, err := c.flight.Do(ctx, key, func() (any, error) {
-		led = true
-		failed, _ := ctx.Value(failedFillsKey{}).(*sync.Map)
-		if failed != nil {
-			if err, ok := failed.Load(key); ok {
-				return nil, err.(error)
-			}
-		}
+	return c.share(ctx, key, func(ctx context.Context) (any, error) {
 		c.misses.Inc()
 		v, err := fill(ctx)
 		if err != nil {
-			if failed != nil {
-				failed.Store(key, err)
-			}
 			return nil, err
 		}
 		c.put(key, v)
 		return v, nil
+	})
+}
+
+// share runs fill once across concurrent callers of one flight key and
+// hands every caller its result; the callers that joined an in-flight
+// fill count under serve.cache.shared. When the leader dies of its
+// *own* deadline or cancellation while this caller's ctx is still live,
+// conc.Flight hands the fill to this caller instead of failing it with
+// the foreign error — a client with a short deadline must not poison
+// the fill for everyone queued behind it. A leader whose ctx carries a
+// set of failed fills (withFailedFills) in which the flight key already
+// failed returns that error instead of filling again.
+func (c *cache) share(ctx context.Context, flight string, fill func(context.Context) (any, error)) (any, error) {
+	led := false
+	v, err := c.flight.Do(ctx, flight, func() (any, error) {
+		led = true
+		failed, _ := ctx.Value(failedFillsKey{}).(*sync.Map)
+		if failed != nil {
+			if err, ok := failed.Load(flight); ok {
+				return nil, err.(error)
+			}
+		}
+		v, err := fill(ctx)
+		if err != nil && failed != nil {
+			failed.Store(flight, err)
+		}
+		return v, err
 	})
 	if err != nil {
 		return nil, err
@@ -94,28 +105,40 @@ func (c *cache) get(ctx context.Context, key string, fill func(context.Context) 
 // counts like any other; a miss counts nothing — peek callers fall back
 // to the fill path, which attributes the miss to the key it fills.
 func (c *cache) peek(key string) (any, bool) {
+	v, ok := c.lookup(key)
+	if ok {
+		c.hits.Inc()
+	}
+	return v, ok
+}
+
+// lookup is peek without the hit count, for a fill that checks whether
+// a concurrent one already stored what it would.
+func (c *cache) lookup(key string) (any, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
-		c.mu.Unlock()
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	v := el.Value.(*entry).val
-	c.mu.Unlock()
-	c.hits.Inc()
-	return v, true
+	return el.Value.(*entry).val, true
 }
 
 // put inserts (or refreshes) an entry, evicting from the cold end past
-// capacity.
+// capacity. A path list never replaces a longer one: extensions of one
+// timing entry run concurrently, and one that finishes after a longer
+// one's leaves the longer list resident.
 func (c *cache) put(key string, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// The gauge must track every exit path, including the refresh return.
 	defer func() { c.size.Set(float64(c.lenLocked())) }()
 	if el, ok := c.m[key]; ok {
-		el.Value.(*entry).val = v
+		e := el.Value.(*entry)
+		if !shorter(v, e.val) {
+			e.val = v
+		}
 		c.ll.MoveToFront(el)
 		return
 	}

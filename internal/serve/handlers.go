@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"ageguard/internal/aging"
 	"ageguard/internal/core"
@@ -109,12 +110,48 @@ func (s *Server) timer(ctx context.Context, circuit string) (*sta.BatchTimer, er
 	return v.(*sta.BatchTimer), nil
 }
 
-// cp returns the critical-path delay of a circuit under a scenario
-// through the LRU: the fill times the circuit's timer once; warm
-// queries read the stored float.
-func (s *Server) cp(ctx context.Context, circuit string, sc aging.Scenario) (float64, error) {
-	key := "cp|" + circuit + "|" + sc.ExactKey()
-	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
+// timing is one circuit's ranked critical paths under one scenario: the
+// wire-form paths of one sta.BatchTimer.TopPaths call traced for k,
+// most critical first. TopPaths ranks endpoint-edges with a stable sort
+// and traces each on its own, so the K most critical paths are the
+// first K of any longer list, and the first path's DelayS is
+// bit-identical to BatchTimer.CP. Immutable once stored: an extension
+// stores a new value.
+type timing struct {
+	k     int
+	paths []api.Path
+}
+
+// shorter reports whether v and old are path lists and v was traced for
+// fewer paths than old (cache.put keeps old then).
+func shorter(v, old any) bool {
+	t, ok := v.(*timing)
+	o, ok2 := old.(*timing)
+	return ok && ok2 && t.k < o.k
+}
+
+// timing returns a circuit's ranked critical paths under a scenario,
+// at least its k most critical, through one LRU entry per (circuit,
+// scenario): a miss times the circuit and traces k paths, and a
+// resident list shorter than k is extended.
+func (s *Server) timing(ctx context.Context, circuit string, sc aging.Scenario, k int) (*timing, error) {
+	key := "timing|" + circuit + "|" + sc.ExactKey()
+	trace := s.trace(circuit, sc, k)
+	v, err := s.cache.get(ctx, key, trace)
+	if err != nil {
+		return nil, err
+	}
+	if t := v.(*timing); k <= t.k {
+		return t, nil
+	}
+	return s.extend(ctx, key, k, trace)
+}
+
+// trace returns the fill of a timing entry: it times the circuit's
+// compiled netlist under the scenario's library and traces its k most
+// critical paths.
+func (s *Server) trace(circuit string, sc aging.Scenario, k int) func(context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
 		bt, err := s.timer(ctx, circuit)
 		if err != nil {
 			return nil, err
@@ -123,12 +160,64 @@ func (s *Server) cp(ctx context.Context, circuit string, sc aging.Scenario) (flo
 		if err != nil {
 			return nil, err
 		}
-		return bt.CP(ctx, lib)
+		ps, err := bt.TopPaths(ctx, lib, k)
+		if err != nil {
+			return nil, err
+		}
+		return &timing{k: k, paths: wirePaths(ps)}, nil
+	}
+}
+
+// extend re-times the timing entry under key for k paths, once across
+// concurrent callers (a singleflight keyed by the entry and k), counts
+// serve.timing.extensions and stores the longer list in place of the
+// entry's value.
+func (s *Server) extend(ctx context.Context, key string, k int, trace func(context.Context) (any, error)) (*timing, error) {
+	v, err := s.cache.share(ctx, key+"|"+strconv.Itoa(k), func(ctx context.Context) (any, error) {
+		// An extension to k or beyond may have finished since the entry
+		// was read.
+		if v, ok := s.cache.lookup(key); ok && k <= v.(*timing).k {
+			return v, nil
+		}
+		s.reg.Counter("serve.timing.extensions").Inc()
+		v, err := trace(ctx)
+		if err != nil {
+			return nil, err
+		}
+		s.cache.put(key, v)
+		return v, nil
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return v.(float64), nil
+	return v.(*timing), nil
+}
+
+// wirePaths renders sta paths in their wire form.
+func wirePaths(ps []sta.Path) []api.Path {
+	out := make([]api.Path, 0, len(ps))
+	for _, p := range ps {
+		ap := api.Path{
+			Launch:   p.Launch,
+			Endpoint: p.Endpoint,
+			EndEdge:  p.EndEdge.String(),
+			DelayS:   p.Delay,
+			SetupS:   p.Setup,
+		}
+		for _, st := range p.Steps {
+			ap.Steps = append(ap.Steps, api.PathStep{
+				Inst:     st.Inst,
+				Cell:     st.Cell,
+				Pin:      st.Pin,
+				InEdge:   st.InEdge.String(),
+				OutEdge:  st.OutEdge.String(),
+				DelayS:   st.Delay,
+				ArrivalS: st.Arrival,
+			})
+		}
+		out = append(out, ap)
+	}
+	return out
 }
 
 // guardband answers POST /v1/guardband: fresh and aged critical paths
@@ -144,14 +233,15 @@ func (s *Server) guardband(ctx context.Context, req *api.GuardbandRequest) (any,
 	if err != nil {
 		return nil, err
 	}
-	fcp, err := s.cp(ctx, req.Circuit, aging.Fresh())
+	fresh, err := s.timing(ctx, req.Circuit, aging.Fresh(), 1)
 	if err != nil {
 		return nil, fmt.Errorf("fresh analysis: %w", err)
 	}
-	acp, err := s.cp(ctx, req.Circuit, sc)
+	aged, err := s.timing(ctx, req.Circuit, sc, 1)
 	if err != nil {
 		return nil, fmt.Errorf("aged analysis: %w", err)
 	}
+	fcp, acp := fresh.paths[0].DelayS, aged.paths[0].DelayS
 	resp := api.GuardbandResponse{
 		Version:    api.APIVersion,
 		Circuit:    req.Circuit,
@@ -258,7 +348,7 @@ func (s *Server) grid(ctx context.Context, req *api.GridRequest) (any, error) {
 }
 
 // paths answers POST /v1/paths: the K most critical paths of a circuit
-// under a scenario. The traceback result is cached whole, keyed by K.
+// under a scenario, the first K of the (circuit, scenario) timing entry.
 func (s *Server) paths(ctx context.Context, req *api.PathsRequest) (any, error) {
 	if err := checkVersion(req.Version); err != nil {
 		return nil, err
@@ -274,46 +364,10 @@ func (s *Server) paths(ctx context.Context, req *api.PathsRequest) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("paths|%s|%s|%d", req.Circuit, sc.ExactKey(), k)
-	v, err := s.cache.get(ctx, key, func(ctx context.Context) (any, error) {
-		bt, err := s.timer(ctx, req.Circuit)
-		if err != nil {
-			return nil, err
-		}
-		lib, err := s.library(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := bt.TopPaths(ctx, lib, k)
-		if err != nil {
-			return nil, err
-		}
-		resp := api.PathsResponse{Version: api.APIVersion, Circuit: req.Circuit}
-		for _, p := range ps {
-			ap := api.Path{
-				Launch:   p.Launch,
-				Endpoint: p.Endpoint,
-				EndEdge:  p.EndEdge.String(),
-				DelayS:   p.Delay,
-				SetupS:   p.Setup,
-			}
-			for _, st := range p.Steps {
-				ap.Steps = append(ap.Steps, api.PathStep{
-					Inst:     st.Inst,
-					Cell:     st.Cell,
-					Pin:      st.Pin,
-					InEdge:   st.InEdge.String(),
-					OutEdge:  st.OutEdge.String(),
-					DelayS:   st.Delay,
-					ArrivalS: st.Arrival,
-				})
-			}
-			resp.Paths = append(resp.Paths, ap)
-		}
-		return resp, nil
-	})
+	t, err := s.timing(ctx, req.Circuit, sc, k)
 	if err != nil {
 		return nil, err
 	}
-	return v.(api.PathsResponse), nil
+	// A circuit with fewer than k endpoint-edges has fewer than k paths.
+	return api.PathsResponse{Version: api.APIVersion, Circuit: req.Circuit, Paths: t.paths[:min(k, len(t.paths))]}, nil
 }

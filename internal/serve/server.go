@@ -4,18 +4,20 @@
 // a typed client in pkg/ageguard/client.
 //
 // The daemon keeps a bounded in-memory LRU of parsed libraries, one
-// compiled netlist (sta.BatchTimer) per circuit, critical-path delays
-// and whole replies, with per-key singleflight so a herd of identical
-// cold queries characterizes once. A Server has one immutable config
-// and its own LRU, so no key names the config. Admission is a bounded
-// queue: requests beyond the in-flight limit wait in the queue, and
-// requests beyond the queue are rejected immediately with 429 and a
-// Retry-After hint. Every request runs under a deadline that propagates
-// into the per-time-step cancellation checks of the transient solver;
-// an expired deadline reports 504 and leaves no partial cache state
-// (disk caches are written atomically, the in-memory LRU only ever
-// holds completed values). SIGTERM drains: the listener closes, queued
-// and in-flight requests finish, then Run returns.
+// compiled netlist (sta.BatchTimer) per circuit, one ranked path list
+// per circuit and scenario (a guardband reads its first path's delay, a
+// paths query its first K paths) and whole replies, with per-key
+// singleflight so a herd of identical cold queries characterizes once.
+// A Server has one immutable config and its own LRU, so no key names
+// the config. Admission is a bounded queue: requests beyond the
+// in-flight limit wait in the queue, and requests beyond the queue are
+// rejected immediately with 429 and a Retry-After hint. Every request
+// runs under a deadline that propagates into the per-time-step
+// cancellation checks of the transient solver; an expired deadline
+// reports 504 and leaves no partial cache state (disk caches are
+// written atomically, the in-memory LRU only ever holds completed
+// values). SIGTERM drains: the listener closes, queued and in-flight
+// requests finish, then Run returns.
 package serve
 
 import (

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,10 +18,11 @@ import (
 
 // Smoke starts a Server for cfg on a loopback listener, issues one
 // query per endpoint (the six POST /v1 endpoints plus the health,
-// metrics and pprof GETs), asserts every one succeeds, then cancels the
-// serve context and asserts the drain is clean. It is the make
-// serve-smoke / CI gate: a fast end-to-end proof that the daemon comes
-// up, answers every route and shuts down without error.
+// metrics and pprof GETs), asserts every one succeeds and that the
+// batch's k = 2 paths are the first two of the k = 3 paths reply, then
+// cancels the serve context and asserts the drain is clean. It is the
+// make serve-smoke / CI gate: a fast end-to-end proof that the daemon
+// comes up, answers every route and shuts down without error.
 func Smoke(ctx context.Context, cfg Config, lg *log.Logger) error {
 	const circuit = "RISC-5P" // the benchmark circuit every query names
 	if cfg.DrainGrace <= 0 {
@@ -88,6 +91,7 @@ func Smoke(ctx context.Context, cfg Config, lg *log.Logger) error {
 		}
 	}
 
+	var top3 []api.Path // the paths check's reply, which the batch's k = 2 item must begin
 	checks := []struct {
 		name string
 		fn   func() error
@@ -135,9 +139,10 @@ func Smoke(ctx context.Context, cfg Config, lg *log.Logger) error {
 			if err != nil {
 				return err
 			}
-			if len(resp.Paths) == 0 {
-				return fmt.Errorf("no paths")
+			if len(resp.Paths) != 3 {
+				return fmt.Errorf("%d paths, want 3", len(resp.Paths))
 			}
+			top3 = resp.Paths
 			return nil
 		}},
 		{"grid", func() error {
@@ -179,6 +184,21 @@ func Smoke(ctx context.Context, cfg Config, lg *log.Logger) error {
 			}
 			if dup := resp.Items[3].Guardband; dup == nil || *dup != *gb {
 				return fmt.Errorf("duplicate guardband item %+v differs from %+v", dup, gb)
+			}
+			ps := resp.Items[2].Paths
+			if ps == nil {
+				return fmt.Errorf("paths item carries no paths")
+			}
+			got, err := json.Marshal(ps.Paths)
+			if err != nil {
+				return err
+			}
+			want, err := json.Marshal(top3[:2])
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, want) {
+				return fmt.Errorf("batched k = 2 paths are not the first two of the k = 3 reply")
 			}
 			return nil
 		}},

@@ -122,8 +122,11 @@ chaos:
 
 # faults runs the fault-injection and recovery suite — solver retry
 # ladder, grid-point salvage, checkpoint/resume (flipped checkpoint
-# bytes included), library and sensitivity-file corruption, exact
-# scenario cache keys and partial-sweep paths — under the race detector.
+# bytes included), the cache files' seal (every flipped byte and every
+# truncation, text and binary), library, sensitivity-file and netlist
+# corruption, exact scenario cache keys and partial-sweep paths — under
+# the race detector.
 faults:
 	$(GO) test -race -run 'Fault|Retry|Salvage|Strict|Resume|Ckpt|Corrupt|Sweep|Truncat|Classify|Escalat|Timeout|ScenarioKey' \
-		./internal/spice/ ./internal/char/ ./internal/liberty/ ./internal/obs/
+		./internal/spice/ ./internal/char/ ./internal/liberty/ ./internal/obs/ \
+		./internal/atomicfile/ ./internal/core/

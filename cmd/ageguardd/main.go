@@ -17,9 +17,10 @@
 // completes and again while draining), /metrics (text), /metrics.json,
 // /debug/pprof.
 //
-// Queries answer from a bounded in-memory LRU of parsed libraries,
-// synthesized netlists and compiled STA engines; concurrent identical
-// cold queries characterize once (singleflight). Past the admission
+// Queries answer from a bounded in-memory LRU of parsed libraries, one
+// compiled timer per circuit, one ranked path list per (circuit,
+// scenario) and replies; concurrent identical cold queries characterize
+// once (singleflight). Past the admission
 // queue the daemon sheds load with 429 + Retry-After. Every request
 // runs under -req-timeout, which propagates into the transient solver's
 // per-time-step cancellation checks; expiry reports 504 and leaves no

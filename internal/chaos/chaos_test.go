@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/chaos"
 	"ageguard/internal/char"
 	"ageguard/internal/core"
@@ -90,7 +91,8 @@ func waitReady(t *testing.T, cl *client.Client) {
 }
 
 // auditCacheDir fails the test if dir holds a partially-written temp
-// file or an unquarantined cache entry that fails verification.
+// file or an unquarantined cache file (char.CacheFiles) whose seal is
+// broken.
 func auditCacheDir(t *testing.T, dir string) {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
@@ -107,7 +109,7 @@ func auditCacheDir(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, p := range files {
-		if err := char.VerifyFile(p); err != nil {
+		if _, err := atomicfile.ReadSealed(p); err != nil {
 			t.Errorf("unquarantined corrupt cache file %s: %v", filepath.Base(p), err)
 		}
 	}

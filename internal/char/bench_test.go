@@ -136,8 +136,8 @@ func daemonLibrary(cfg Config, s aging.Scenario) *liberty.Library {
 }
 
 // BenchmarkVerifyCacheFile loads a daemon-size cache entry end to end —
-// read, checksum, parse — as the cache loader, the warm start and the
-// scrubber do. The entry (daemonLibrary over DefaultConfig's 7×7 grid)
+// read, seal, parse — as the cache loader and the warm start do. The
+// entry (daemonLibrary over DefaultConfig's 7×7 grid)
 // is written to a temporary directory, not the repository cache.
 func BenchmarkVerifyCacheFile(b *testing.B) {
 	cfg := DefaultConfig()

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/liberty"
 )
 
@@ -31,33 +32,33 @@ func CachedConfig() Config {
 	return cfg
 }
 
-// VerifyCacheFile loads one on-disk .alib entry end to end: it reads
-// the whole file, verifies its trailing fnv64a checksum and parses the
-// library. The checksum is mandatory: every entry under a current
-// config hash was written by liberty.WriteSummed, so a file whose #SUM
-// line is missing or whose marker is damaged is corrupt, not legacy.
-// Every integrity failure — a missing or bad checksum, a truncation, an
-// unparseable body — wraps ErrCacheCorrupt; a missing file wraps
-// fs.ErrNotExist. It is the shared integrity gate of the
-// characterization cache loader and of ageguardd's warm-start scan and
-// background scrubber.
+// VerifyCacheFile loads one on-disk library entry or checkpoint shard
+// end to end: it reads the whole file under its seal (readSealed) and
+// parses the library. Every integrity failure — a broken seal (any
+// flipped byte, any truncation) or an unparseable body — wraps
+// ErrCacheCorrupt; a missing file wraps fs.ErrNotExist. It is the
+// integrity gate of the characterization cache loader and of ageguardd's
+// warm-start scan.
 func VerifyCacheFile(path string) (*liberty.Library, error) {
-	data, err := os.ReadFile(path)
+	body, err := readSealed(path)
 	if err != nil {
 		return nil, err
 	}
-	summed, err := liberty.VerifySummed(data)
-	if err == nil && !summed {
-		err = errors.New("no checksum line")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCacheCorrupt, path, err)
-	}
-	lib, err := liberty.Parse(data)
+	lib, err := liberty.Parse(body)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCacheCorrupt, path, err)
 	}
 	return lib, nil
+}
+
+// readSealed reads a cache file and returns its bytes before the seal
+// (atomicfile.ReadSealed). A broken seal wraps ErrCacheCorrupt.
+func readSealed(path string) ([]byte, error) {
+	body, err := atomicfile.ReadSealed(path)
+	if errors.Is(err, atomicfile.ErrCorrupt) {
+		err = fmt.Errorf("%w: %w", ErrCacheCorrupt, err)
+	}
+	return body, err
 }
 
 // CacheEntries lists the .alib files of cfg.CacheDir that were written
@@ -112,10 +113,11 @@ func endsInExactKey(stem string) bool {
 	return true
 }
 
-// CacheFiles lists every library entry (.alib) and sensitivity file of
-// dir regardless of the configuration that wrote it, sorted by name —
-// the scrubber's view, which re-verifies whatever is on disk
-// (VerifyFile), not only files the current config would load.
+// CacheFiles lists every library entry (.alib), sensitivity file and
+// netlist (.netl) of dir regardless of the configuration that wrote it,
+// sorted by name: the scrubber's view. Every file it lists is sealed
+// (atomicfile.WriteSealed), so a file whose bytes changed after they
+// were written fails atomicfile.ReadSealed, whichever config or kind.
 func CacheFiles(dir string) ([]string, error) {
 	if dir == "" {
 		return nil, nil
@@ -130,22 +132,9 @@ func CacheFiles(dir string) ([]string, error) {
 	var out []string
 	for _, e := range ents {
 		n := e.Name()
-		if !e.Type().IsRegular() || !strings.HasSuffix(n, ".alib") && !strings.HasSuffix(n, sensExt) {
-			continue
+		if ext := filepath.Ext(n); e.Type().IsRegular() && (ext == ".alib" || ext == sensExt || ext == ".netl") {
+			out = append(out, filepath.Join(dir, n))
 		}
-		out = append(out, filepath.Join(dir, n))
 	}
 	return out, nil
-}
-
-// VerifyFile checks one file CacheFiles lists through the integrity gate
-// of its kind: VerifySensitivityFile for a sensitivity file,
-// VerifyCacheFile for a library entry. Every integrity failure wraps
-// ErrCacheCorrupt.
-func VerifyFile(path string) error {
-	if strings.HasSuffix(path, sensExt) {
-		return VerifySensitivityFile(path)
-	}
-	_, err := VerifyCacheFile(path)
-	return err
 }

@@ -362,9 +362,9 @@ func (cfg Config) cacheTail() string {
 }
 
 // loadCache loads the cached library for s. A nil error means a usable
-// hit. Misses wrap fs.ErrNotExist; entries that exist but fail the
-// trailing checksum or fail to parse wrap ErrCacheCorrupt (the caller
-// rebuilds and atomically replaces them).
+// hit. Misses wrap fs.ErrNotExist; entries that exist but fail their
+// seal or fail to parse wrap ErrCacheCorrupt (the caller rebuilds and
+// atomically replaces them).
 func (cfg Config) loadCache(s aging.Scenario) (*liberty.Library, error) {
 	if cfg.CacheDir == "" {
 		return nil, fmt.Errorf("char: cache disabled: %w", fs.ErrNotExist)
@@ -408,11 +408,11 @@ func (cfg Config) loadCache(s aging.Scenario) (*liberty.Library, error) {
 	return lib, nil
 }
 
-// storeCache writes the library atomically (atomicfile.Write), so
-// concurrent writers — e.g. distinct processes sharing one cache dir,
-// which the in-process singleflight cannot see — never clobber each
-// other's half-written data, and an interrupted run never leaves a
-// partial cache entry behind.
+// storeCache writes the library sealed and atomically
+// (atomicfile.WriteSealed), so concurrent writers — e.g. distinct
+// processes sharing one cache dir, which the in-process singleflight
+// cannot see — never clobber each other's half-written data, and an
+// interrupted run never leaves a partial cache entry behind.
 func (cfg Config) storeCache(s aging.Scenario, lib *liberty.Library) error {
 	if cfg.CacheDir == "" {
 		return nil
@@ -423,7 +423,7 @@ func (cfg Config) storeCache(s aging.Scenario, lib *liberty.Library) error {
 			return err
 		}
 	}
-	return atomicfile.Write(path, func(w io.Writer) error { return liberty.WriteSummed(w, lib) })
+	return atomicfile.WriteSealed(path, func(w io.Writer) error { return liberty.Write(w, lib) })
 }
 
 // progress serializes Config.Progress invocations under parallelism: the

@@ -24,9 +24,8 @@ import (
 // a shard characterized under one grid/model/cell-set can never be resumed
 // into a library built under another — and are written with the same
 // atomic temp+rename discipline, so a shard either exists completely or
-// not at all. They carry the .alib entries' trailing checksum and load
-// through the same gate. Once the full .alib lands, the shards are
-// deleted.
+// not at all. They are sealed like the .alib entries and load through
+// the same gate. Once the full .alib lands, the shards are deleted.
 
 // ckptPath names the checkpoint shard for one cell of a scenario.
 func (cfg Config) ckptPath(s aging.Scenario, cell string) string {
@@ -36,9 +35,9 @@ func (cfg Config) ckptPath(s aging.Scenario, cell string) string {
 // loadCellCkpt loads a cell's checkpoint shard through the cache's
 // integrity gate (VerifyCacheFile), so a shard whose bytes changed after
 // it was written is never resumed into a library that the final .alib's
-// checksum would then seal. A nil error means a usable hit. Misses wrap
-// fs.ErrNotExist; shards that exist but fail the checksum, cannot be
-// parsed or lack the cell wrap ErrCacheCorrupt.
+// seal would then cover. A nil error means a usable hit. Misses wrap
+// fs.ErrNotExist; shards that exist but fail the seal, cannot be parsed
+// or lack the cell wrap ErrCacheCorrupt.
 func (cfg Config) loadCellCkpt(s aging.Scenario, cell string) (*liberty.CellTiming, error) {
 	if cfg.CacheDir == "" {
 		return nil, fmt.Errorf("char: cache disabled: %w", fs.ErrNotExist)
@@ -70,9 +69,9 @@ func (cfg Config) loadCellCkpt(s aging.Scenario, cell string) (*liberty.CellTimi
 	return ct, nil
 }
 
-// storeCellCkpt persists one completed cell as a single-cell library with
-// the trailing checksum (liberty.WriteSummed), atomically (unique temp
-// file + rename, removed on every error path).
+// storeCellCkpt persists one completed cell as a single-cell library,
+// sealed and atomically (atomicfile.WriteSealed: unique temp file +
+// rename, removed on every error path).
 func (cfg Config) storeCellCkpt(s aging.Scenario, ct *liberty.CellTiming) error {
 	if cfg.CacheDir == "" {
 		return nil
@@ -91,7 +90,7 @@ func (cfg Config) storeCellCkpt(s aging.Scenario, ct *liberty.CellTiming) error 
 		Loads:    append([]float64(nil), cfg.Loads...),
 		Cells:    map[string]*liberty.CellTiming{ct.Name: ct},
 	}
-	return atomicfile.Write(path, func(w io.Writer) error { return liberty.WriteSummed(w, lib) })
+	return atomicfile.WriteSealed(path, func(w io.Writer) error { return liberty.Write(w, lib) })
 }
 
 // clearCkpts removes a scenario's checkpoint shards (best effort): once

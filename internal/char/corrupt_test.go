@@ -1,26 +1,26 @@
 package char
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/liberty"
 	"ageguard/internal/obs"
 )
 
 // TestTruncatedCacheDetected truncates a valid .alib cache entry at every
-// byte boundary and asserts no truncation that loses library data loads
-// successfully. Prefixes cut before the ENDLIB terminator lost data and
-// must report ErrCacheCorrupt (the serializer's mandatory terminator
-// makes this exhaustive). Prefixes cut inside the trailing checksum line
-// hold the complete library: they must either load (marker gone, data
-// whole) or report corrupt (marker present, digest unverifiable) — never
-// anything else. A final round-trip verifies a truncated entry is
-// rebuilt atomically.
+// byte boundary and asserts that every proper prefix, the one missing
+// only the final newline included, reports ErrCacheCorrupt: the seal
+// must be the file's last line, whole. A final round-trip verifies a
+// truncated entry is rebuilt atomically.
 func TestTruncatedCacheDetected(t *testing.T) {
 	dir := t.TempDir()
 	cfg := TestConfig()
@@ -39,28 +39,16 @@ func TestTruncatedCacheDetected(t *testing.T) {
 	if endlibEnd < 0 {
 		t.Fatalf("unexpected cache serialization (%d bytes): no ENDLIB", len(full))
 	}
-	endlibEnd += len("ENDLIB\n")
-	lastLine := string(full[endlibEnd:])
-	if !strings.HasPrefix(lastLine, "#SUM fnv64a ") {
-		t.Fatalf("cache entry does not end with a checksum line (got %q)", lastLine)
+	if lastLine := string(full[endlibEnd+len("ENDLIB\n"):]); !strings.HasPrefix(lastLine, "#SUM fnv64a ") {
+		t.Fatalf("cache entry does not end with its seal (got %q)", lastLine)
 	}
 
-	for n := 0; n < len(full)-1; n++ {
+	for n := range len(full) {
 		if err := os.WriteFile(path, full[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, lerr := cfg.loadCache(s)
-		// n == endlibEnd-1 keeps "ENDLIB" and drops only its newline: the
-		// scanner still yields the final line, so the data is complete.
-		if n < endlibEnd-1 {
-			// Library data is missing: must be corrupt.
-			if !errors.Is(lerr, ErrCacheCorrupt) {
-				t.Fatalf("truncation at byte %d/%d: got %v, want ErrCacheCorrupt", n, len(full), lerr)
-			}
-		} else if lerr != nil && !errors.Is(lerr, ErrCacheCorrupt) {
-			// Cut inside the checksum line: the library is complete, so a
-			// load is acceptable, as is corrupt — but nothing else.
-			t.Fatalf("checksum-line truncation at byte %d/%d: got %v", n, len(full), lerr)
+		if _, err := cfg.loadCache(s); !errors.Is(err, ErrCacheCorrupt) {
+			t.Fatalf("truncation at byte %d/%d: got %v, want ErrCacheCorrupt", n, len(full), err)
 		}
 	}
 
@@ -94,11 +82,11 @@ func TestTruncatedCacheDetected(t *testing.T) {
 	}
 }
 
-// TestCacheChecksumRequired: a cache entry whose #SUM marker is damaged
-// or missing is corrupt, not a legacy file, even though its library
-// data is intact: one flipped marker byte would otherwise switch off
-// checksum protection for the life of the file. Characterize counts it
-// under char.cache.corrupt and rebuilds a byte-identical entry.
+// TestCacheChecksumRequired: a cache entry whose seal is missing or has
+// a damaged #SUM marker is corrupt, not a legacy file, even though its
+// library data is intact: one flipped marker byte would otherwise switch
+// off the seal for the life of the file. Characterize counts it under
+// char.cache.corrupt and rebuilds a byte-identical entry.
 func TestCacheChecksumRequired(t *testing.T) {
 	dir := t.TempDir()
 	cfg := TestConfig()
@@ -148,5 +136,54 @@ func TestCacheChecksumRequired(t *testing.T) {
 	}
 	if string(rebuilt) != string(full) {
 		t.Error("rebuilt cache entry differs from the original serialization")
+	}
+}
+
+// summedFormat is the format every library cache entry and checkpoint
+// shard has been written in, spelled out independently of the writer:
+// liberty.Write's bytes, then "#SUM fnv64a", their fnv64a as 16 lowercase
+// hex digits and a newline.
+func summedFormat(t *testing.T, lib *liberty.Library) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := liberty.Write(&buf, lib); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	fmt.Fprintf(&buf, "#SUM fnv64a %016x\n", h.Sum64())
+	return buf.Bytes()
+}
+
+// TestSealedCacheFilesKeepTheirFormat: a library entry and a checkpoint
+// shard are written byte for byte in the format cache files have always
+// had (summedFormat), so a cache directory written before the seal moved
+// into atomicfile loads without re-characterization, and one written now
+// loads in older builds.
+func TestSealedCacheFilesKeepTheirFormat(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Cells = []string{"INV_X1"}
+	cfg.CacheDir = t.TempDir()
+	s := aging.WorstCase(10)
+	lib, err := cfg.Characterize(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.storeCellCkpt(s, lib.MustCell("INV_X1")); err != nil {
+		t.Fatal(err)
+	}
+	shard, err := VerifyCacheFile(cfg.ckptPath(s, "INV_X1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, lib := range map[string]*liberty.Library{cfg.cachePath(s): lib, cfg.ckptPath(s, "INV_X1"): shard} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := summedFormat(t, lib); !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes ending in %q, want %d bytes ending in %q",
+				filepath.Base(path), len(got), got[max(0, len(got)-29):], len(want), want[len(want)-29:])
+		}
 	}
 }

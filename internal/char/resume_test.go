@@ -143,9 +143,9 @@ func TestResumeCorruptShard(t *testing.T) {
 
 // TestCkptDigitFlipResimulated: a shard whose bytes changed after it was
 // written — one table digit flipped, which still parses — fails its
-// checksum, counts as corrupt and is simulated again, so the resumed
-// library is byte-identical to an uninterrupted run instead of carrying
-// the flipped value under the final entry's checksum.
+// seal, counts as corrupt and is simulated again, so the resumed library
+// is byte-identical to an uninterrupted run instead of carrying the
+// flipped value under the final entry's seal.
 func TestCkptDigitFlipResimulated(t *testing.T) {
 	cells := []string{"INV_X1", "NAND2_X1"}
 	s := aging.WorstCase(10)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 
 	"ageguard/internal/aging"
 	"ageguard/internal/atomicfile"
@@ -36,45 +35,26 @@ func (cfg Config) sensPath(s aging.Scenario) string {
 	return fmt.Sprintf("%s_sens%d%s", cfg.cacheStem(s), sensVersion, sensExt)
 }
 
-// VerifySensitivityFile checks one sensitivity file without a base
-// library: its magic and format version, its value count and its
-// trailing fnv64a checksum (liberty.VerifyShifts). Every integrity
-// failure wraps ErrCacheCorrupt; a missing file wraps fs.ErrNotExist. It
-// is the integrity gate of the sensitivity loader, of ageguardd's
-// scrubber and of the chaos suite's cache audit.
-func VerifySensitivityFile(path string) error {
-	_, err := readSensitivityFile(path)
-	return err
-}
-
-// readSensitivityFile reads and verifies one sensitivity file.
-func readSensitivityFile(path string) (liberty.ShiftFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return liberty.ShiftFile{}, err
-	}
-	f, err := liberty.VerifyShifts(data)
-	if err != nil {
-		return liberty.ShiftFile{}, fmt.Errorf("%w: %s: %v", ErrCacheCorrupt, path, err)
-	}
-	return f, nil
-}
-
 // loadSens reads the interleaved tables of s around base from its
 // sensitivity file. A nil error means a usable hit. Misses wrap
-// fs.ErrNotExist; a file that fails VerifySensitivityFile, or whose
-// tables are not base's (another count, or a base value with other
-// bits), wraps ErrCacheCorrupt.
+// fs.ErrNotExist; a file whose seal is broken, whose header fails
+// liberty.VerifyShifts (magic, format version, value count) or whose
+// tables are not base's (another count, or a base value with other bits)
+// wraps ErrCacheCorrupt.
 func (cfg Config) loadSens(s aging.Scenario, base *liberty.Library) (map[string][]liberty.ArcShift, error) {
 	if cfg.CacheDir == "" {
 		return nil, fmt.Errorf("char: cache disabled: %w", fs.ErrNotExist)
 	}
 	path := cfg.sensPath(s)
-	f, err := readSensitivityFile(path)
+	body, err := readSealed(path)
 	if err != nil {
 		return nil, err
 	}
-	arcs, err := f.Tables(base)
+	f, err := liberty.VerifyShifts(body)
+	var arcs map[string][]liberty.ArcShift
+	if err == nil {
+		arcs, err = f.Tables(base)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCacheCorrupt, path, err)
 	}
@@ -82,7 +62,7 @@ func (cfg Config) loadSens(s aging.Scenario, base *liberty.Library) (map[string]
 }
 
 // storeSens writes the sensitivity file of sn, the sensitivities of s,
-// atomically (atomicfile.Write).
+// atomically and sealed (atomicfile.WriteSealed).
 func (cfg Config) storeSens(s aging.Scenario, sn *Sensitivity) error {
 	if cfg.CacheDir == "" {
 		return nil
@@ -97,7 +77,7 @@ func (cfg Config) storeSens(s aging.Scenario, sn *Sensitivity) error {
 	if err != nil {
 		return err
 	}
-	return atomicfile.Write(path, func(w io.Writer) error {
+	return atomicfile.WriteSealed(path, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})

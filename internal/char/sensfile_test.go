@@ -6,10 +6,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"io"
 	"os"
 	"testing"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/device"
 	"ageguard/internal/liberty"
 	"ageguard/internal/obs"
@@ -65,10 +67,11 @@ func TestSensitivityFileExactBits(t *testing.T) {
 
 // TestSensitivityFileCorruptRebuilt: a sensitivity file that is
 // truncated, has a flipped byte, has another format version (under a
-// right checksum) or was taken around another base (the fresh
-// scenario's file under the worst case's name) is rejected. The fill
-// counts char.sens.corrupt and a miss, builds the tables from the
-// perturbed libraries and replaces the file with the bytes it had.
+// right seal), is in format version 1 (its own binary checksum, no seal)
+// or was taken around another base (the fresh scenario's file under the
+// worst case's name) is rejected. The fill counts char.sens.corrupt and
+// a miss, builds the tables from the perturbed libraries and replaces
+// the file with the bytes it had.
 func TestSensitivityFileCorruptRebuilt(t *testing.T) {
 	cfg := sensConfig(t)
 	ctx := context.Background()
@@ -94,11 +97,24 @@ func TestSensitivityFileCorruptRebuilt(t *testing.T) {
 	}
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)/2] ^= 0x01
-	version := bytes.Clone(good)
+	body, err := atomicfile.ReadSealed(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := bytes.Clone(body)
 	version[len("AGSHIFT")]++ // the format version byte after the magic
+	sealed := func(b []byte) []byte {
+		var buf bytes.Buffer
+		if err := atomicfile.Seal(&buf, func(w io.Writer) error { _, err := w.Write(b); return err }); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	v1 := bytes.Clone(body)
+	v1[len("AGSHIFT")] = 1
 	h := fnv.New64a()
-	h.Write(version[:len(version)-8])
-	binary.LittleEndian.PutUint64(version[len(version)-8:], h.Sum64())
+	h.Write(v1)
+	v1 = binary.LittleEndian.AppendUint64(v1, h.Sum64())
 
 	for _, c := range []struct {
 		name string
@@ -106,7 +122,8 @@ func TestSensitivityFileCorruptRebuilt(t *testing.T) {
 	}{
 		{"truncated", good[:len(good)/2]},
 		{"bit-flipped", flipped},
-		{"wrong version", version},
+		{"wrong version", sealed(version)},
+		{"format version 1", v1},
 		{"other base", otherBase},
 	} {
 		if err := os.WriteFile(path, c.data, 0o644); err != nil {
@@ -167,7 +184,7 @@ func TestSensitivityFileSkippedWhenSalvaged(t *testing.T) {
 	if _, err := strict.SensitivitiesAround(ctx, s, base); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifySensitivityFile(path); err != nil {
+	if _, err := strict.loadSens(s, base); err != nil {
 		t.Fatalf("no sensitivity file after a Strict fill: %v", err)
 	}
 }

@@ -15,11 +15,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 
 	"ageguard/internal/aging"
@@ -100,7 +102,9 @@ func Benchmark(name string) (*logic.AIG, error) {
 // Synthesized synthesizes the named benchmark with the given
 // library, using the disk cache when Char.CacheDir is set. The run is
 // traced under a "core.synthesized" span; cache outcomes count under
-// core.netlist.cache.hits / core.netlist.cache.misses.
+// core.netlist.cache.hits / .misses, and a cached netlist that fails its
+// seal or netlist.Read also under .corrupt (it is synthesized again and
+// replaced).
 func (f Flow) Synthesized(ctx context.Context, circuit string, lib *liberty.Library) (*netlist.Netlist, error) {
 	ctx, sp := obs.StartSpan(ctx, "core.synthesized")
 	defer sp.End()
@@ -108,19 +112,21 @@ func (f Flow) Synthesized(ctx context.Context, circuit string, lib *liberty.Libr
 	sp.SetAttr("lib", lib.Name)
 	reg := obs.From(ctx)
 	path := f.netlistCachePath(circuit, lib)
+	outcome := "miss"
 	if path != "" {
-		if fh, err := os.Open(path); err == nil {
-			nl, err := netlist.Read(fh)
-			fh.Close()
-			if err == nil {
-				reg.Counter("core.netlist.cache.hits").Inc()
-				sp.SetAttr("cache", "hit")
-				return nl, nil
-			}
+		nl, err := loadNetlist(path)
+		if err == nil {
+			reg.Counter("core.netlist.cache.hits").Inc()
+			sp.SetAttr("cache", "hit")
+			return nl, nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			reg.Counter("core.netlist.cache.corrupt").Inc()
+			outcome = "corrupt"
 		}
 	}
 	reg.Counter("core.netlist.cache.misses").Inc()
-	sp.SetAttr("cache", "miss")
+	sp.SetAttr("cache", outcome)
 	a, err := Benchmark(circuit)
 	if err != nil {
 		return nil, err
@@ -132,11 +138,21 @@ func (f Flow) Synthesized(ctx context.Context, circuit string, lib *liberty.Libr
 	// Written atomically, so concurrent experiment legs synthesizing the
 	// same (circuit, library) never observe or produce a torn entry.
 	if path != "" {
-		if err := atomicfile.Write(path, func(w io.Writer) error { return netlist.Write(w, nl) }); err != nil {
+		if err := atomicfile.WriteSealed(path, func(w io.Writer) error { return netlist.Write(w, nl) }); err != nil {
 			return nil, fmt.Errorf("core: caching netlist %s: %w", path, err)
 		}
 	}
 	return nl, nil
+}
+
+// loadNetlist reads a cached netlist under its seal. The netlist does
+// not alias the file's bytes: netlist.Read copies every name it keeps.
+func loadNetlist(path string) (*netlist.Netlist, error) {
+	body, err := atomicfile.ReadSealed(path)
+	if err != nil {
+		return nil, err
+	}
+	return netlist.Read(bytes.NewReader(body))
 }
 
 // synthConfig is the effective synthesis configuration: the flow's synth

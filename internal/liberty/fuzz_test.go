@@ -2,6 +2,7 @@ package liberty
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -89,6 +90,9 @@ func FuzzLibertyRead(f *testing.F) {
 	// Line ends and spacing the two readers must treat alike.
 	f.Add(bytes.ReplaceAll(seed, []byte("\n"), []byte("\r\n")))
 	f.Add([]byte("\t LIBRARY \v l\f\r\n  # note\n\nENDLIB"))
+	// A cell without an output, which Write would serialize as a short
+	// OUTPUT line (found by this fuzzer).
+	f.Add([]byte(cellWithoutOutput))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := Read(bytes.NewReader(data))
 		if !hasHighBytes(data) {
@@ -134,6 +138,31 @@ func TestFuzzSeedParses(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader("garbage\n")); err == nil {
 		t.Error("garbage parsed")
+	}
+}
+
+// cellWithoutOutput holds a cell whose OUTPUT line a bare '\r' joined
+// onto its CELL header, whose extra fields both readers ignore.
+const cellWithoutOutput = "LIBRARY x\nCELL INV_X1 INV 1 0.5\rOUTPUT ZN\nINPUTS A\nENDCELL\nENDLIB\n"
+
+// TestReadRejectsCellWithoutOutput: a cell that reaches ENDCELL without
+// an output fails Read and the reference reader alike, so the readers
+// still agree and every library they accept writes (Write) bytes they
+// accept again; with its OUTPUT on a line of its own the cell parses in
+// both.
+func TestReadRejectsCellWithoutOutput(t *testing.T) {
+	if _, err := Read(strings.NewReader(cellWithoutOutput)); err == nil {
+		t.Error("Read accepted a cell without an output")
+	}
+	if _, err := readReference(strings.NewReader(cellWithoutOutput)); err == nil {
+		t.Error("the reference reader accepted a cell without an output")
+	}
+	fixed := strings.Replace(cellWithoutOutput, "\r", "\n", 1)
+	for name, read := range map[string]func(io.Reader) (*Library, error){"Read": Read, "reference": readReference} {
+		l, err := read(strings.NewReader(fixed))
+		if err != nil || l.Cells["INV_X1"].Output != "ZN" {
+			t.Errorf("%s of the cell with its OUTPUT line: %v", name, err)
+		}
 	}
 }
 

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/atomicfile"
 )
 
 // Read parses a library previously produced by Write: it reads r to
@@ -199,6 +202,54 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gn.PinCap, ln.PinCap) {
 		t.Error("pin caps mismatch")
+	}
+}
+
+// TestSummedRoundTrip: WriteSummed is Write followed by the seal line,
+// the format every library cache entry and checkpoint shard has been
+// written in (the seal of testLibrary is pinned), so cache files on disk
+// keep loading. A sealed file reads back (atomicfile.ReadSealed) to the
+// library written, bit for bit.
+func TestSummedRoundTrip(t *testing.T) {
+	l := testLibrary()
+	var plain, summed bytes.Buffer
+	if err := Write(&plain, l); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSummed(&summed, l); err != nil {
+		t.Fatal(err)
+	}
+	const seal = "#SUM fnv64a ae41e5a328da3863\n"
+	if want := plain.String() + seal; summed.String() != want {
+		t.Fatalf("WriteSummed wrote %d bytes ending in %q, want Write's %d bytes and %q",
+			summed.Len(), summed.Bytes()[max(0, summed.Len()-len(seal)):], plain.Len(), seal)
+	}
+	path := filepath.Join(t.TempDir(), "test.alib")
+	if err := os.WriteFile(path, summed.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	body, err := atomicfile.ReadSealed(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Parse(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffLibraries(got, l); d != "" {
+		t.Errorf("the sealed library reads back different at %s", d)
+	}
+}
+
+// TestLegacyUnsummedFileStillLoads: plain Write output, libgen's export
+// format, carries no seal and parses unchanged.
+func TestLegacyUnsummedFileStillLoads(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, testLibrary()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("legacy file no longer parses: %v", err)
 	}
 }
 

@@ -209,6 +209,9 @@ func (p *refParser) cell(l *Library, hdr []string) (*CellTiming, error) {
 			}
 			ct.Arcs = append(ct.Arcs, *arc)
 		case "ENDCELL":
+			if ct.Output == "" {
+				return nil, fmt.Errorf("cell %s has no OUTPUT line", ct.Name)
+			}
 			return ct, nil
 		default:
 			return nil, fmt.Errorf("unexpected token %q in cell", f[0])

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"ageguard/internal/aging"
+	"ageguard/internal/atomicfile"
 )
 
 // Write serializes the library in the reproduction's line-oriented .alib
@@ -56,6 +57,12 @@ func Write(w io.Writer, l *Library) error {
 	return bw.Flush()
 }
 
+// WriteSummed writes the library like Write, sealed like every cache
+// file (atomicfile.Seal).
+func WriteSummed(w io.Writer, l *Library) error {
+	return atomicfile.Seal(w, func(w io.Writer) error { return Write(w, l) })
+}
+
 func floats(v []float64) string {
 	var sb strings.Builder
 	for _, x := range v {
@@ -71,10 +78,10 @@ func writeTable(w io.Writer, t *Table) {
 }
 
 // Parse parses the bytes of a library previously produced by Write. The
-// ENDLIB terminator is mandatory: a file that ends before it — e.g. a
-// cache entry truncated by a crashed or killed writer — is rejected
-// rather than silently parsed as a smaller library, so cache loaders can
-// detect every prefix truncation as corruption and rebuild.
+// ENDLIB terminator is mandatory: a file that ends before it — e.g. an
+// export truncated by a crashed or killed writer — is rejected rather
+// than silently parsed as a smaller library. (Cache files are sealed, and
+// their seal rejects every truncation before the parse.)
 //
 // Lines and fields are split in place and numbers parsed straight from
 // data, so the parse allocates little beyond the library it returns.
@@ -350,6 +357,10 @@ func (p *parser) cell(l *Library, hdr [][]byte) (*CellTiming, error) {
 			}
 			ct.Arcs = append(ct.Arcs, arc)
 		case "ENDCELL":
+			// Write would emit a short OUTPUT line for this cell.
+			if ct.Output == "" {
+				return nil, fmt.Errorf("cell %s has no OUTPUT line", ct.Name)
+			}
 			return ct, nil
 		default:
 			return nil, fmt.Errorf("unexpected token %q in cell", f[0])

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -20,26 +19,26 @@ import (
 //	                    library's sorted cell → arc → edge order, an
 //	                    edge's delay table before its output-slew table;
 //	                    an edge without tables contributes none
-//	checksum  8 bytes   fnv64a of every preceding byte, as .alib files
-//	                    carry one
 //
-// The file holds no structure of its own: its values are sliced along
-// the base library's tables, and every entry's base value must equal the
-// base table's bits, so a file taken around another base (another
-// scenario, grid or cell set) is rejected instead of misread.
+// The format has no checksum of its own: on disk a shift file is sealed
+// like every cache file (atomicfile), whose reader hands over only bytes
+// that did not change since the write. The file holds no structure of
+// its own either: its values are sliced along the base library's tables,
+// and every entry's base value must equal the base table's bits, so a
+// file taken around another base (another scenario, grid or cell set) is
+// rejected instead of misread.
 
 const (
 	shiftMagic   = "AGSHIFT"
-	shiftVersion = 1
+	shiftVersion = 2
 	shiftHeader  = len(shiftMagic) + 1 + 8 // magic, version, count
-	shiftSumLen  = 8
 )
 
 // EncodeShifts returns the shift file of shifts, the tables interleaved
 // around base: one ArcShift per arc of every base cell, holding a table
 // exactly where the base arc has one.
 func EncodeShifts(base *Library, shifts map[string][]ArcShift) ([]byte, error) {
-	buf := make([]byte, shiftHeader, shiftHeader+8*shiftValues(base)+shiftSumLen)
+	buf := make([]byte, shiftHeader, shiftHeader+8*shiftValues(base))
 	copy(buf, shiftMagic)
 	buf[len(shiftMagic)] = shiftVersion
 	err := walkShifts(base, shifts, func(t *Table, st *ShiftTable) error {
@@ -55,7 +54,7 @@ func EncodeShifts(base *Library, shifts map[string][]ArcShift) ([]byte, error) {
 		return nil, fmt.Errorf("liberty: shift file of %s: %w", base.Name, err)
 	}
 	binary.LittleEndian.PutUint64(buf[len(shiftMagic)+1:], uint64((len(buf)-shiftHeader)/8))
-	return binary.LittleEndian.AppendUint64(buf, shiftSum(buf)), nil
+	return buf, nil
 }
 
 // shiftValues counts the values of base's shift file.
@@ -73,18 +72,18 @@ func shiftValues(base *Library) int {
 	return n
 }
 
-// ShiftFile is a shift file that passed VerifyShifts: its magic, version,
-// value count and checksum are right. Tables decodes it against a base.
+// ShiftFile is a shift file that passed VerifyShifts: its magic, version
+// and value count are right. Tables decodes it against a base.
 type ShiftFile struct {
 	values []byte
 }
 
 // VerifyShifts checks a shift file without a base library: its magic and
-// format version, that its value count matches its length, and its
-// trailing checksum. Any bit flip or truncation fails it.
+// format version, and that its value count matches its length, so every
+// truncation fails it.
 func VerifyShifts(data []byte) (ShiftFile, error) {
-	if len(data) < shiftHeader+shiftSumLen {
-		return ShiftFile{}, fmt.Errorf("liberty: shift file of %d bytes is shorter than its header and checksum", len(data))
+	if len(data) < shiftHeader {
+		return ShiftFile{}, fmt.Errorf("liberty: shift file of %d bytes is shorter than its header", len(data))
 	}
 	if string(data[:len(shiftMagic)]) != shiftMagic {
 		return ShiftFile{}, errors.New("liberty: not a shift file")
@@ -92,22 +91,11 @@ func VerifyShifts(data []byte) (ShiftFile, error) {
 	if v := data[len(shiftMagic)]; v != shiftVersion {
 		return ShiftFile{}, fmt.Errorf("liberty: shift file format version %d, want %d", v, shiftVersion)
 	}
-	body := len(data) - shiftHeader - shiftSumLen
+	body := len(data) - shiftHeader
 	if n := binary.LittleEndian.Uint64(data[len(shiftMagic)+1:]); body%8 != 0 || n != uint64(body/8) {
 		return ShiftFile{}, fmt.Errorf("liberty: shift file says %d values but holds %d bytes of them", n, body)
 	}
-	sumAt := len(data) - shiftSumLen
-	if want, got := binary.LittleEndian.Uint64(data[sumAt:]), shiftSum(data[:sumAt]); got != want {
-		return ShiftFile{}, fmt.Errorf("liberty: shift file checksum mismatch: file says %016x, data hashes to %016x", want, got)
-	}
-	return ShiftFile{values: data[shiftHeader:sumAt]}, nil
-}
-
-// shiftSum is the fnv64a of b.
-func shiftSum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	return ShiftFile{values: data[shiftHeader:]}, nil
 }
 
 // Tables decodes the file against base, the library its tables were

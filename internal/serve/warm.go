@@ -5,6 +5,7 @@ import (
 	"os"
 	"time"
 
+	"ageguard/internal/atomicfile"
 	"ageguard/internal/char"
 	"ageguard/internal/obs"
 )
@@ -15,20 +16,17 @@ import (
 // caches its characterizations left behind. On boot the warm-start scan
 // walks the library cache directory, verifies every entry written for
 // this config (char.CacheEntries lists them by name, current-form names
-// only; char.VerifyCacheFile checks the trailing #SUM checksum, which
-// every entry must carry, then the parser's structural checks) and
-// pre-populates the LRU, so the first repeat query after a restart
-// is served from the warm path instead of re-characterizing. Files that
-// fail verification, including files whose checksum line is missing or
-// whose marker is damaged, are quarantined — renamed aside with a
-// .corrupt suffix — so the next miss re-characterizes cleanly instead
-// of tripping over the same bad bytes forever. The scrubber repeats the
-// verification sweep periodically to catch corruption that lands while
-// the daemon runs. It sweeps every .alib file and every Monte Carlo
-// sensitivity file of the directory (char.VerifySensitivityFile: magic,
-// version, value count and checksum), so it also quarantines files of
-// old config hashes written before the checksum existed, which no
-// current config loads.
+// only; char.VerifyCacheFile checks the file's seal, then the parser's
+// structural checks) and pre-populates the LRU, so the first repeat
+// query after a restart is served from the warm path instead of
+// re-characterizing. Files that fail verification are quarantined —
+// renamed aside with a .corrupt suffix — so the next miss
+// re-characterizes cleanly instead of tripping over the same bad bytes
+// forever. The scrubber catches bytes that change after they were
+// written, while the daemon runs: it checks only the seal (atomicfile)
+// of every cache file of the directory (char.CacheFiles), of any config
+// or kind. The structural checks stay with the loaders, which rebuild
+// what fails them.
 //
 // Readiness is split from liveness: /healthz answers as soon as the
 // listener is up (the process is alive), /readyz answers 200 only after
@@ -36,9 +34,9 @@ import (
 // balancers neither route to a cold instance nor to a dying one.
 
 // quarantineSuffix is appended to cache files that fail verification.
-// The rename takes them out of every cache lookup (nothing matches
-// *.alib or a sensitivity file's name any more) while preserving the
-// bytes for post-mortems.
+// The rename takes them out of every cache lookup (no library,
+// sensitivity file or netlist name matches any more) while preserving
+// the bytes for post-mortems.
 const quarantineSuffix = ".corrupt"
 
 // quarantine moves a corrupt cache file aside and counts it.
@@ -96,8 +94,8 @@ func (s *Server) warm(ctx context.Context) {
 	s.reg.Histogram("serve.warm.seconds").Since(t0)
 }
 
-// scrub re-verifies the on-disk library cache every ScrubInterval until
-// ctx is canceled, quarantining entries that rot while the daemon runs.
+// scrub re-verifies the on-disk cache every ScrubInterval until ctx is
+// canceled, quarantining files that rot while the daemon runs.
 func (s *Server) scrub(ctx context.Context) {
 	tk := time.NewTicker(s.cfg.ScrubInterval)
 	defer tk.Stop()
@@ -111,10 +109,10 @@ func (s *Server) scrub(ctx context.Context) {
 	}
 }
 
-// scrubPass verifies every library entry and sensitivity file in the
-// cache directory once (char.CacheFiles, char.VerifyFile). It sweeps the
-// whole directory, not just this config's files: a corrupt file is a
-// corrupt file no matter which config wrote it.
+// scrubPass checks the seal of every cache file in the directory once
+// (char.CacheFiles, atomicfile.ReadSealed). It sweeps the whole
+// directory, not just this config's files: a corrupt file is a corrupt
+// file no matter which config wrote it.
 func (s *Server) scrubPass(ctx context.Context) {
 	checked := s.reg.Counter("serve.scrub.checked")
 	quarantined := s.reg.Counter("serve.scrub.quarantined")
@@ -128,7 +126,7 @@ func (s *Server) scrubPass(ctx context.Context) {
 			return
 		}
 		checked.Inc()
-		if err := char.VerifyFile(p); err != nil {
+		if _, err := atomicfile.ReadSealed(p); err != nil {
 			quarantine(p, quarantined)
 		}
 	}

@@ -148,10 +148,10 @@ func TestWarmStartQuarantinesCorruptEntry(t *testing.T) {
 	if len(files) < 2 {
 		t.Fatalf("%d cached libraries, want the fresh and the aged one to corrupt", len(files))
 	}
-	// Flip one data-region byte of the first: the trailing checksum
-	// catches it even though the file still parses as a structurally
-	// valid library. Flip one byte of the second's checksum marker: its
-	// library data is intact, but a cache entry must carry a checksum.
+	// Flip one data-region byte of the first: its seal catches it even
+	// though the file still parses as a structurally valid library. Flip
+	// one byte of the second's seal marker: its library data is intact,
+	// but a cache entry must carry its seal.
 	for i, at := range []func(b []byte) int{
 		func(b []byte) int { return len(b) / 2 },
 		func(b []byte) int { return strings.LastIndex(string(b), "#SUM") + 1 },
@@ -309,6 +309,39 @@ func TestScrubberQuarantinesRottenFile(t *testing.T) {
 	}
 	if healthy != len(files)-1 {
 		t.Errorf("healthy files = %d, want %d", healthy, len(files)-1)
+	}
+}
+
+// TestScrubPassQuarantinesCorruptNetlist: one scrub pass checks the
+// seal of every cache file, netlists included: a cached netlist with one
+// flipped byte is quarantined, and the libraries beside it are not.
+func TestScrubPassQuarantinesCorruptNetlist(t *testing.T) {
+	dir := t.TempDir()
+	populateCache(t, dir)
+	netls, err := filepath.Glob(filepath.Join(dir, "*.netl"))
+	if err != nil || len(netls) != 1 {
+		t.Fatalf("cached netlists %v (%v), want the one the guardband synthesized", netls, err)
+	}
+	b, err := os.ReadFile(netls[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x01
+	if err := os.WriteFile(netls[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(quickConfig(dir), nil)
+	s.scrubPass(context.Background())
+	snap := s.Registry().Snapshot()
+	if checked, quarantined := snap.Counters["serve.scrub.checked"], snap.Counters["serve.scrub.quarantined"]; checked != 3 || quarantined != 1 {
+		t.Errorf("serve.scrub.checked = %d, quarantined = %d; want 3 (two libraries, one netlist) and 1", checked, quarantined)
+	}
+	if _, err := os.Stat(netls[0] + quarantineSuffix); err != nil {
+		t.Errorf("the corrupt netlist was not quarantined: %v", err)
+	}
+	if n := len(alibFiles(t, dir)); n != 2 {
+		t.Errorf("%d libraries left, want both", n)
 	}
 }
 

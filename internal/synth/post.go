@@ -478,8 +478,13 @@ func netExists(nl *netlist.Netlist, net string) bool {
 	return false
 }
 
-// ctx is checked between rounds; STA timings are recorded into the
-// registry carried by ctx.
+// SizeGatesDual resizes instances on critical paths found under critLib
+// while costing every candidate with costLib — the structure of the
+// related-work baseline [14] (Ebrahimi et al., ICCAD'13): aging analysis
+// points at the paths that will become critical, but the synthesis tool
+// that re-optimizes them only knows the fresh library. A round is kept
+// only when the critLib critical path improves. ctx is checked between
+// rounds; STA timings are recorded into the registry carried by ctx.
 func SizeGatesDual(ctx context.Context, nl *netlist.Netlist, costLib, critLib *liberty.Library, cfg Config) (*netlist.Netlist, error) {
 	cfg.fill()
 	cur := nl.Clone()
